@@ -1,0 +1,136 @@
+/**
+ * @file
+ * Golden corpus: the Table II quick sweep (the 16 jobs table2_main
+ * builds with TETRIS_BENCH_QUICK=1) pinned job by job.
+ *
+ * Each row of data/golden/table2_quick.txt holds one job's CNOT,
+ * one-qubit, depth and SWAP counts plus an FNV-1a hash over its gate
+ * sequence (kind, q0, q1) and final layout, so any change to a
+ * compiled circuit fails here, not only a change to its totals. On a
+ * mismatch the test prints every actual row in the file's format;
+ * updating the corpus means checking that the new output is intended
+ * and pasting those rows into the file.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "chem/uccsd.hh"
+#include "common/hash.hh"
+#include "core/pipeline_adapters.hh"
+#include "engine/engine.hh"
+#include "hardware/topologies.hh"
+
+namespace tetris
+{
+namespace
+{
+
+const char *const kCorpus = TETRIS_TEST_DATA_DIR "/golden/table2_quick.txt";
+
+/** Hash of what the circuit does: gate sequence, then final layout. */
+uint64_t
+circuitHash(const CompileResult &r)
+{
+    uint64_t h = kFnvOffset;
+    for (const Gate &g : r.circuit.gates()) {
+        h = fnvMix(h, static_cast<uint8_t>(g.kind));
+        h = fnvMix(h, static_cast<int32_t>(g.q0));
+        h = fnvMix(h, static_cast<int32_t>(g.q1));
+    }
+    for (int p : r.finalLayout.toPhysical())
+        h = fnvMix(h, static_cast<int32_t>(p));
+    return h;
+}
+
+/** One corpus row: "<job> <cnot> <1q> <depth> <swaps> <hash>". */
+std::string
+formatRow(const std::string &job, const CompileResult &r)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), "%s %zu %zu %zu %zu %016" PRIx64,
+                  job.c_str(), r.stats.cnotCount,
+                  r.stats.oneQubitCount, r.stats.depth,
+                  r.stats.swapCount, circuitHash(r));
+    return buf;
+}
+
+/** Corpus rows keyed by job name; '#' lines are comments. */
+std::map<std::string, std::string>
+readCorpus(const std::string &path)
+{
+    std::map<std::string, std::string> rows;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string job;
+        fields >> job;
+        rows[job] = line;
+    }
+    return rows;
+}
+
+TEST(Golden, Table2QuickSweepIsUnchanged)
+{
+    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
+    std::vector<std::string> names;
+    std::vector<CompileJob> jobs;
+    auto add = [&](const std::string &workload,
+                   std::vector<PauliBlock> blocks) {
+        for (const char *pipeline : {"ph", "tetris"}) {
+            CompileJob job;
+            job.name = workload + "/" + pipeline;
+            job.blocks = blocks;
+            job.hw = hw;
+            job.pipeline = pipeline == std::string("ph")
+                               ? makePaulihedralPipeline()
+                               : makeTetrisPipeline();
+            names.push_back(job.name);
+            jobs.push_back(std::move(job));
+        }
+    };
+    // table2_main's quick set: the first three molecules under both
+    // encoders, then UCC-10 and UCC-15 with their fixed seeds.
+    for (const char *enc : {"jw", "bk"}) {
+        for (size_t i = 0; i < 3; ++i) {
+            const MoleculeSpec &spec = moleculeBenchmarks()[i];
+            add(std::string(enc) + "/" + spec.name,
+                buildMolecule(spec, enc));
+        }
+    }
+    for (int n : {10, 15})
+        add("ucc/UCC-" + std::to_string(n), buildSyntheticUcc(n, 1000 + n));
+
+    Engine engine;
+    auto results = engine.compileAll(std::move(jobs));
+    ASSERT_EQ(results.size(), names.size());
+
+    const auto expected = readCorpus(kCorpus);
+    EXPECT_EQ(expected.size(), names.size()) << "rows in " << kCorpus;
+    std::string actual_rows;
+    bool all_match = expected.size() == names.size();
+    for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(results[i]) << names[i];
+        std::string row = formatRow(names[i], *results[i]);
+        actual_rows += row + "\n";
+        auto it = expected.find(names[i]);
+        std::string want = it == expected.end() ? "(missing)" : it->second;
+        EXPECT_EQ(row, want) << names[i];
+        all_match = all_match && row == want;
+    }
+    if (!all_match)
+        std::printf("actual rows:\n%s", actual_rows.c_str());
+}
+
+} // namespace
+} // namespace tetris
