@@ -1,13 +1,13 @@
 #include "bench_util.hh"
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/json.hh"
 #include "engine/disk_cache.hh"
 #include "engine/stats.hh"
@@ -18,15 +18,13 @@ namespace tetris::bench
 bool
 quickMode()
 {
-    const char *v = std::getenv("TETRIS_BENCH_QUICK");
-    return v != nullptr && std::strcmp(v, "0") != 0;
+    return envFlag("TETRIS_BENCH_QUICK");
 }
 
 bool
 verifyEnabled()
 {
-    const char *v = std::getenv("TETRIS_VERIFY");
-    return v != nullptr && std::strcmp(v, "0") != 0;
+    return envFlag("TETRIS_VERIFY");
 }
 
 std::vector<MoleculeSpec>
@@ -60,9 +58,7 @@ namespace
 bool
 progressEnabled()
 {
-    if (const char *v = std::getenv("TETRIS_BENCH_PROGRESS"))
-        return std::strcmp(v, "0") != 0;
-    return isatty(fileno(stderr)) != 0;
+    return envFlag("TETRIS_BENCH_PROGRESS", isatty(fileno(stderr)) != 0);
 }
 
 /**
@@ -146,12 +142,12 @@ runJobs(Engine &engine, std::vector<CompileJob> jobs)
     for (const auto &job : jobs)
         names.push_back(job.name);
 
-    // Live progress for long sweeps: with TETRIS_STATS_INTERVAL set,
-    // a background thread prints throughput/in-flight/ETA lines while
-    // compileAll blocks. Off (no thread) when the variable is unset.
-    StatsReporter reporter(engine);
+    const auto start = std::chrono::steady_clock::now();
     auto results = engine.compileAll(std::move(jobs));
-    reporter.stop();
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    std::fprintf(stderr, "%s\n",
+                 formatSummary(engine, elapsed.count()).c_str());
 
     std::vector<BenchRecord> records;
     records.reserve(results.size());

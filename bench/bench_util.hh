@@ -50,10 +50,10 @@
 namespace tetris::bench
 {
 
-/** True when TETRIS_BENCH_QUICK is set to a non-zero value. */
+/** The TETRIS_BENCH_QUICK flag (default off). */
 bool quickMode();
 
-/** True when TETRIS_VERIFY is set to a non-zero value. */
+/** The TETRIS_VERIFY flag (default off). */
 bool verifyEnabled();
 
 /** Molecule list honoring quick mode (first `quick_count` entries). */
@@ -87,7 +87,8 @@ using BenchRecord =
 /**
  * Compile the whole sweep through `engine` and pair each result with
  * its job's name, in submission order -- the input of both the table
- * printers and writeBenchJson().
+ * printers and writeBenchJson(). Prints one `stats: summary:` line
+ * (formatSummary) on stderr when the sweep is done.
  */
 std::vector<BenchRecord> runJobs(Engine &engine,
                                  std::vector<CompileJob> jobs);

@@ -45,6 +45,7 @@
 
 #include "bench_util.hh"
 #include "chem/uccsd.hh"
+#include "common/env.hh"
 #include "common/json.hh"
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
@@ -261,9 +262,7 @@ main(int argc, char **argv)
 
     // Verify every served result by default (the acceptance bar is
     // zero verify failures under load); TETRIS_VERIFY=0 opts out.
-    bool verify = true;
-    if (const char *v = std::getenv("TETRIS_VERIFY"))
-        verify = std::atoi(v) != 0;
+    const bool verify = envFlag("TETRIS_VERIFY", true);
     bench::printBanner(
         "serve_stress: tetrisd under concurrent clients",
         "full frame-protocol round-trips against one resident "

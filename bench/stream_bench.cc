@@ -23,7 +23,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -57,11 +56,8 @@ struct Row
 uint64_t
 instructionFloor(bool quick)
 {
-    if (const char *env = std::getenv("TETRIS_STREAM_INSTRUCTIONS")) {
-        if (int parsed = parseEnvInt(env, 1, 2000000000))
-            return static_cast<uint64_t>(parsed);
-    }
-    return quick ? 20000 : 200000;
+    return envInt("TETRIS_STREAM_INSTRUCTIONS", 1, 2000000000,
+                  quick ? 20000 : 200000);
 }
 
 /**

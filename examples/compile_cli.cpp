@@ -27,6 +27,7 @@
 
 #include "chem/uccsd.hh"
 #include "circuit/qasm.hh"
+#include "common/env.hh"
 #include "core/pipeline_adapters.hh"
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
@@ -122,9 +123,7 @@ main(int argc, char **argv)
     std::string workload, encoder = "jw", backend = "ithaca";
     std::string compiler = "tetris", qasm_path;
     TetrisOptions opts;
-    const char *verify_env = std::getenv("TETRIS_VERIFY");
-    bool do_verify =
-        verify_env != nullptr && std::strcmp(verify_env, "0") != 0;
+    bool do_verify = envFlag("TETRIS_VERIFY");
 
     for (int i = 1; i < argc; ++i) {
         auto need = [&](const char *flag) -> const char * {

@@ -62,7 +62,8 @@ done
 
 # ---- observability: schema, histograms, tracing -------------------
 # Every job trajectory must declare the bench-v2 schema and carry
-# ordered latency percentiles for job latency and queue wait.
+# ordered latency percentiles for job latency and queue wait, none of
+# them above the recorded max.
 python3 - build/BENCH_table2.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -72,8 +73,8 @@ hists = doc["engine"]["histograms"]
 for name in ("job.latency_ns", "job.queue_wait_ns"):
     h = hists[name]
     assert h["count"] > 0, f"{name} recorded nothing"
-    assert h["p50"] <= h["p90"] <= h["p99"], \
-        f"{name} percentiles out of order: {h}"
+    assert h["p50"] <= h["p90"] <= h["p99"] <= h["max"], \
+        f"{name} percentiles out of order or above max: {h}"
 print(f"smoke OK: bench-v2 histograms present "
       f"(job latency p99 {hists['job.latency_ns']['p99']} ns over "
       f"{hists['job.latency_ns']['count']} job(s))")
@@ -116,7 +117,7 @@ obs_events="$PWD/build/smoke-events.jsonl"
 rm -f "$obs_events" build/smoke-scrape.prom
 (cd build && TETRIS_OBS_ADDR="127.0.0.1:${obs_port}" \
   TETRIS_OBS_LINGER_MS=8000 TETRIS_EVENT_LOG="$obs_events" \
-  TETRIS_STATS_SUMMARY=1 ./table2_main) &
+  ./table2_main 2> smoke-obs-stderr.txt) &
 obs_bench_pid=$!
 python3 scripts/obs_scrape.py scrape --port "$obs_port" \
   --wait-idle --timeout 120 --out build/smoke-scrape.prom
@@ -130,8 +131,14 @@ for event in job.start job.finish; do
     exit 1
   fi
 done
+# table2 runs one sweep, so it prints exactly one summary line.
+summaries=$(grep -c '^stats: summary:' build/smoke-obs-stderr.txt || true)
+if [ "$summaries" != 1 ]; then
+  echo "smoke FAIL: expected one stats summary line, got ${summaries}" >&2
+  exit 1
+fi
 echo "smoke OK: live /metrics scrape validated + matched BENCH json;" \
-  "event log recorded the job lifecycle"
+  "event log recorded the job lifecycle; one sweep summary line"
 
 # Mixing a bench-v2 trajectory with a legacy (pre-schema) one must be
 # an invocation error (exit 2), not a crash or a silent diff.

@@ -12,11 +12,10 @@
  * the high-water mark of one call tree instead of growing with the
  * job.
  *
- * Chunk size defaults to 64 KiB and is tunable via TETRIS_ARENA_KB
- * (strict integer in [1, 1048576], same contract as the other
- * TETRIS_* knobs). Allocations larger than one chunk get a dedicated
- * chunk, so no request can fail short of the system allocator
- * failing.
+ * Chunks are 64 KiB unless the constructor asks otherwise, which
+ * covers the shipped topologies in one chunk. Allocations larger
+ * than one chunk get a dedicated chunk, so no request can fail short
+ * of the system allocator failing.
  *
  * Not thread-safe: one Arena belongs to one job/thread, which is
  * exactly the ownership the per-job BlockSynthesizer provides.
@@ -27,12 +26,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
-#include "common/env.hh"
-#include "common/log.hh"
 #include "common/logging.hh"
 
 namespace tetris
@@ -48,7 +44,7 @@ class Arena
         size_t used = 0;
     };
 
-    explicit Arena(size_t chunk_bytes = resolveChunkBytes())
+    explicit Arena(size_t chunk_bytes = kDefaultChunkBytes)
         : chunkBytes_(chunk_bytes == 0 ? kDefaultChunkBytes : chunk_bytes)
     {
     }
@@ -116,23 +112,6 @@ class Arena
         for (const Chunk &c : chunks_)
             total += c.capacity;
         return total;
-    }
-
-    /**
-     * Chunk size from TETRIS_ARENA_KB (strict integer in
-     * [1, 1048576] KiB; anything else warns and falls back to the
-     * 64 KiB default).
-     */
-    static size_t resolveChunkBytes()
-    {
-        if (const char *env = std::getenv("TETRIS_ARENA_KB")) {
-            if (int kb = parseEnvInt(env, 1, 1 << 20))
-                return static_cast<size_t>(kb) * 1024;
-            logWarn("ignoring invalid TETRIS_ARENA_KB='", env,
-                    "' (want an integer in [1, 1048576]); using the "
-                    "64 KiB default");
-        }
-        return kDefaultChunkBytes;
     }
 
     /**

@@ -10,17 +10,19 @@
  * approximate under concurrent writes, exact once writers quiesce.
  *
  * Percentiles are conservative upper bounds: percentile(p) returns
- * the upper edge of the bucket containing the rank-p sample, so the
- * reported p99 is within one power of two of the true value and is a
- * pure function of the bucket counts. That makes the value stable
- * across serialization: recomputing a percentile from the bucket
- * array a JSON snapshot carries reproduces the emitted number
- * exactly (tested in test_engine.cc).
+ * the upper edge of the bucket containing the rank-p sample, clamped
+ * to the largest recorded sample, so the reported p99 is within one
+ * power of two of the true value and never exceeds max(). It is a
+ * pure function of the bucket counts and the max. That makes the
+ * value stable across serialization: recomputing a percentile from
+ * the bucket array and max a JSON snapshot carries reproduces the
+ * emitted number exactly (tested in test_engine.cc).
  */
 
 #ifndef TETRIS_COMMON_HISTOGRAM_HH
 #define TETRIS_COMMON_HISTOGRAM_HH
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -73,9 +75,9 @@ class Histogram
 
     /**
      * Upper bound of the bucket holding the p-quantile sample
-     * (p in [0, 1]); 0 when the histogram is empty. Depends only on
-     * the bucket counts, never on max(), so it survives a
-     * bucket-array round trip bit-exactly.
+     * (p in [0, 1]), clamped to max(); 0 when the histogram is
+     * empty. Depends only on the bucket counts and max(), so it
+     * survives a round trip of both bit-exactly.
      */
     uint64_t percentile(double p) const
     {
@@ -102,9 +104,9 @@ class Histogram
         for (int i = 0; i < kBuckets; ++i) {
             seen += counts[i];
             if (seen >= rank)
-                return bucketUpperBound(i);
+                return std::min(bucketUpperBound(i), max());
         }
-        return bucketUpperBound(kBuckets - 1);
+        return max();
     }
 
     Snapshot snapshot() const

@@ -2,12 +2,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <mutex>
 
 #include <sys/time.h>
+
+#include "common/env.hh"
 
 namespace tetris
 {
@@ -25,18 +26,18 @@ std::atomic<int> g_level{-1};
 int
 levelFromEnv()
 {
-    const char *v = std::getenv("TETRIS_LOG_LEVEL");
-    if (v == nullptr || *v == '\0')
+    const std::string v = envString("TETRIS_LOG_LEVEL");
+    if (v.empty())
         return static_cast<int>(LogLevel::Warn);
     bool ok = false;
-    LogLevel parsed = parseLogLevel(v, ok);
+    LogLevel parsed = parseLogLevel(v.c_str(), ok);
     if (!ok) {
         // The logger is not configured yet, so report the bad knob
         // directly; this mirrors the other TETRIS_* env fallbacks.
         std::fprintf(stderr,
                      "warn: ignoring invalid TETRIS_LOG_LEVEL='%s' "
                      "(want debug|info|warn|error|off); using warn\n",
-                     v);
+                     v.c_str());
         return static_cast<int>(LogLevel::Warn);
     }
     return static_cast<int>(parsed);

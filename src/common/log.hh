@@ -15,9 +15,8 @@
  * interleave mid-message; suppressed levels cost a single relaxed
  * atomic load and no formatting.
  *
- * This replaces the ad-hoc warn() stderr writes on the engine and
- * disk-cache paths; panic()/fatal() (common/logging.hh) remain the
- * unconditional abort/exit channels.
+ * panic()/fatal() (common/logging.hh) remain the unconditional
+ * abort/exit channels.
  */
 
 #ifndef TETRIS_COMMON_LOG_HH

@@ -4,7 +4,8 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (library bugs), fatal() is for unrecoverable user errors
- * (bad configuration or input), warn() is advisory only.
+ * (bad configuration or input). Advisory messages go through the
+ * leveled logger (common/log.hh).
  */
 
 #ifndef TETRIS_COMMON_LOGGING_HH
@@ -74,15 +75,6 @@ fatal(Args &&...args)
     std::fprintf(stderr, "fatal: %s\n",
                  detail::composeMessage(std::forward<Args>(args)...).c_str());
     std::exit(1);
-}
-
-/** Print a non-fatal warning to stderr. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    std::fprintf(stderr, "warn: %s\n",
-                 detail::composeMessage(std::forward<Args>(args)...).c_str());
 }
 
 /** Panic if a condition does not hold. Active in all build types. */

@@ -1,11 +1,9 @@
 #include "engine/compile_cache.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "common/env.hh"
-#include "common/log.hh"
 #include "common/logging.hh"
 
 namespace tetris
@@ -75,15 +73,9 @@ CompileCache::resolveShardCount(int requested)
 {
     if (requested > 0)
         return requested > kMaxShards ? kMaxShards : requested;
-    if (const char *env = std::getenv("TETRIS_CACHE_SHARDS")) {
-        if (int n = parseEnvInt(env, 1, kMaxShards))
-            return n;
-        logWarn("ignoring invalid TETRIS_CACHE_SHARDS='", env,
-                "' (want an integer in [1, 1024]); deriving from "
-                "hardware concurrency");
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return nextPowerOfTwo(hw == 0 ? 1 : hw);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return static_cast<int>(envInt("TETRIS_CACHE_SHARDS", 1, kMaxShards,
+                                   nextPowerOfTwo(hw == 0 ? 1 : hw)));
 }
 
 CompileCache::CompileCache(int num_shards)

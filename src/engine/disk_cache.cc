@@ -1,15 +1,13 @@
 #include "engine/disk_cache.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/log.hh"
 #include "common/logging.hh"
 #include "obs/event_log.hh"
@@ -69,36 +67,15 @@ listEntries(const std::string &dir)
     return entries;
 }
 
-/** Strict byte-count parse of TETRIS_CACHE_MAX_BYTES; 0 on reject. */
-uint64_t
-maxBytesFromEnv()
-{
-    const char *v = std::getenv("TETRIS_CACHE_MAX_BYTES");
-    if (v == nullptr || *v == '\0')
-        return 0;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    while (end != nullptr && (*end == ' ' || *end == '\t'))
-        ++end;
-    if (errno != 0 || end == v || *end != '\0' ||
-        std::strchr(v, '-') != nullptr) {
-        logWarn("ignoring invalid TETRIS_CACHE_MAX_BYTES='", v,
-                "' (want a plain byte count)");
-        return 0;
-    }
-    return parsed;
-}
-
 } // namespace
 
 std::shared_ptr<DiskCache>
 DiskCache::openFromEnv()
 {
-    const char *dir = std::getenv("TETRIS_CACHE_DIR");
-    if (dir == nullptr || *dir == '\0')
+    const std::string dir = envString("TETRIS_CACHE_DIR");
+    if (dir.empty())
         return nullptr;
-    return open(dir, maxBytesFromEnv());
+    return open(dir, envInt("TETRIS_CACHE_MAX_BYTES", 0, INT64_MAX, 0));
 }
 
 std::shared_ptr<DiskCache>

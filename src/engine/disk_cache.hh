@@ -61,7 +61,7 @@ class DiskCache
 
     /**
      * Open the store named by TETRIS_CACHE_DIR, with the eviction
-     * budget from TETRIS_CACHE_MAX_BYTES (optional; suffix-free byte
+     * budget from TETRIS_CACHE_MAX_BYTES (optional; integer byte
      * count, 0 or unset = unlimited). Null when the variable is
      * unset/empty or the directory is unusable (warned).
      */

@@ -1,8 +1,8 @@
 #include "engine/engine.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.hh"
 #include "common/hash.hh"
 #include "common/log.hh"
 #include "common/logging.hh"
@@ -58,16 +58,14 @@ Engine::Engine(EngineOptions opts)
     // Observability plane: both pieces are opt-in (options first,
     // env second) and both read engine state the member-init list
     // above has fully built. Disabled, they cost nothing per job.
-    const uint64_t stall_ms = opts_.stallMs != 0
-                                  ? opts_.stallMs
-                                  : StallWatchdog::stallMsFromEnv();
+    const uint64_t stall_ms =
+        opts_.stallMs != 0 ? opts_.stallMs
+                           : envInt("TETRIS_STALL_MS", 0, 86400000, 0);
     if (stall_ms != 0)
         watchdog_ = std::make_unique<StallWatchdog>(*this, stall_ms);
-    std::string obs_addr = opts_.obsServer;
-    if (obs_addr.empty()) {
-        if (const char *v = std::getenv("TETRIS_OBS_ADDR"))
-            obs_addr = v;
-    }
+    const std::string obs_addr =
+        opts_.obsServer.empty() ? envString("TETRIS_OBS_ADDR")
+                                : opts_.obsServer;
     if (!obs_addr.empty())
         obsServer_ = ObsServer::start(*this, obs_addr);
 }

@@ -258,7 +258,7 @@ class Engine
 
     /**
      * Live progress counters (relaxed atomics — safe to poll from
-     * any thread, e.g. the StatsReporter): submissions accepted,
+     * any thread, e.g. the obs scrape server): submissions accepted,
      * jobs a worker has dequeued, and submissions whose work is
      * finished. Deduplicated submissions finish without starting,
      * so finishedCount() can exceed startedCount().

@@ -113,7 +113,8 @@ class MetricsRegistry
      * {"counts": {...}, "seconds": {...}, "histograms": {...}}
      * appended to `w`. Each histogram object carries count/sum/max,
      * the p50/p90/p99 upper bounds, and its sparse [index, count]
-     * bucket list (so percentiles can be recomputed offline).
+     * bucket list (so percentiles can be recomputed offline from the
+     * buckets and the max).
      */
     void writeJson(JsonWriter &w) const;
 

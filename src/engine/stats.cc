@@ -1,13 +1,9 @@
 #include "engine/stats.hh"
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
-#include "common/env.hh"
 #include "common/histogram.hh"
-#include "common/log.hh"
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
 
@@ -193,33 +189,8 @@ formatStatsSnapshot(const Engine &engine)
     return os.str();
 }
 
-double
-StatsReporter::intervalFromEnv()
-{
-    const char *v = std::getenv("TETRIS_STATS_INTERVAL");
-    if (v == nullptr || *v == '\0')
-        return 0.0;
-    // "0" is an explicit off, not an invalid value.
-    if (v[0] == '0' && v[1] == '\0')
-        return 0.0;
-    if (int n = parseEnvInt(v, 1, 86400))
-        return static_cast<double>(n);
-    logWarn("ignoring invalid TETRIS_STATS_INTERVAL='", v,
-            "' (want seconds in [1, 86400]); stats reporter off");
-    return 0.0;
-}
-
-bool
-StatsReporter::summaryFromEnv()
-{
-    const char *v = std::getenv("TETRIS_STATS_SUMMARY");
-    return v != nullptr && *v != '\0' &&
-           !(v[0] == '0' && v[1] == '\0');
-}
-
 std::string
-StatsReporter::formatSummary(const Engine &engine,
-                             double elapsed_seconds)
+formatSummary(const Engine &engine, double elapsed_seconds)
 {
     const size_t submitted = engine.submittedCount();
     const size_t finished = engine.finishedCount();
@@ -256,89 +227,6 @@ StatsReporter::formatSummary(const Engine &engine,
            << disk->writes() << " write(s)";
     }
     return os.str();
-}
-
-StatsReporter::StatsReporter(const Engine &engine,
-                             double interval_seconds, bool summary)
-    : engine_(engine), interval_(interval_seconds), summary_(summary),
-      start_(std::chrono::steady_clock::now())
-{
-    if (interval_ > 0.0)
-        thread_ = std::thread([this] { loop(); });
-}
-
-StatsReporter::~StatsReporter() { stop(); }
-
-void
-StatsReporter::stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_)
-            return;
-        stopping_ = true;
-    }
-    wake_.notify_all();
-    if (thread_.joinable())
-        thread_.join();
-    // First stop wins the flag above, so the summary prints exactly
-    // once — with or without an interval thread.
-    if (summary_) {
-        const double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        std::fprintf(stderr, "%s\n",
-                     formatSummary(engine_, elapsed).c_str());
-    }
-}
-
-void
-StatsReporter::loop()
-{
-    const auto start = std::chrono::steady_clock::now();
-    const size_t finished_at_start = engine_.finishedCount();
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            if (wake_.wait_for(
-                    lock, std::chrono::duration<double>(interval_),
-                    [this] { return stopping_; })) {
-                return;
-            }
-        }
-        const size_t submitted = engine_.submittedCount();
-        const size_t started = engine_.startedCount();
-        const size_t finished = engine_.finishedCount();
-        const double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        const double rate =
-            elapsed > 0.0
-                ? static_cast<double>(finished - finished_at_start) /
-                      elapsed
-                : 0.0;
-        const size_t remaining = submitted - finished;
-        // Opt-in progress, not logging: print unconditionally on
-        // stderr like the bench progress lines, one line per tick.
-        if (rate > 0.0 && remaining > 0) {
-            std::fprintf(
-                stderr,
-                "stats: %zu/%zu done, %zu in-flight, %zu queued, "
-                "%.2f jobs/s, ETA %.0fs\n",
-                finished, submitted, started - finished,
-                submitted - started, rate,
-                static_cast<double>(remaining) / rate);
-        } else {
-            std::fprintf(stderr,
-                         "stats: %zu/%zu done, %zu in-flight, "
-                         "%zu queued, %.2f jobs/s\n",
-                         finished, submitted, started - finished,
-                         submitted - started, rate);
-        }
-        logDebug("stats snapshot:\n", formatStatsSnapshot(engine_));
-    }
 }
 
 } // namespace tetris

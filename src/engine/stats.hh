@@ -1,34 +1,27 @@
 /**
  * @file
- * Live engine stats: a periodic progress reporter and the /metrics
- * exposition formatter.
+ * Engine stats as text: the /metrics exposition and the end-of-sweep
+ * summary line.
  *
- * StatsReporter is the long-sweep companion: with
- * TETRIS_STATS_INTERVAL=<seconds> set (bench_util wires it around
- * every sweep), a background thread prints one line per interval —
- * finished/submitted, in-flight and queued jobs, throughput, and an
- * ETA — so a 30-minute table2 run is observable without a trace.
- * With TETRIS_STATS_SUMMARY=1 it additionally prints one end-of-run
- * summary line (throughput, p50/p99 job latency, cache hit rate)
- * when it stops, whether or not an interval reporter was armed.
+ * formatStatsSnapshot() renders the live engine state as a full
+ * Prometheus text exposition 0.0.4 document: # TYPE'd counter and
+ * gauge families, and every MetricsRegistry log2 histogram as
+ * cumulative `_bucket{le="..."}` / `_sum` / `_count` series (plus
+ * `_max` and `_quantile` gauge companions). It is the body the obs
+ * scrape server (obs/obs_server.hh) serves from GET /metrics, so a
+ * long sweep is observed by scraping it: submitted, started,
+ * finished, in-flight and queued jobs, and uptime are all gauges or
+ * counters there.
  *
- * formatStatsSnapshot() renders the same state as a full Prometheus
- * text exposition 0.0.4 document: # TYPE'd counter and gauge
- * families, and every MetricsRegistry log2 histogram as cumulative
- * `_bucket{le="..."}` / `_sum` / `_count` series (plus `_max` and
- * `_quantile` gauge companions). It is the body the obs scrape
- * server (obs/obs_server.hh) serves from GET /metrics and what the
- * reporter's per-tick snapshot prints at debug level.
+ * formatSummary() is the one line bench::runJobs prints on stderr
+ * after every sweep: throughput, job-latency p50/p99, and cache hit
+ * rates.
  */
 
 #ifndef TETRIS_ENGINE_STATS_HH
 #define TETRIS_ENGINE_STATS_HH
 
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <string>
-#include <thread>
 
 namespace tetris
 {
@@ -46,65 +39,12 @@ class Engine;
  */
 std::string formatStatsSnapshot(const Engine &engine);
 
-class StatsReporter
-{
-  public:
-    /**
-     * Start reporting on `engine` every `interval_seconds`;
-     * <= 0 disables (no thread). The engine must outlive the
-     * reporter. The default interval comes from
-     * TETRIS_STATS_INTERVAL; `summary` (default TETRIS_STATS_SUMMARY)
-     * requests the one-line end-of-run summary from stop().
-     */
-    explicit StatsReporter(const Engine &engine,
-                           double interval_seconds = intervalFromEnv(),
-                           bool summary = summaryFromEnv());
-
-    /** Stops and joins the reporting thread. */
-    ~StatsReporter();
-
-    StatsReporter(const StatsReporter &) = delete;
-    StatsReporter &operator=(const StatsReporter &) = delete;
-
-    /**
-     * Stop early (idempotent; the destructor calls it). The first
-     * call prints the end-of-run summary when one was requested.
-     */
-    void stop();
-
-    bool active() const { return thread_.joinable(); }
-
-    /**
-     * TETRIS_STATS_INTERVAL in seconds: strict integer in
-     * [1, 86400]; unset or 0 disables, anything else warns and
-     * disables.
-     */
-    static double intervalFromEnv();
-
-    /** TETRIS_STATS_SUMMARY: set and not "0" enables the summary. */
-    static bool summaryFromEnv();
-
-    /**
-     * The end-of-run summary line (without trailing newline): jobs
-     * finished, wall time, throughput, job-latency p50/p99, and the
-     * in-memory/disk cache hit rates. Public so tests can check the
-     * numbers without scraping stderr.
-     */
-    static std::string formatSummary(const Engine &engine,
-                                     double elapsed_seconds);
-
-  private:
-    void loop();
-
-    const Engine &engine_;
-    const double interval_;
-    const bool summary_;
-    const std::chrono::steady_clock::time_point start_;
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    bool stopping_ = false;
-    std::thread thread_;
-};
+/**
+ * The end-of-run summary line (without trailing newline): jobs
+ * finished, wall time, throughput, job-latency p50/p99, and the
+ * in-memory/disk cache hit rates.
+ */
+std::string formatSummary(const Engine &engine, double elapsed_seconds);
 
 } // namespace tetris
 

@@ -1,9 +1,6 @@
 #include "engine/thread_pool.hh"
 
-#include <cstdlib>
-
 #include "common/env.hh"
-#include "common/log.hh"
 #include "common/logging.hh"
 
 namespace tetris
@@ -79,15 +76,9 @@ ThreadPool::resolveThreadCount(int requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("TETRIS_ENGINE_THREADS")) {
-        if (int n = parseEnvInt(env, 1, 4096))
-            return n;
-        logWarn("ignoring invalid TETRIS_ENGINE_THREADS='", env,
-                "' (want an integer in [1, 4096]); using hardware "
-                "concurrency");
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return static_cast<int>(
+        envInt("TETRIS_ENGINE_THREADS", 1, 4096, hw == 0 ? 1 : hw));
 }
 
 } // namespace tetris

@@ -1,9 +1,9 @@
 #include "engine/trace.hh"
 
-#include <cstdlib>
 #include <fstream>
 #include <utility>
 
+#include "common/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 
@@ -167,10 +167,9 @@ Tracer::global()
     // threads); the destructor then flushes TETRIS_TRACE output.
     static Tracer tracer;
     static const bool armed = [] {
-        if (const char *path = std::getenv("TETRIS_TRACE")) {
-            if (*path != '\0')
-                tracer.enable(path);
-        }
+        const std::string path = envString("TETRIS_TRACE");
+        if (!path.empty())
+            tracer.enable(path);
         return true;
     }();
     (void)armed;

@@ -54,11 +54,7 @@ resolveStreamWindow(int requested)
 {
     if (requested >= 1)
         return requested;
-    if (const char *env = std::getenv("TETRIS_STREAM_WINDOW")) {
-        if (int parsed = parseEnvInt(env, 1, 1 << 20))
-            return parsed;
-    }
-    return 256;
+    return static_cast<int>(envInt("TETRIS_STREAM_WINDOW", 1, 1 << 20, 256));
 }
 
 uint64_t

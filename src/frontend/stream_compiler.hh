@@ -56,7 +56,7 @@ std::unique_ptr<BlockSource> makeBlockSource(std::istream &in,
 
 /**
  * Window size: `requested` if >= 1, else TETRIS_STREAM_WINDOW
- * (strict parse, [1, 1048576]), else 256.
+ * (integer in [1, 1048576]), else 256.
  */
 int resolveStreamWindow(int requested = 0);
 

@@ -1,7 +1,5 @@
 #include "obs/event_log.hh"
 
-#include <cstdlib>
-
 #include <sys/time.h>
 
 #include "common/env.hh"
@@ -185,19 +183,6 @@ EventLog::record(const char *event, std::initializer_list<Field> fields)
     records_.fetch_add(1, std::memory_order_relaxed);
 }
 
-uint64_t
-EventLog::maxBytesFromEnv()
-{
-    const char *v = std::getenv("TETRIS_EVENT_LOG_MAX_BYTES");
-    if (v == nullptr || *v == '\0')
-        return kDefaultMaxBytes;
-    if (int n = parseEnvInt(v, 4096, 1 << 30))
-        return static_cast<uint64_t>(n);
-    logWarn("ignoring invalid TETRIS_EVENT_LOG_MAX_BYTES='", v,
-            "' (want bytes in [4096, 2^30]); using default");
-    return kDefaultMaxBytes;
-}
-
 EventLog &
 EventLog::global()
 {
@@ -205,11 +190,11 @@ EventLog::global()
     // still record during teardown, and every record is flushed.
     static EventLog *g = [] {
         auto *log = new EventLog();
-        const char *path = std::getenv("TETRIS_EVENT_LOG");
-        if (path != nullptr && *path != '\0') {
-            if (log->arm(path, maxBytesFromEnv()))
-                installLogTee(*log);
-        }
+        const std::string path = envString("TETRIS_EVENT_LOG");
+        if (!path.empty() &&
+            log->arm(path, envInt("TETRIS_EVENT_LOG_MAX_BYTES", 4096,
+                                  1 << 30, kDefaultMaxBytes)))
+            installLogTee(*log);
         return log;
     }();
     return *g;

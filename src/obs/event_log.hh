@@ -123,13 +123,6 @@ class EventLog
      */
     static EventLog &global();
 
-    /**
-     * TETRIS_EVENT_LOG_MAX_BYTES: strict integer number of bytes in
-     * [4096, 2^30]; unset or invalid falls back to kDefaultMaxBytes
-     * (invalid warns).
-     */
-    static uint64_t maxBytesFromEnv();
-
   private:
     void rotateLocked();
 

@@ -56,17 +56,13 @@ parseAddr(const std::string &addr, struct sockaddr_in &out)
         host = "127.0.0.1";
     if (port_str.empty())
         return false;
-    // Port 0 (ephemeral) is legal here but parseEnvInt uses 0 as its
-    // rejection sentinel, so check for a literal "0" first.
-    int port = 0;
-    if (!(port_str == "0")) {
-        port = parseEnvInt(port_str.c_str(), 1, 65535);
-        if (port == 0)
-            return false;
-    }
+    // Port 0 asks for an ephemeral port.
+    const auto port = parseBoundedInt(port_str.c_str(), 0, 65535);
+    if (!port)
+        return false;
     std::memset(&out, 0, sizeof(out));
     out.sin_family = AF_INET;
-    out.sin_port = htons(static_cast<uint16_t>(port));
+    out.sin_port = htons(static_cast<uint16_t>(*port));
     if (::inet_pton(AF_INET, host.c_str(), &out.sin_addr) != 1)
         return false;
     return true;
@@ -208,13 +204,7 @@ ObsServer::start(const Engine &engine, const std::string &addr)
     std::unique_ptr<ObsServer> server(new ObsServer(engine));
     server->listenFd_ = fd;
     server->port_ = ntohs(bound.sin_port);
-    if (const char *linger = std::getenv("TETRIS_OBS_LINGER_MS")) {
-        if (int ms = parseEnvInt(linger, 1, 60000))
-            server->lingerMs_ = static_cast<uint64_t>(ms);
-        else if (!(linger[0] == '0' && linger[1] == '\0'))
-            logWarn("ignoring invalid TETRIS_OBS_LINGER_MS='", linger,
-                    "' (want ms in [1, 60000])");
-    }
+    server->lingerMs_ = envInt("TETRIS_OBS_LINGER_MS", 0, 60000, 0);
     server->thread_ = std::thread([s = server.get()] { s->loop(); });
     logInfo("obs server: serving /metrics /healthz /statusz on port ",
             server->port_);

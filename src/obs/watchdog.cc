@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
-#include "common/env.hh"
 #include "common/log.hh"
 #include "engine/engine.hh"
 #include "engine/trace.hh"
@@ -28,22 +26,6 @@ StallWatchdog::~StallWatchdog()
     wake_.notify_all();
     if (thread_.joinable())
         thread_.join();
-}
-
-uint64_t
-StallWatchdog::stallMsFromEnv()
-{
-    const char *v = std::getenv("TETRIS_STALL_MS");
-    if (v == nullptr || *v == '\0')
-        return 0;
-    // "0" is an explicit off, not an invalid value.
-    if (v[0] == '0' && v[1] == '\0')
-        return 0;
-    if (int n = parseEnvInt(v, 1, 86400000))
-        return static_cast<uint64_t>(n);
-    logWarn("ignoring invalid TETRIS_STALL_MS='", v,
-            "' (want milliseconds in [1, 86400000]); watchdog off");
-    return 0;
 }
 
 void
@@ -80,7 +62,6 @@ StallWatchdog::scan()
         const char *stage = job->stage.load(std::memory_order_relaxed);
         const double elapsed_ms =
             static_cast<double>(elapsed_ns) / 1e6;
-        stalled_.fetch_add(1, std::memory_order_relaxed);
         engine_.metrics().addCount("jobs.stalled");
         EventLog &events = engine_.eventLog();
         if (events.enabled()) {

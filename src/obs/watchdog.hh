@@ -15,7 +15,7 @@
  * preemption, matching the engine's cooperative cancellation model.
  *
  * Armed per engine by EngineOptions::stallMs or TETRIS_STALL_MS
- * (milliseconds; unset = off). The poll interval self-scales to a
+ * (milliseconds in [0, 86400000]; unset or 0 = off). The poll interval self-scales to a
  * quarter of the threshold, clamped to [10ms, 1s], so detection
  * latency stays proportional without busy-polling.
  */
@@ -23,7 +23,6 @@
 #ifndef TETRIS_OBS_WATCHDOG_HH
 #define TETRIS_OBS_WATCHDOG_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -47,28 +46,12 @@ class StallWatchdog
     StallWatchdog(const StallWatchdog &) = delete;
     StallWatchdog &operator=(const StallWatchdog &) = delete;
 
-    uint64_t stallMs() const { return stallMs_; }
-
-    /** Jobs this watchdog has flagged (mirrors `jobs.stalled`). */
-    uint64_t stalledCount() const
-    {
-        return stalled_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * TETRIS_STALL_MS: strict integer milliseconds in
-     * [1, 86400000]; unset or 0 disables, anything else warns and
-     * disables.
-     */
-    static uint64_t stallMsFromEnv();
-
   private:
     void loop();
     void scan();
 
     Engine &engine_;
     const uint64_t stallMs_;
-    std::atomic<uint64_t> stalled_{0};
     std::mutex mutex_;
     std::condition_variable wake_;
     bool stopping_ = false;

@@ -1,7 +1,5 @@
 #include "serialize/mmap_file.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <utility>
 
@@ -14,6 +12,8 @@
 #else
 #define TETRIS_HAVE_MMAP 0
 #endif
+
+#include "common/env.hh"
 
 namespace tetris::serialize
 {
@@ -59,8 +59,7 @@ bool
 MappedFile::mmapEnabled()
 {
 #if TETRIS_HAVE_MMAP
-    const char *v = std::getenv("TETRIS_DISK_MMAP");
-    return v == nullptr || std::strcmp(v, "0") != 0;
+    return envFlag("TETRIS_DISK_MMAP", true);
 #else
     return false;
 #endif

@@ -10,7 +10,6 @@
 #include <unistd.h>
 #endif
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/env.hh"
@@ -28,22 +27,6 @@ namespace tetris::serve
 
 namespace
 {
-
-/** Env-with-default knob resolution (0 request = consult env). */
-int
-resolveKnob(int requested, const char *env, int min_v, int max_v,
-            int fallback)
-{
-    if (requested > 0)
-        return requested;
-    if (const char *v = std::getenv(env)) {
-        if (int n = parseEnvInt(v, min_v, max_v))
-            return n;
-        logWarn("ignoring invalid ", env, "='", v, "' (want [", min_v,
-                ", ", max_v, "])");
-    }
-    return fallback;
-}
 
 /** A stuck or vanished peer must not wedge a handler mid-frame. */
 void
@@ -130,19 +113,18 @@ std::unique_ptr<ServeServer>
 ServeServer::start(Engine &engine, ServeOptions opts)
 {
     std::unique_ptr<ServeServer> server(new ServeServer(engine));
-    server->maxClients_ = resolveKnob(
-        opts.maxClients, "TETRIS_SERVE_MAX_CLIENTS", 1, 4096, 64);
-    server->maxQueueDepth_ = resolveKnob(
-        opts.maxQueueDepth, "TETRIS_SERVE_QUEUE", 1, 1 << 20, 256);
-    if (opts.maxFrameBytes > 0) {
-        server->maxFrameBytes_ = opts.maxFrameBytes;
-    } else {
-        server->maxFrameBytes_ =
-            static_cast<uint64_t>(
-                resolveKnob(0, "TETRIS_SERVE_MAX_FRAME_MB", 1, 4096,
-                            64))
-            << 20;
-    }
+    server->maxClients_ =
+        opts.maxClients > 0
+            ? opts.maxClients
+            : envInt("TETRIS_SERVE_MAX_CLIENTS", 1, 4096, 64);
+    server->maxQueueDepth_ =
+        opts.maxQueueDepth > 0
+            ? opts.maxQueueDepth
+            : envInt("TETRIS_SERVE_QUEUE", 1, 1 << 20, 256);
+    server->maxFrameBytes_ =
+        opts.maxFrameBytes > 0
+            ? opts.maxFrameBytes
+            : envInt("TETRIS_SERVE_MAX_FRAME_MB", 1, 4096, 64) << 20;
 
     if (opts.tcpPort >= 0) {
         server->tcpFd_ =
@@ -425,8 +407,10 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
     rf.serverMs =
         static_cast<double>(steadyNowNs() - t0) / 1e6;
     rf.artifact = serialize::encodeArtifact(key, *result);
+    // Count before sending: a client may read the counter as soon as
+    // it holds the frame.
+    engine_.metrics().addCount("serve.results");
     if (sendFrame(fd, FrameType::Result, encodeResult(rf))) {
-        engine_.metrics().addCount("serve.results");
         engine_.metrics()
             .histogram("serve.request_ns")
             .record(steadyNowNs() - t0);

@@ -1024,9 +1024,9 @@ TEST(Metrics, HistogramsInRegistry)
 TEST(Metrics, PercentilesSurviveBucketRoundTrip)
 {
     // The BENCH_*.json histogram section carries the sparse bucket
-    // array; percentiles recomputed from those counts alone must
+    // array and the max; percentiles recomputed from those alone must
     // reproduce the emitted p50/p90/p99 exactly. That holds because
-    // percentile() is a pure function of the bucket counts.
+    // percentile() is a pure function of the bucket counts and max.
     Histogram original;
     uint64_t state = 88172645463325252ull;
     for (int i = 0; i < 5000; ++i) {
@@ -1036,14 +1036,18 @@ TEST(Metrics, PercentilesSurviveBucketRoundTrip)
         original.record(state % 10000000);
     }
 
+    // Each sample is rebuilt at its bucket's upper bound, capped at
+    // the original max (which stays in the top bucket).
     Histogram rebuilt;
     for (int i = 0; i < Histogram::kBuckets; ++i) {
         uint64_t n = original.bucketCount(i);
         for (uint64_t k = 0; k < n; ++k)
-            rebuilt.record(Histogram::bucketUpperBound(i));
+            rebuilt.record(std::min(Histogram::bucketUpperBound(i),
+                                    original.max()));
     }
 
     EXPECT_EQ(rebuilt.count(), original.count());
+    EXPECT_EQ(rebuilt.max(), original.max());
     for (double p : {0.5, 0.9, 0.99}) {
         EXPECT_EQ(rebuilt.percentile(p), original.percentile(p))
             << "p=" << p;

@@ -23,12 +23,12 @@
  *   TETRIS_FUZZ_CASES=<n>  cases per suite (default 25)
  */
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/env.hh"
 #include "common/rng.hh"
 #include "frontend/pauli_parser.hh"
 #include "frontend/qasm_parser.hh"
@@ -41,26 +41,15 @@ namespace
 using namespace tetris::frontend;
 
 uint64_t
-envOr(const char *name, uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-uint64_t
 baseSeed()
 {
-    return envOr("TETRIS_FUZZ_SEED", 1);
+    return envInt("TETRIS_FUZZ_SEED", 0, INT64_MAX, 1);
 }
 
 int
 numCases()
 {
-    return static_cast<int>(envOr("TETRIS_FUZZ_CASES", 25));
+    return static_cast<int>(envInt("TETRIS_FUZZ_CASES", 0, INT32_MAX, 25));
 }
 
 /** Outcome of one full drain of a parser, for determinism checks. */

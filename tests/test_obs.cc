@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "chem/uccsd.hh"
+#include "common/env.hh"
 #include "common/histogram.hh"
 #include "common/log.hh"
 #include "engine/engine.hh"
@@ -810,16 +811,20 @@ TEST(WatchdogTest, StallMsFromEnvIsStrict)
     const char *saved = std::getenv("TETRIS_STALL_MS");
     std::string saved_copy = saved ? saved : "";
 
+    // The engine's read of the knob: milliseconds, default off.
+    auto stallMs = [] {
+        return envInt("TETRIS_STALL_MS", 0, 86400000, 0);
+    };
     ::setenv("TETRIS_STALL_MS", "250", 1);
-    EXPECT_EQ(StallWatchdog::stallMsFromEnv(), 250u);
+    EXPECT_EQ(stallMs(), 250);
     ::setenv("TETRIS_STALL_MS", "0", 1);
-    EXPECT_EQ(StallWatchdog::stallMsFromEnv(), 0u);
+    EXPECT_EQ(stallMs(), 0);
     ::setenv("TETRIS_STALL_MS", "12abc", 1);
-    EXPECT_EQ(StallWatchdog::stallMsFromEnv(), 0u);
+    EXPECT_EQ(stallMs(), 0);
     ::setenv("TETRIS_STALL_MS", "-5", 1);
-    EXPECT_EQ(StallWatchdog::stallMsFromEnv(), 0u);
+    EXPECT_EQ(stallMs(), 0);
     ::unsetenv("TETRIS_STALL_MS");
-    EXPECT_EQ(StallWatchdog::stallMsFromEnv(), 0u);
+    EXPECT_EQ(stallMs(), 0);
 
     if (saved)
         ::setenv("TETRIS_STALL_MS", saved_copy.c_str(), 1);
@@ -838,8 +843,7 @@ TEST(StatsSummaryTest, FormatSummaryCarriesTheHeadlineNumbers)
     jobs.insert(jobs.end(), dup.begin(), dup.end());
     engine.compileAll(std::move(jobs));
 
-    const std::string line =
-        StatsReporter::formatSummary(engine, 2.0);
+    const std::string line = formatSummary(engine, 2.0);
     EXPECT_NE(line.find("stats: summary: 4/4 jobs in 2.00s"),
               std::string::npos)
         << line;
@@ -848,26 +852,6 @@ TEST(StatsSummaryTest, FormatSummaryCarriesTheHeadlineNumbers)
     EXPECT_NE(line.find("p99"), std::string::npos);
     EXPECT_NE(line.find("cache 2/4 hits (50.0%)"), std::string::npos)
         << line;
-}
-
-TEST(StatsSummaryTest, SummaryFromEnv)
-{
-    ::setenv("TETRIS_STATS_SUMMARY", "1", 1);
-    EXPECT_TRUE(StatsReporter::summaryFromEnv());
-    ::setenv("TETRIS_STATS_SUMMARY", "0", 1);
-    EXPECT_FALSE(StatsReporter::summaryFromEnv());
-    ::unsetenv("TETRIS_STATS_SUMMARY");
-    EXPECT_FALSE(StatsReporter::summaryFromEnv());
-}
-
-TEST(StatsSummaryTest, ReporterPrintsSummaryOnceWithoutThread)
-{
-    Engine engine;
-    engine.compileAll(smallJobs(1));
-    StatsReporter reporter(engine, 0.0, /*summary=*/true);
-    EXPECT_FALSE(reporter.active());
-    reporter.stop(); // prints the summary to stderr
-    reporter.stop(); // idempotent: must not print twice or crash
 }
 
 } // namespace

@@ -309,36 +309,5 @@ TEST(Stats, SnapshotFormatsEngineState)
     EXPECT_NE(body.find("quantile=\"0.99\""), std::string::npos);
 }
 
-TEST(Stats, ReporterLifecycle)
-{
-    Engine engine;
-    // Interval <= 0: no thread, stop() is a safe no-op.
-    StatsReporter off(engine, 0.0);
-    EXPECT_FALSE(off.active());
-    off.stop();
-
-    // A live reporter starts and joins cleanly even when stopped
-    // long before its first tick fires.
-    StatsReporter on(engine, 3600.0);
-    EXPECT_TRUE(on.active());
-    on.stop();
-    EXPECT_FALSE(on.active());
-}
-
-TEST(Stats, IntervalFromEnvParsesStrictly)
-{
-    ::unsetenv("TETRIS_STATS_INTERVAL");
-    EXPECT_EQ(StatsReporter::intervalFromEnv(), 0.0);
-    ::setenv("TETRIS_STATS_INTERVAL", "0", 1);
-    EXPECT_EQ(StatsReporter::intervalFromEnv(), 0.0);
-    ::setenv("TETRIS_STATS_INTERVAL", "5", 1);
-    EXPECT_EQ(StatsReporter::intervalFromEnv(), 5.0);
-    ::setenv("TETRIS_STATS_INTERVAL", "junk", 1);
-    EXPECT_EQ(StatsReporter::intervalFromEnv(), 0.0);
-    ::setenv("TETRIS_STATS_INTERVAL", "-3", 1);
-    EXPECT_EQ(StatsReporter::intervalFromEnv(), 0.0);
-    ::unsetenv("TETRIS_STATS_INTERVAL");
-}
-
 } // namespace
 } // namespace tetris

@@ -17,12 +17,12 @@
  *   TETRIS_FUZZ_CASES=<n>  programs per suite (default 4)
  */
 
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common/env.hh"
 #include "core/pipeline.hh"
 #include "core/pipeline_adapters.hh"
 #include "engine/engine.hh"
@@ -40,26 +40,15 @@ namespace
 {
 
 uint64_t
-envOr(const char *name, uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-uint64_t
 baseSeed()
 {
-    return envOr("TETRIS_FUZZ_SEED", 1);
+    return envInt("TETRIS_FUZZ_SEED", 0, INT64_MAX, 1);
 }
 
 int
 numCases()
 {
-    return static_cast<int>(envOr("TETRIS_FUZZ_CASES", 4));
+    return static_cast<int>(envInt("TETRIS_FUZZ_CASES", 0, INT32_MAX, 4));
 }
 
 /**
