@@ -1,15 +1,16 @@
 /**
  * @file
- * Golden corpus: the Table II quick sweep (the 16 jobs table2_main
- * builds with TETRIS_BENCH_QUICK=1) pinned job by job.
+ * Golden corpus: the quick sweeps of Table II (the 16 jobs
+ * table2_main builds with TETRIS_BENCH_QUICK=1) and Fig. 23 (the 36
+ * QAOA jobs fig23_qaoa builds in the same mode) pinned job by job.
  *
- * Each row of data/golden/table2_quick.txt holds one job's CNOT,
- * one-qubit, depth and SWAP counts plus an FNV-1a hash over its gate
- * sequence (kind, q0, q1) and final layout, so any change to a
- * compiled circuit fails here, not only a change to its totals. On a
- * mismatch the test prints every actual row in the file's format;
- * updating the corpus means checking that the new output is intended
- * and pasting those rows into the file.
+ * Each row of data/golden/table2_quick.txt and fig23_quick.txt holds
+ * one job's CNOT, one-qubit, depth and SWAP counts plus an FNV-1a
+ * hash over its gate sequence (kind, q0, q1) and final layout, so any
+ * change to a compiled circuit fails here, not only a change to its
+ * totals. On a mismatch the test prints every actual row of that file
+ * in its format; updating the corpus means checking that the new
+ * output is intended and pasting those rows into the file.
  */
 
 #include <gtest/gtest.h>
@@ -27,13 +28,12 @@
 #include "core/pipeline_adapters.hh"
 #include "engine/engine.hh"
 #include "hardware/topologies.hh"
+#include "qaoa/qaoa.hh"
 
 namespace tetris
 {
 namespace
 {
-
-const char *const kCorpus = TETRIS_TEST_DATA_DIR "/golden/table2_quick.txt";
 
 /** Hash of what the circuit does: gate sequence, then final layout. */
 uint64_t
@@ -80,27 +80,32 @@ readCorpus(const std::string &path)
     return rows;
 }
 
-TEST(Golden, Table2QuickSweepIsUnchanged)
+CompileJob
+makeJob(std::string name, std::vector<PauliBlock> blocks,
+        std::shared_ptr<const CouplingGraph> hw, PipelinePtr pipeline)
+{
+    CompileJob job;
+    job.name = std::move(name);
+    job.blocks = std::move(blocks);
+    job.hw = std::move(hw);
+    job.pipeline = std::move(pipeline);
+    return job;
+}
+
+/** table2_main's quick set: the first three molecules under both
+ *  encoders, then UCC-10 and UCC-15 with their fixed seeds. */
+std::vector<CompileJob>
+table2QuickJobs()
 {
     auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
-    std::vector<std::string> names;
     std::vector<CompileJob> jobs;
     auto add = [&](const std::string &workload,
-                   std::vector<PauliBlock> blocks) {
-        for (const char *pipeline : {"ph", "tetris"}) {
-            CompileJob job;
-            job.name = workload + "/" + pipeline;
-            job.blocks = blocks;
-            job.hw = hw;
-            job.pipeline = pipeline == std::string("ph")
-                               ? makePaulihedralPipeline()
-                               : makeTetrisPipeline();
-            names.push_back(job.name);
-            jobs.push_back(std::move(job));
-        }
+                   const std::vector<PauliBlock> &blocks) {
+        jobs.push_back(makeJob(workload + "/ph", blocks, hw,
+                               makePaulihedralPipeline()));
+        jobs.push_back(makeJob(workload + "/tetris", blocks, hw,
+                               makeTetrisPipeline()));
     };
-    // table2_main's quick set: the first three molecules under both
-    // encoders, then UCC-10 and UCC-15 with their fixed seeds.
     for (const char *enc : {"jw", "bk"}) {
         for (size_t i = 0; i < 3; ++i) {
             const MoleculeSpec &spec = moleculeBenchmarks()[i];
@@ -110,26 +115,71 @@ TEST(Golden, Table2QuickSweepIsUnchanged)
     }
     for (int n : {10, 15})
         add("ucc/UCC-" + std::to_string(n), buildSyntheticUcc(n, 1000 + n));
+    return jobs;
+}
 
-    Engine engine;
-    auto results = engine.compileAll(std::move(jobs));
-    ASSERT_EQ(results.size(), names.size());
-
-    const auto expected = readCorpus(kCorpus);
-    EXPECT_EQ(expected.size(), names.size()) << "rows in " << kCorpus;
-    std::string actual_rows;
-    bool all_match = expected.size() == names.size();
-    for (size_t i = 0; i < names.size(); ++i) {
-        ASSERT_TRUE(results[i]) << names[i];
-        std::string row = formatRow(names[i], *results[i]);
-        actual_rows += row + "\n";
-        auto it = expected.find(names[i]);
-        std::string want = it == expected.end() ? "(missing)" : it->second;
-        EXPECT_EQ(row, want) << names[i];
-        all_match = all_match && row == want;
+/** fig23_qaoa's quick set: every QAOA benchmark graph at seeds 100
+ *  and 101 under Paulihedral, 2QAN and qaoa-bridge. */
+std::vector<CompileJob>
+fig23QuickJobs()
+{
+    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
+    std::vector<CompileJob> jobs;
+    for (const auto &spec : qaoaBenchmarks()) {
+        for (int s = 0; s < 2; ++s) {
+            auto blocks =
+                buildQaoaCostBlocks(buildQaoaGraph(spec, 100 + s), 0.35);
+            std::string base = spec.name + "/s=" + std::to_string(s);
+            jobs.push_back(makeJob(base + "/ph", blocks, hw,
+                                   makePaulihedralPipeline()));
+            jobs.push_back(makeJob(base + "/2qan", blocks, hw,
+                                   makeQaoa2qanPipeline()));
+            jobs.push_back(makeJob(base + "/tetris", blocks, hw,
+                                   makeQaoaBridgePipeline()));
+        }
     }
-    if (!all_match)
-        std::printf("actual rows:\n%s", actual_rows.c_str());
+    return jobs;
+}
+
+TEST(Golden, QuickSweepsAreUnchanged)
+{
+    const struct
+    {
+        const char *corpus;
+        std::vector<CompileJob> (*jobs)();
+    } sweeps[] = {
+        {TETRIS_TEST_DATA_DIR "/golden/table2_quick.txt", table2QuickJobs},
+        {TETRIS_TEST_DATA_DIR "/golden/fig23_quick.txt", fig23QuickJobs},
+    };
+    for (const auto &sweep : sweeps) {
+        SCOPED_TRACE(sweep.corpus);
+        std::vector<CompileJob> jobs = sweep.jobs();
+        std::vector<std::string> names;
+        for (const CompileJob &job : jobs)
+            names.push_back(job.name);
+
+        Engine engine;
+        auto results = engine.compileAll(std::move(jobs));
+        ASSERT_EQ(results.size(), names.size());
+
+        const auto expected = readCorpus(sweep.corpus);
+        EXPECT_EQ(expected.size(), names.size()) << "rows in corpus";
+        std::string actual_rows;
+        bool all_match = expected.size() == names.size();
+        for (size_t i = 0; i < names.size(); ++i) {
+            ASSERT_TRUE(results[i]) << names[i];
+            std::string row = formatRow(names[i], *results[i]);
+            actual_rows += row + "\n";
+            auto it = expected.find(names[i]);
+            std::string want =
+                it == expected.end() ? "(missing)" : it->second;
+            EXPECT_EQ(row, want) << names[i];
+            all_match = all_match && row == want;
+        }
+        if (!all_match)
+            std::printf("actual rows of %s:\n%s", sweep.corpus,
+                        actual_rows.c_str());
+    }
 }
 
 } // namespace
