@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include "common/env.hh"
-#include "common/json.hh"
 #include "engine/disk_cache.hh"
 #include "engine/stats.hh"
 
@@ -65,10 +64,10 @@ progressEnabled()
  * Ctrl-C on a long sweep: abandon everything still queued so the
  * binary reaches its table printers and writeBenchJson() with the
  * results finished so far (cancelled jobs carry the `cancelled`
- * flag; the trajectory records "interrupted": true). Only
- * async-signal-safe work happens here -- cancelPending() is a
- * lock-free atomic store. The handler then re-arms SIG_DFL so a
- * second Ctrl-C kills the process the ordinary way.
+ * flag in their rows). Only async-signal-safe work happens here --
+ * cancelPending() is a lock-free atomic store. The handler then
+ * re-arms SIG_DFL so a second Ctrl-C kills the process the ordinary
+ * way.
  */
 Engine *g_sigint_engine = nullptr;
 
@@ -157,66 +156,25 @@ runJobs(Engine &engine, std::vector<CompileJob> jobs)
 }
 
 std::string
-writeBenchJson(const std::string &artifact,
-               const std::vector<BenchRecord> &records,
-               const Engine &engine)
+writeBenchFile(const std::string &artifact,
+               const std::function<void(JsonWriter &)> &config,
+               const std::function<void(JsonWriter &)> &rows,
+               const Engine *engine)
 {
     JsonWriter w;
     w.beginObject();
+    w.key("schema").value("bench-v3");
     w.key("artifact").value(artifact);
-    // Document format version: bench-v2 added the engine.histograms
-    // section (job latency / queue wait percentiles). Absent in
-    // pre-v2 files; scripts/bench_diff.py accepts both but refuses
-    // to diff across versions.
-    w.key("schema").value("bench-v2");
-    w.key("quickMode").value(quickMode());
-    w.key("interrupted").value(engine.cancelRequested());
-    w.key("threads").value(engine.numThreads());
-    w.key("jobs").beginArray();
-    for (const auto &[name, result] : records) {
-        w.beginObject();
-        w.key("name").value(name);
-        if (result) {
-            w.key("cancelled").value(result->cancelled);
-            w.key("stats");
-            writeJson(w, result->stats);
-        } else {
-            w.key("stats").null();
-        }
-        w.endObject();
-    }
+    w.key("config").beginObject();
+    config(w);
+    w.endObject();
+    w.key("rows").beginArray();
+    rows(w);
     w.endArray();
-    w.key("engine");
-    engine.metrics().writeJson(w);
-    w.key("cache").beginObject();
-    w.key("hits").value(
-        static_cast<uint64_t>(engine.cache().hits()));
-    w.key("misses").value(
-        static_cast<uint64_t>(engine.cache().misses()));
-    w.key("shard_count").value(
-        static_cast<uint64_t>(engine.cache().shardCount()));
-    w.key("lock_wait_ns").value(engine.cache().lockWaitNs());
-    w.key("disk").beginObject();
-    const DiskCache *disk = engine.diskCache();
-    w.key("enabled").value(disk != nullptr);
-    if (disk != nullptr) {
-        w.key("dir").value(disk->dir());
-        w.key("hits").value(static_cast<uint64_t>(disk->hits()));
-        w.key("misses").value(static_cast<uint64_t>(disk->misses()));
-        w.key("writes").value(static_cast<uint64_t>(disk->writes()));
-        w.key("mmap_loads").value(
-            static_cast<uint64_t>(disk->mmapLoads()));
-        w.key("buffered_loads").value(
-            static_cast<uint64_t>(disk->bufferedLoads()));
+    if (engine != nullptr) {
+        w.key("engine");
+        engine->metrics().writeJson(w);
     }
-    w.endObject();
-    w.endObject();
-    w.key("verify").beginObject();
-    w.key("enabled").value(engine.verifyEnabled());
-    w.key("pass").value(engine.metrics().count("verify.pass"));
-    w.key("fail").value(engine.metrics().count("verify.fail"));
-    w.key("skipped").value(engine.metrics().count("verify.skipped"));
-    w.endObject();
     w.endObject();
 
     std::string path = "BENCH_" + artifact + ".json";
@@ -228,6 +186,35 @@ writeBenchJson(const std::string &artifact,
     out << w.str() << "\n";
     std::printf("[wrote %s]\n", path.c_str());
     return path;
+}
+
+std::string
+writeBenchJson(const std::string &artifact,
+               const std::vector<BenchRecord> &records, Engine &engine)
+{
+    engine.drain();
+    engine.syncCacheMetrics();
+    auto config = [&](JsonWriter &w) {
+        w.key("quick").value(quickMode());
+        w.key("threads").value(engine.numThreads());
+        w.key("verify").value(engine.verifyEnabled());
+        w.key("disk_cache").value(engine.diskCache() != nullptr);
+    };
+    auto rows = [&](JsonWriter &w) {
+        for (const auto &[name, result] : records) {
+            w.beginObject();
+            w.key("name").value(name);
+            if (result) {
+                w.key("cancelled").value(result->cancelled);
+                w.key("stats");
+                writeJson(w, result->stats);
+            } else {
+                w.key("stats").null();
+            }
+            w.endObject();
+        }
+    };
+    return writeBenchFile(artifact, config, rows, &engine);
 }
 
 } // namespace tetris::bench

@@ -11,36 +11,38 @@
  * Binaries with multi-molecule x multi-config sweeps run their jobs
  * through the shared batch engine (benchEngine()) so the sweep
  * parallelizes across TETRIS_ENGINE_THREADS workers, and drop a
- * machine-readable BENCH_<artifact>.json trajectory via
- * writeBenchJson().
+ * machine-readable BENCH_<artifact>.json via writeBenchJson().
+ * Every bench binary writes that file through writeBenchFile(), so
+ * all of them share one layout (see there).
  *
  * When TETRIS_CACHE_DIR is set the engine also opens the persistent
  * compile-artifact store (engine/disk_cache.hh), so a repeated run
  * of the same binary deserializes its results instead of
- * recompiling; the trajectory's "cache.disk" object reports that
- * traffic.
+ * recompiling; the engine's jobs.disk_hits and cache.disk.* counters
+ * report that traffic.
  *
  * TETRIS_VERIFY=1 turns on the semantic equivalence verifier
  * (verify/verify.hh) for every result -- fresh compilations and
- * deserialized artifacts alike -- and the trajectory gains a
- * "verify" object with pass/fail/skipped counters.
+ * deserialized artifacts alike -- counted as verify.pass / fail /
+ * skipped in the engine section.
  *
  * Ctrl-C during a sweep cancels every job still queued
  * (Engine::cancelPending) instead of killing the process: the binary
  * finishes with `cancelled` placeholder rows, still writes its
- * partial BENCH_*.json (flagged "interrupted": true), and a second
- * Ctrl-C terminates normally.
+ * partial BENCH_*.json, and a second Ctrl-C terminates normally.
  */
 
 #ifndef TETRIS_BENCH_BENCH_UTIL_HH
 #define TETRIS_BENCH_BENCH_UTIL_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chem/uccsd.hh"
+#include "common/json.hh"
 #include "common/table.hh"
 #include "core/pipeline_adapters.hh"
 #include "engine/engine.hh"
@@ -94,13 +96,34 @@ std::vector<BenchRecord> runJobs(Engine &engine,
                                  std::vector<CompileJob> jobs);
 
 /**
- * Write BENCH_<artifact>.json in the working directory: per-job
- * CompileStats keyed by job name plus the engine's aggregate
- * metrics. Returns the path written, or "" on failure.
+ * Write BENCH_<artifact>.json in the working directory, in the one
+ * layout every bench binary shares:
+ *
+ *   {"schema": "bench-v3", "artifact": "<artifact>",
+ *    "config": {every setting that produced the file},
+ *    "rows": [{"name": ..., measured fields}, ...],
+ *    "engine": MetricsRegistry::writeJson}
+ *
+ * `config` writes the members of the config object and `rows` one
+ * object per measured item, each starting with its "name"; neither
+ * the set of rows nor their names may depend on the machine.
+ * "engine" is present when `engine` is non-null. scripts/
+ * bench_diff.py compares two such files. Returns the path written,
+ * or "" on failure.
+ */
+std::string writeBenchFile(const std::string &artifact,
+                           const std::function<void(JsonWriter &)> &config,
+                           const std::function<void(JsonWriter &)> &rows,
+                           const Engine *engine);
+
+/**
+ * writeBenchFile() for a table/fig sweep: one row per job (its
+ * `cancelled` flag and CompileStats) and the engine's metrics,
+ * published after drain() so write-behind persists are counted.
  */
 std::string writeBenchJson(const std::string &artifact,
                            const std::vector<BenchRecord> &records,
-                           const Engine &engine);
+                           Engine &engine);
 
 } // namespace tetris::bench
 

@@ -15,19 +15,22 @@
  *     tableau conjugation) against the byte-per-qubit reference in
  *     pauli_ref, at 16/64/256 qubits — the speedup claim behind the
  *     data-oriented PauliString representation, reported as a
- *     "pauli_kernels" section bench_diff.py trends.
+ *     kernel rows bench_diff.py trends.
  *  3. Persistent-store artifact load latency: cold (first load per
  *     key) vs warm (repeat loads) through the zero-copy mmap path,
  *     plus the buffered fallback (TETRIS_DISK_MMAP=0) for
  *     comparison.
  *  4. An engine-level cold/warm sweep against a private store: the
- *     warm run must recompile nothing (asserted by smoke.sh from the
- *     JSON) and serve every hit through the mmap path.
+ *     warm run must recompile nothing and serve every hit from the
+ *     store, or the binary exits 1.
+ *  5. The ns/op of each metrics primitive and of the obs plane
+ *     (disarmed event log, /metrics scrape under load and idle).
  *
- * TETRIS_BENCH_QUICK=1 shrinks every dimension for CI; the JSON
- * schema ("schema": "perf-v1") is understood by scripts/
- * bench_diff.py, which treats timing changes as warnings but
- * shard-count or semantics drift as failures.
+ * TETRIS_BENCH_QUICK=1 shrinks every dimension for CI. BENCH_perf.json
+ * uses bench_util.hh's shared layout: one row per cache sweep (the
+ * default shard count is always swept, as `shards=default`), kernel,
+ * load phase, engine phase and overhead section.
+ * scripts/bench_diff.py warns when two runs' timings drift apart.
  */
 
 #include <atomic>
@@ -36,8 +39,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -84,6 +88,7 @@ keyAt(int i)
 
 struct SweepRow
 {
+    std::string name;
     int shards = 0;
     int threads = 0;
     uint64_t ops = 0;
@@ -323,6 +328,9 @@ struct LoadStats
 {
     uint64_t loads = 0;
     double avgNs = 0.0;
+    /** Loads served by the mmap path / the buffered fallback. */
+    uint64_t mmapLoads = 0;
+    uint64_t bufferedLoads = 0;
 };
 
 LoadStats
@@ -330,6 +338,8 @@ timeLoads(const DiskCache &store, const std::vector<uint64_t> &keys,
           int rounds)
 {
     LoadStats s;
+    const uint64_t mmap0 = store.mmapLoads();
+    const uint64_t buffered0 = store.bufferedLoads();
     auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < rounds; ++r) {
         for (uint64_t key : keys) {
@@ -344,8 +354,24 @@ timeLoads(const DiskCache &store, const std::vector<uint64_t> &keys,
     double elapsed = secondsSince(t0);
     s.avgNs = s.loads > 0 ? elapsed * 1e9 / static_cast<double>(s.loads)
                           : 0.0;
+    s.mmapLoads = store.mmapLoads() - mmap0;
+    s.bufferedLoads = store.bufferedLoads() - buffered0;
     return s;
 }
+
+/** One engine run of section 4. */
+struct EngineRun
+{
+    const char *name;
+    double seconds = 0.0;
+    uint64_t completed = 0;
+    uint64_t diskHits = 0;
+    uint64_t writes = 0;
+    uint64_t mmapLoads = 0;
+    uint64_t bufferedLoads = 0;
+    uint64_t shardCount = 0;
+    uint64_t lockWaitNs = 0;
+};
 
 } // namespace
 
@@ -357,21 +383,12 @@ main()
                 quick ? "caching-path throughput/latency (quick preset)"
                       : "caching-path throughput/latency (full preset)");
 
-    JsonWriter w;
-    w.beginObject();
-    w.key("artifact").value("perf");
-    w.key("schema").value("perf-v1");
-    w.key("quickMode").value(quick);
-    w.key("hardware_concurrency")
-        .value(static_cast<uint64_t>(
-            std::thread::hardware_concurrency()));
-
     // ---- 1. in-memory cache: shards x threads sweep ----------------
+    // Shard request 0 resolves to the default; sweeping it under a
+    // fixed name keeps the row set the same on every machine.
     const int default_shards = CompileCache::resolveShardCount(0);
-    std::vector<int> shard_set{1};
-    if (default_shards != 1 && default_shards != 64)
-        shard_set.push_back(default_shards);
-    shard_set.push_back(64);
+    const std::pair<const char *, int> shard_set[] = {
+        {"1", 1}, {"default", 0}, {"64", 64}};
     std::vector<int> thread_set =
         quick ? std::vector<int>{1, 2, 4, 8}
               : std::vector<int>{1, 2, 4, 8, 16, 32, 64};
@@ -379,53 +396,30 @@ main()
 
     std::printf("cache-hit throughput (%d keys, %llu ops/thread):\n",
                 256, static_cast<unsigned long long>(ops_per_thread));
-    w.key("cache").beginObject();
-    w.key("default_shard_count")
-        .value(static_cast<uint64_t>(default_shards));
-    w.key("sweeps").beginArray();
-    for (int shards : shard_set) {
+    std::vector<SweepRow> sweeps;
+    for (const auto &[label, shards] : shard_set) {
         for (int threads : thread_set) {
             SweepRow row = runCacheSweep(shards, threads,
                                          ops_per_thread);
+            row.name = std::string("cache/shards=") + label +
+                       "/threads=" + std::to_string(threads);
             std::printf(
                 "  shards=%-4d threads=%-3d  %9.2f Mops/s  "
                 "lock-wait %8.3f ms\n",
                 row.shards, row.threads, row.opsPerSec / 1e6,
                 static_cast<double>(row.lockWaitNs) / 1e6);
-            w.beginObject();
-            w.key("shards").value(row.shards);
-            w.key("threads").value(row.threads);
-            w.key("ops").value(row.ops);
-            w.key("seconds").value(row.seconds);
-            w.key("ops_per_sec").value(row.opsPerSec);
-            w.key("lock_wait_ns").value(row.lockWaitNs);
-            w.endObject();
+            sweeps.push_back(std::move(row));
         }
     }
-    w.endArray();
-    w.endObject();
 
     // ---- 2. packed vs byte-wise Pauli kernels ----------------------
-    {
-        std::printf("\npauli kernels (packed vs byte-wise):\n");
-        w.key("pauli_kernels").beginObject();
-        w.key("rows").beginArray();
-        for (const KernelRow &row : runPauliKernels(quick)) {
-            std::printf("  %-9s n=%-4d packed %8.2f ns  byte %9.2f ns"
-                        "  speedup %6.1fx\n",
-                        row.kernel, row.qubits, row.packedNs,
-                        row.byteNs, row.speedup());
-            w.beginObject();
-            w.key("kernel").value(row.kernel);
-            w.key("qubits").value(row.qubits);
-            w.key("iters").value(row.iters);
-            w.key("packed_ns").value(row.packedNs);
-            w.key("byte_ns").value(row.byteNs);
-            w.key("speedup").value(row.speedup());
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
+    std::printf("\npauli kernels (packed vs byte-wise):\n");
+    const std::vector<KernelRow> kernels = runPauliKernels(quick);
+    for (const KernelRow &row : kernels) {
+        std::printf("  %-9s n=%-4d packed %8.2f ns  byte %9.2f ns"
+                    "  speedup %6.1fx\n",
+                    row.kernel, row.qubits, row.packedNs, row.byteNs,
+                    row.speedup());
     }
 
     // ---- private artifact store for sections 3 and 4 ---------------
@@ -436,6 +430,10 @@ main()
     fs::remove_all(store_root, ec);
 
     // ---- 3. artifact load latency: cold / warm / buffered ----------
+    const int entries = quick ? 8 : 32;
+    uint64_t bytes_total = 0;
+    std::pair<const char *, LoadStats> loads[3] = {
+        {"load/cold", {}}, {"load/warm", {}}, {"load/buffered", {}}};
     {
         auto store = DiskCache::open(store_root.string());
         if (store == nullptr) {
@@ -444,7 +442,6 @@ main()
                          store_root.string().c_str());
             return 1;
         }
-        const int entries = quick ? 8 : 32;
         const int warm_rounds = quick ? 8 : 32;
         CompileResult sample =
             compileTetris(buildSyntheticUcc(8, 7), lineTopology(12));
@@ -453,15 +450,15 @@ main()
             keys.push_back(keyAt(1000 + i));
             store->store(keys.back(), sample);
         }
-        uint64_t bytes_total = store->usage().bytes;
+        bytes_total = store->usage().bytes;
 
-        LoadStats cold = timeLoads(*store, keys, 1);
-        LoadStats warm = timeLoads(*store, keys, warm_rounds);
+        loads[0].second = timeLoads(*store, keys, 1);
+        loads[1].second = timeLoads(*store, keys, warm_rounds);
 
         // Buffered fallback for comparison: the env toggle is read
         // per load(), so flipping it mid-process is supported.
         ::setenv("TETRIS_DISK_MMAP", "0", 1);
-        LoadStats buffered = timeLoads(*store, keys, warm_rounds);
+        loads[2].second = timeLoads(*store, keys, warm_rounds);
         ::unsetenv("TETRIS_DISK_MMAP");
 
         std::printf(
@@ -470,34 +467,13 @@ main()
             "  warm     %9.0f ns/load (mmap)\n"
             "  buffered %9.0f ns/load (fallback)\n",
             entries, static_cast<unsigned long long>(bytes_total),
-            cold.avgNs, warm.avgNs, buffered.avgNs);
-
-        w.key("artifact_load").beginObject();
-        w.key("entries").value(static_cast<uint64_t>(entries));
-        w.key("bytes_total").value(bytes_total);
-        w.key("mmap_enabled")
-            .value(serialize::MappedFile::mmapEnabled());
-        w.key("cold").beginObject();
-        w.key("loads").value(cold.loads);
-        w.key("avg_ns").value(cold.avgNs);
-        w.endObject();
-        w.key("warm").beginObject();
-        w.key("loads").value(warm.loads);
-        w.key("avg_ns").value(warm.avgNs);
-        w.endObject();
-        w.key("buffered").beginObject();
-        w.key("loads").value(buffered.loads);
-        w.key("avg_ns").value(buffered.avgNs);
-        w.endObject();
-        w.key("mmap_loads")
-            .value(static_cast<uint64_t>(store->mmapLoads()));
-        w.key("buffered_loads")
-            .value(static_cast<uint64_t>(store->bufferedLoads()));
-        w.endObject();
+            loads[0].second.avgNs, loads[1].second.avgNs,
+            loads[2].second.avgNs);
         store->clear();
     }
 
     // ---- 4. engine-level cold/warm sweep ---------------------------
+    std::vector<EngineRun> engine_runs;
     {
         auto make_jobs = [&] {
             std::vector<CompileJob> jobs;
@@ -516,47 +492,36 @@ main()
             return jobs;
         };
 
-        auto run_engine = [&](const char *label, JsonWriter &out) {
+        auto run_engine = [&](const char *name) {
             EngineOptions opts;
             opts.diskCache = DiskCache::open(store_root.string());
             Engine engine(opts);
             auto t0 = std::chrono::steady_clock::now();
             engine.compileAll(make_jobs());
-            double elapsed = secondsSince(t0);
-            std::printf("  %-5s %6.3f s  completed=%llu disk_hits=%llu "
+            EngineRun run{name};
+            run.seconds = secondsSince(t0);
+            engine.drain(); // count the write-behind persists too
+            run.completed = engine.metrics().count("jobs.completed");
+            run.diskHits = engine.metrics().count("jobs.disk_hits");
+            run.writes = opts.diskCache->writes();
+            run.mmapLoads = opts.diskCache->mmapLoads();
+            run.bufferedLoads = opts.diskCache->bufferedLoads();
+            run.shardCount = engine.metrics().count("cache.shard_count");
+            run.lockWaitNs = engine.metrics().count("cache.lock_wait_ns");
+            std::printf("  %-12s %6.3f s  completed=%llu disk_hits=%llu "
                         "mmap_loads=%llu\n",
-                        label, elapsed,
-                        static_cast<unsigned long long>(
-                            engine.metrics().count("jobs.completed")),
-                        static_cast<unsigned long long>(
-                            engine.metrics().count("jobs.disk_hits")),
-                        static_cast<unsigned long long>(
-                            opts.diskCache->mmapLoads()));
-            out.key(label).beginObject();
-            out.key("seconds").value(elapsed);
-            out.key("completed")
-                .value(engine.metrics().count("jobs.completed"));
-            out.key("disk_hits")
-                .value(engine.metrics().count("jobs.disk_hits"));
-            out.key("writes").value(
-                static_cast<uint64_t>(opts.diskCache->writes()));
-            out.key("mmap_loads").value(
-                static_cast<uint64_t>(opts.diskCache->mmapLoads()));
-            out.key("buffered_loads").value(
-                static_cast<uint64_t>(opts.diskCache->bufferedLoads()));
-            out.key("shard_count")
-                .value(engine.metrics().count("cache.shard_count"));
-            out.key("lock_wait_ns")
-                .value(engine.metrics().count("cache.lock_wait_ns"));
-            out.endObject();
+                        name, run.seconds,
+                        static_cast<unsigned long long>(run.completed),
+                        static_cast<unsigned long long>(run.diskHits),
+                        static_cast<unsigned long long>(run.mmapLoads));
+            return run;
         };
 
         std::printf("\nengine cold/warm sweep:\n");
-        w.key("engine").beginObject();
-        run_engine("cold", w);
-        run_engine("warm", w);
-        w.endObject();
+        engine_runs.push_back(run_engine("engine/cold"));
+        engine_runs.push_back(run_engine("engine/warm"));
     }
+    const EngineRun &warm = engine_runs[1];
 
     // ---- 5. instrument overhead ------------------------------------
     // ns/op for each observability primitive, measured tight-loop on
@@ -565,28 +530,29 @@ main()
     // add), wait-free histogram recording, and a TraceSpan on a
     // disabled tracer (the always-on cost every job pays when
     // TETRIS_TRACE is unset — must stay in low single-digit ns).
+    const uint64_t overhead_iters = quick ? 200000 : 2000000;
+    double string_ns = 0.0, handle_ns = 0.0, hist_ns = 0.0,
+           span_ns = 0.0;
     {
-        const uint64_t iters = quick ? 200000 : 2000000;
         MetricsRegistry registry;
         auto time_ns_per_op = [&](auto &&body) {
             auto t0 = std::chrono::steady_clock::now();
-            for (uint64_t i = 0; i < iters; ++i)
+            for (uint64_t i = 0; i < overhead_iters; ++i)
                 body(i);
             return secondsSince(t0) * 1e9 /
-                   static_cast<double>(iters);
+                   static_cast<double>(overhead_iters);
         };
 
-        double string_ns = time_ns_per_op(
+        string_ns = time_ns_per_op(
             [&](uint64_t) { registry.addSeconds("perf.string", 1e-9); });
         MetricsRegistry::Handle handle =
             registry.timerHandle("perf.handle");
-        double handle_ns = time_ns_per_op(
+        handle_ns = time_ns_per_op(
             [&](uint64_t) { registry.addSeconds(handle, 1e-9); });
         Histogram &hist = registry.histogram("perf.hist");
-        double hist_ns =
-            time_ns_per_op([&](uint64_t i) { hist.record(i); });
+        hist_ns = time_ns_per_op([&](uint64_t i) { hist.record(i); });
         Tracer disabled_tracer;
-        double span_ns = time_ns_per_op([&](uint64_t) {
+        span_ns = time_ns_per_op([&](uint64_t) {
             TraceSpan span(&disabled_tracer, "perf", "perf");
         });
 
@@ -595,16 +561,8 @@ main()
                     "  timer (handle)     %8.2f ns/op\n"
                     "  histogram record   %8.2f ns/op\n"
                     "  span (disabled)    %8.2f ns/op\n",
-                    static_cast<unsigned long long>(iters), string_ns,
-                    handle_ns, hist_ns, span_ns);
-
-        w.key("metrics_overhead").beginObject();
-        w.key("iters").value(iters);
-        w.key("timer_string_ns").value(string_ns);
-        w.key("timer_handle_ns").value(handle_ns);
-        w.key("histogram_record_ns").value(hist_ns);
-        w.key("span_disabled_ns").value(span_ns);
-        w.endObject();
+                    static_cast<unsigned long long>(overhead_iters),
+                    string_ns, handle_ns, hist_ns, span_ns);
     }
 
     // ---- 6. observability-plane overhead ---------------------------
@@ -614,25 +572,24 @@ main()
     // — must stay at a few ns/op, asserted by smoke.sh), and the
     // latency of a full GET /metrics scrape, both while workers are
     // compiling and against an idle engine.
+    double disabled_ns = 0.0, load_avg_us = 0.0, idle_avg_us = 0.0;
+    uint64_t load_scrapes = 0;
+    uint64_t body_bytes = 0;
     {
-        const uint64_t iters = quick ? 200000 : 2000000;
         EventLog disarmed;
         auto t0 = std::chrono::steady_clock::now();
-        for (uint64_t i = 0; i < iters; ++i) {
+        for (uint64_t i = 0; i < overhead_iters; ++i) {
             if (disarmed.enabled()) {
                 disarmed.record("perf",
                                 {EventLog::Field::u64("i", i)});
             }
         }
-        double disabled_ns =
-            secondsSince(t0) * 1e9 / static_cast<double>(iters);
+        disabled_ns = secondsSince(t0) * 1e9 /
+                      static_cast<double>(overhead_iters);
 
         EngineOptions opts;
         opts.obsServer = "127.0.0.1:0";
         Engine engine(opts);
-        double load_avg_us = 0.0, idle_avg_us = 0.0;
-        uint64_t load_scrapes = 0;
-        uint64_t body_bytes = 0;
         const int idle_rounds = quick ? 20 : 100;
         if (engine.obsPort() > 0) {
             std::vector<CompileJob> jobs;
@@ -690,27 +647,97 @@ main()
                     static_cast<unsigned long long>(load_scrapes),
                     idle_avg_us,
                     static_cast<unsigned long long>(body_bytes));
+    }
 
-        w.key("obs_overhead").beginObject();
-        w.key("iters").value(iters);
+    fs::remove_all(store_root, ec);
+
+    auto config = [&](JsonWriter &w) {
+        w.key("quick").value(quick);
+        w.key("hardware_concurrency")
+            .value(static_cast<uint64_t>(
+                std::thread::hardware_concurrency()));
+        w.key("default_shard_count")
+            .value(static_cast<uint64_t>(default_shards));
+        w.key("mmap_enabled")
+            .value(serialize::MappedFile::mmapEnabled());
+    };
+    auto rows = [&](JsonWriter &w) {
+        for (const SweepRow &row : sweeps) {
+            w.beginObject();
+            w.key("name").value(row.name);
+            w.key("shards").value(row.shards);
+            w.key("threads").value(row.threads);
+            w.key("ops").value(row.ops);
+            w.key("seconds").value(row.seconds);
+            w.key("ops_per_sec").value(row.opsPerSec);
+            w.key("lock_wait_ns").value(row.lockWaitNs);
+            w.endObject();
+        }
+        for (const KernelRow &row : kernels) {
+            w.beginObject();
+            w.key("name").value(std::string("pauli/") + row.kernel + "/" +
+                                std::to_string(row.qubits) + "q");
+            w.key("kernel").value(row.kernel);
+            w.key("qubits").value(row.qubits);
+            w.key("iters").value(row.iters);
+            w.key("packed_ns").value(row.packedNs);
+            w.key("byte_ns").value(row.byteNs);
+            w.key("speedup").value(row.speedup());
+            w.endObject();
+        }
+        for (const auto &[name, load] : loads) {
+            w.beginObject();
+            w.key("name").value(name);
+            w.key("entries").value(static_cast<uint64_t>(entries));
+            w.key("bytes_total").value(bytes_total);
+            w.key("loads").value(load.loads);
+            w.key("avg_ns").value(load.avgNs);
+            w.key("mmap_loads").value(load.mmapLoads);
+            w.key("buffered_loads").value(load.bufferedLoads);
+            w.endObject();
+        }
+        for (const EngineRun &run : engine_runs) {
+            w.beginObject();
+            w.key("name").value(run.name);
+            w.key("seconds").value(run.seconds);
+            w.key("completed").value(run.completed);
+            w.key("disk_hits").value(run.diskHits);
+            w.key("writes").value(run.writes);
+            w.key("mmap_loads").value(run.mmapLoads);
+            w.key("buffered_loads").value(run.bufferedLoads);
+            w.key("shard_count").value(run.shardCount);
+            w.key("lock_wait_ns").value(run.lockWaitNs);
+            w.endObject();
+        }
+        w.beginObject();
+        w.key("name").value("metrics_overhead");
+        w.key("iters").value(overhead_iters);
+        w.key("timer_string_ns").value(string_ns);
+        w.key("timer_handle_ns").value(handle_ns);
+        w.key("histogram_record_ns").value(hist_ns);
+        w.key("span_disabled_ns").value(span_ns);
+        w.endObject();
+        w.beginObject();
+        w.key("name").value("obs_overhead");
+        w.key("iters").value(overhead_iters);
         w.key("event_log_disabled_ns").value(disabled_ns);
         w.key("scrape_load_avg_us").value(load_avg_us);
         w.key("scrape_load_count").value(load_scrapes);
         w.key("scrape_idle_avg_us").value(idle_avg_us);
         w.key("scrape_body_bytes").value(body_bytes);
         w.endObject();
-    }
+    };
+    if (writeBenchFile("perf", config, rows, nullptr).empty())
+        return 1;
 
-    fs::remove_all(store_root, ec);
-    w.endObject();
-
-    const char *path = "BENCH_perf.json";
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "warn: cannot write %s\n", path);
+    if (warm.completed != 0 || warm.diskHits == 0) {
+        std::fprintf(stderr,
+                     "perf_microbench: FAIL: warm engine run recompiled "
+                     "%llu job(s) with %llu disk hit(s) (must be served "
+                     "entirely from the store)\n",
+                     static_cast<unsigned long long>(warm.completed),
+                     static_cast<unsigned long long>(warm.diskHits));
         return 1;
     }
-    out << w.str() << "\n";
-    std::printf("[wrote %s]\n", path);
     return 0;
 }

@@ -12,10 +12,11 @@
  *   warm  identical pass; the engine must serve 100% memory-cache
  *         hits and compile *nothing* (asserted, not just reported)
  *
- * Per-phase p50/p90/p99/max/avg client-observed latency, throughput,
- * and the engine's compile/dedup/verify counters land in
- * BENCH_serve.json (schema "serve-v1"; diff with
- * `scripts/bench_diff.py old new`).
+ * BENCH_serve.json (bench_util.hh's shared layout) holds a `cold`
+ * and a `warm` row -- p50/p90/p99/max/avg client-observed latency,
+ * throughput, and the phase's compile/dedup/verify counts -- plus a
+ * `server` row, and the engine's metrics. Diff two runs with
+ * `scripts/bench_diff.py old new`.
  *
  *   serve_stress [--clients N] [--jobs M] [--programs P] [--qubits Q]
  *
@@ -23,7 +24,7 @@
  * (TETRIS_BENCH_QUICK=1: 4 x 10 over 6). TETRIS_CACHE_DIR adds the
  * disk tier under the stress, TETRIS_VERIFY=0 disables the verifier.
  * Exit status 1 on any rejected request, transport error, verify
- * failure, or warm-phase recompile.
+ * failure, bad frame, or warm-phase recompile.
  */
 
 #include <cstdio>
@@ -36,7 +37,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -194,9 +194,10 @@ runPhase(const Engine &engine, int port, int clients, int jobs,
 }
 
 void
-writePhaseJson(JsonWriter &w, PhaseStats &s)
+writePhaseJson(JsonWriter &w, const char *name, PhaseStats &s)
 {
     w.beginObject();
+    w.key("name").value(name);
     w.key("requests").value(
         static_cast<uint64_t>(s.ok + s.rejected + s.transportErrors));
     w.key("ok").value(s.ok);
@@ -301,57 +302,49 @@ main(int argc, char **argv)
     PhaseStats warm = runPhase(engine, server->port(), clients, jobs,
                                pool, "warm");
 
+    server->drain(false);
+
     const bool warm_recompiled = warm.compiles != 0;
+    const uint64_t bad_frames =
+        engine.metrics().count("serve.bad_frames");
     const bool failed = cold.rejected + cold.transportErrors +
                                 cold.verifyFail + warm.rejected +
                                 warm.transportErrors +
-                                warm.verifyFail !=
+                                warm.verifyFail + bad_frames !=
                             0 ||
                         warm_recompiled;
 
-    server->drain(false);
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("artifact").value("serve");
-    w.key("schema").value("serve-v1");
-    w.key("quick").value(quick);
-    w.key("config").beginObject();
-    w.key("clients").value(clients);
-    w.key("jobs_per_client").value(jobs);
-    w.key("distinct_programs").value(programs);
-    w.key("qubits").value(qubits);
-    w.key("verify").value(verify);
-    w.key("disk_cache").value(eopts.diskCache != nullptr);
-    w.endObject();
-    w.key("cold");
-    writePhaseJson(w, cold);
-    w.key("warm");
-    writePhaseJson(w, warm);
-    w.key("warm_recompiled").value(warm_recompiled);
-    w.key("server").beginObject();
-    w.key("requests_served").value(server->requestsServed());
-    w.key("bad_frames")
-        .value(engine.metrics().count("serve.bad_frames"));
-    w.key("rejected_overload")
-        .value(engine.metrics().count("serve.rejected_overload"));
-    w.endObject();
-    w.endObject();
-
-    const char *path = "BENCH_serve.json";
-    std::ofstream out(path);
-    if (out) {
-        out << w.str() << "\n";
-        std::printf("\n[wrote %s]\n", path);
-    } else {
-        std::fprintf(stderr, "serve_stress: cannot write %s\n", path);
-    }
+    auto config = [&](JsonWriter &w) {
+        w.key("clients").value(clients);
+        w.key("jobs_per_client").value(jobs);
+        w.key("distinct_programs").value(programs);
+        w.key("qubits").value(qubits);
+        w.key("verify").value(verify);
+        w.key("disk_cache").value(eopts.diskCache != nullptr);
+    };
+    auto rows = [&](JsonWriter &w) {
+        writePhaseJson(w, "cold", cold);
+        writePhaseJson(w, "warm", warm);
+        w.beginObject();
+        w.key("name").value("server");
+        w.key("requests_served").value(server->requestsServed());
+        w.key("bad_frames").value(bad_frames);
+        w.key("rejected_overload")
+            .value(engine.metrics().count("serve.rejected_overload"));
+        w.endObject();
+    };
+    bench::writeBenchFile("serve", config, rows, &engine);
 
     if (warm_recompiled)
         std::fprintf(stderr,
                      "serve_stress: FAIL: warm phase recompiled %llu "
                      "programs (expected pure cache hits)\n",
                      static_cast<unsigned long long>(warm.compiles));
+    if (bad_frames != 0)
+        std::fprintf(stderr,
+                     "serve_stress: FAIL: server counted %llu bad "
+                     "frame(s) from the stress clients\n",
+                     static_cast<unsigned long long>(bad_frames));
     if (failed)
         std::fprintf(stderr, "serve_stress: FAIL\n");
     else

@@ -11,10 +11,12 @@
  *  - peak RSS against the window-proportional bound that makes
  *    "O(window) memory" a testable claim instead of a slogan.
  *
- * The JSON schema ("schema": "stream-v1") is understood by
- * scripts/bench_diff.py --mode stream: grid/semantics drift and an
- * RSS bound violation fail, throughput drift warns. smoke.sh runs
- * the quick preset plus a dedicated ~1M-instruction RSS check.
+ * BENCH_stream.json (bench_util.hh's shared layout) holds one row
+ * per workload, with counts under their CompileStats names, plus a
+ * "process" row with peak RSS and its bound. The binary exits 1
+ * when a stream fails, any chunk fails verification, or peak RSS
+ * breaks the bound. smoke.sh runs the quick preset plus a dedicated
+ * ~1M-instruction RSS check.
  *
  * Env: TETRIS_BENCH_QUICK=1 shrinks instruction counts for CI;
  * TETRIS_STREAM_WINDOW overrides the window; TETRIS_VERIFY=1 runs
@@ -32,7 +34,6 @@
 
 #include "bench_util.hh"
 #include "common/env.hh"
-#include "common/json.hh"
 #include "frontend/stream_compiler.hh"
 #include "frontend/workloads.hh"
 
@@ -167,76 +168,68 @@ main()
                 static_cast<unsigned long long>(rss_kb),
                 static_cast<unsigned long long>(bound_kb), window);
 
-    JsonWriter w;
-    w.beginObject();
-    w.key("artifact").value("stream");
-    w.key("schema").value("stream-v1");
-    w.key("quickMode").value(quick);
-    w.key("window").value(window);
-    w.key("instruction_floor").value(floor);
-    w.key("peak_rss_kb").value(rss_kb);
-    w.key("rss_bound_kb").value(bound_kb);
-    w.key("rss_within_bound").value(rss_kb <= bound_kb);
-    w.key("rows").beginArray();
-    for (const Row &row : rows) {
-        const StreamStats &st = row.stats;
+    auto config = [&](JsonWriter &w) {
+        w.key("window").value(window);
+        w.key("instruction_floor").value(floor);
+    };
+    auto json_rows = [&](JsonWriter &w) {
+        for (const Row &row : rows) {
+            const StreamStats &st = row.stats;
+            auto per_sec = [&](double n) {
+                return st.totalSeconds > 0 ? n / st.totalSeconds : 0.0;
+            };
+            w.beginObject();
+            w.key("name").value(row.name);
+            w.key("format").value(row.format);
+            w.key("qubits").value(st.numQubits);
+            w.key("generated_instructions").value(row.generated);
+            w.key("instructions").value(st.instructions);
+            w.key("bytes").value(st.bytesRead);
+            w.key("chunks").value(static_cast<uint64_t>(st.chunks));
+            w.key("blocks").value(static_cast<uint64_t>(st.blocks));
+            w.key("verify_failures")
+                .value(static_cast<uint64_t>(st.verifyFailures));
+            w.key("totalGateCount")
+                .value(static_cast<uint64_t>(st.totalGates));
+            w.key("cnotCount").value(static_cast<uint64_t>(st.cnotCount));
+            w.key("swapCount").value(static_cast<uint64_t>(st.swapCount));
+            w.key("parse_seconds").value(st.parseSeconds);
+            w.key("compile_seconds").value(st.compileSeconds);
+            w.key("total_seconds").value(st.totalSeconds);
+            w.key("instructions_per_sec")
+                .value(per_sec(static_cast<double>(st.instructions)));
+            w.key("bytes_per_sec")
+                .value(per_sec(static_cast<double>(st.bytesRead)));
+            w.key("chunks_per_sec")
+                .value(per_sec(static_cast<double>(st.chunks)));
+            w.endObject();
+        }
         w.beginObject();
-        w.key("name").value(row.name);
-        w.key("format").value(row.format);
-        w.key("qubits").value(st.numQubits);
-        w.key("generated_instructions").value(row.generated);
-        w.key("instructions").value(st.instructions);
-        w.key("bytes").value(st.bytesRead);
-        w.key("chunks").value(static_cast<uint64_t>(st.chunks));
-        w.key("blocks").value(static_cast<uint64_t>(st.blocks));
-        w.key("verify_failures")
-            .value(static_cast<uint64_t>(st.verifyFailures));
-        w.key("total_gates")
-            .value(static_cast<uint64_t>(st.totalGates));
-        w.key("cnot_count").value(static_cast<uint64_t>(st.cnotCount));
-        w.key("swap_count").value(static_cast<uint64_t>(st.swapCount));
-        w.key("parse_seconds").value(st.parseSeconds);
-        w.key("compile_seconds").value(st.compileSeconds);
-        w.key("total_seconds").value(st.totalSeconds);
-        w.key("instructions_per_sec")
-            .value(st.totalSeconds > 0
-                       ? static_cast<double>(st.instructions) /
-                             st.totalSeconds
-                       : 0.0);
-        w.key("bytes_per_sec")
-            .value(st.totalSeconds > 0
-                       ? static_cast<double>(st.bytesRead) /
-                             st.totalSeconds
-                       : 0.0);
-        w.key("chunks_per_sec")
-            .value(st.totalSeconds > 0
-                       ? static_cast<double>(st.chunks) /
-                             st.totalSeconds
-                       : 0.0);
+        w.key("name").value("process");
+        w.key("peak_rss_kb").value(rss_kb);
+        w.key("rss_bound_kb").value(bound_kb);
         w.endObject();
-    }
-    w.endArray();
-
-    // Aggregate engine metrics (verify counters live here too).
-    w.key("metrics").beginObject();
-    for (const auto &[name, count] : engine.metrics().counts())
-        w.key(name).value(count);
-    w.endObject();
-    w.endObject();
-
-    std::ofstream json("BENCH_stream.json", std::ios::trunc);
-    json << w.str() << "\n";
-    std::printf("wrote BENCH_stream.json\n");
+    };
+    writeBenchFile("stream", config, json_rows, &engine);
 
     fs::remove_all(dir);
 
+    int rc = 0;
+    for (const Row &row : rows) {
+        if (row.stats.verifyFailures != 0) {
+            std::fprintf(stderr,
+                         "stream %s: %zu chunk(s) failed verification\n",
+                         row.name.c_str(), row.stats.verifyFailures);
+            rc = 1;
+        }
+    }
     if (rss_kb > bound_kb) {
         std::fprintf(stderr,
                      "peak RSS %llu KiB exceeds the window bound "
                      "%llu KiB\n",
                      static_cast<unsigned long long>(rss_kb),
                      static_cast<unsigned long long>(bound_kb));
-        return 1;
+        rc = 1;
     }
-    return 0;
+    return rc;
 }

@@ -1,589 +1,196 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json trajectory artifacts and flag regressions.
+"""Compare two BENCH_*.json files of one bench binary.
 
 Usage:
     bench_diff.py BASELINE.json CANDIDATE.json [--tolerance PCT]
 
-Matches jobs by name and compares the paper's headline metrics
-(CNOT count, total gate count, depth, SWAP count) per job. A metric
-regresses when the candidate exceeds the baseline by more than
---tolerance percent (default 0: any increase counts). Jobs present
-in only one artifact are reported but are not regressions.
+Every bench binary writes the same layout (bench/bench_util.hh,
+"schema": "bench-v3"): an "artifact" name, a "config" object holding
+the settings that produced the file, and "rows", one object per
+measured item with a "name". Rows are matched by name; a name that
+repeats within a file is keyed by its occurrence ("LiH/ph",
+"LiH/ph#2", ...). Nested objects are flattened, and each field is
+judged by the policy POLICY gives its last name component:
 
-Perf trajectories (BENCH_perf.json, "schema": "perf-v1", written by
-bench/perf_microbench) are diffed with different rules, because raw
-timing is machine- and load-dependent:
-  - WARN-only: throughput (ops_per_sec) or latency (avg_ns) moving
-    by more than --tolerance percent in the bad direction, the
-    pauli_kernels rows (packed kernel ns/op rising, or the
-    packed-vs-byte speedup shrinking), and the obs_overhead numbers
-    (disarmed event-log ns/op or /metrics scrape latency rising);
-  - FAIL: configuration or semantics drift — the (shards, threads)
-    sweep grid changed, the (kernel, qubits) pauli grid changed or
-    a section disappeared, the default shard count changed, mmap
-    availability flipped, the warm engine run recompiled anything,
-    or warm hits stopped being served from the store. When the two
-    artifacts report different hardware_concurrency (different
-    machines), the machine-derived checks (grid, shard count, mmap)
-    downgrade to warnings; warm-run semantics always fail hard.
+  quality  fails when the candidate exceeds baseline x (1 + PCT/100)
+  exact    fails on any change
+  lower    a rate: warns when it drops by more than PCT percent
+  higher   a timing: warns when it rises by more than PCT percent
 
-Serve trajectories (BENCH_serve.json, "schema": "serve-v1", written
-by bench/serve_stress) follow the same split: request latency
-percentiles and throughput WARN-only, while the stress grid
-drifting, any rejected/errored/verify-failed request, a warm phase
-that recompiled anything, or server-side bad-frame counts FAIL hard.
+Fields without a policy are not compared. A row present on only one
+side fails; a row cancelled on either side is not compared. Config
+keys that differ are printed as notes and never decide the result on
+their own. The differ only compares two runs: checks on a single run
+live in the exit status of the binary that ran it.
 
-Stream trajectories (BENCH_stream.json, "schema": "stream-v1",
-written by bench/stream_bench) split the same way: ingest rate,
-chunk throughput, and wall time WARN-only; the workload grid or
-run configuration (window, instruction floor, quick mode) drifting,
-any candidate chunk failing semantic verification, the per-workload
-deterministic counts (generated/parsed instructions, blocks,
-chunks) moving, or the candidate's peak RSS breaking its
-window-proportional bound FAIL hard.
-
-Job trajectories come in two schema versions: legacy files (no
-"schema" key) and "bench-v2" files (which add the engine.histograms
-percentile section). Both diff identically — the headline metrics
-live in the same place — but the two artifacts must agree: mixing
-schemas (or mixing a perf file with a job file) exits 2, since the
-documents were produced by different builds of the bench harness.
-
-Exit status: 0 = no regressions, 1 = at least one regression,
-2 = bad invocation, unreadable/malformed artifact, or mismatched
-schemas.
+Exit status: 0 = no failures (warnings allowed), 1 = at least one
+failure, 2 = unreadable file, a schema other than bench-v3, or files
+of two different artifacts.
 """
 
 import argparse
 import json
 import sys
 
-# Metrics where *more* is *worse*, in report order.
-METRICS = ("cnotCount", "totalGateCount", "depth", "swapCount")
+SCHEMA = "bench-v3"
+
+POLICY = {
+    # The paper's headline counts (Table II, Figs. 14-24).
+    "cnotCount": "quality",
+    "totalGateCount": "quality",
+    "depth": "quality",
+    "swapCount": "quality",
+    # Deterministic given the config.
+    "generated_instructions": "exact",
+    "instructions": "exact",
+    "blocks": "exact",
+    "chunks": "exact",
+    "requests": "exact",
+    # Rates: lower is worse.
+    "ops_per_sec": "lower",
+    "speedup": "lower",
+    "throughput_rps": "lower",
+    "instructions_per_sec": "lower",
+    "bytes_per_sec": "lower",
+    "chunks_per_sec": "lower",
+    # Timings: higher is worse.
+    "avg_ns": "higher",
+    "packed_ns": "higher",
+    "event_log_disabled_ns": "higher",
+    "scrape_load_avg_us": "higher",
+    "scrape_idle_avg_us": "higher",
+    "p50": "higher",
+    "p99": "higher",
+    "total_seconds": "higher",
+}
 
 
-def load_doc(path):
-    """Parse one trajectory artifact, exiting 2 when unreadable."""
+def die(message):
+    """Refuse the comparison: exit 2."""
+    print(f"bench_diff: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def load(path):
+    """Parse one BENCH file, exiting 2 unless it is a bench-v3 file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench_diff: cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
+        die(f"cannot read {path}: {exc}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        die(f"{path} has schema {schema!r}, not {SCHEMA!r}; "
+            "regenerate it with a current build")
+    rows = doc.get("rows")
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, dict) for row in rows):
+        die(f"{path} has no list of row objects")
+    return doc
 
 
-def load_jobs(path, doc):
-    """Return {job key: stats dict} from one trajectory artifact.
+def flatten(obj, prefix=""):
+    """{"a": {"b": 1}} -> {"a.b": 1}."""
+    flat = {}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            flat.update(flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
 
-    Display names may repeat within a sweep (e.g. table2 runs each
-    molecule once per encoder under one name), so repeats are keyed
-    by submission-order occurrence: "LiH/ph", "LiH/ph#2", ... Both
-    artifacts of one bench binary number identically.
-    """
-    jobs = {}
-    seen = {}
-    for job in doc.get("jobs", []):
-        name, stats = job.get("name"), job.get("stats")
-        if name is None or stats is None:  # failed job
-            continue
-        if job.get("cancelled"):  # zeroed stats, not a measurement
-            continue
+
+def rows_by_key(doc):
+    """{row key: row}, repeated names keyed by occurrence."""
+    rows, seen = {}, {}
+    for row in doc["rows"]:
+        name = row.get("name")
         seen[name] = seen.get(name, 0) + 1
-        key = name if seen[name] == 1 else f"{name}#{seen[name]}"
-        jobs[key] = stats
-    if not jobs:
-        print(f"bench_diff: no comparable jobs in {path}",
-              file=sys.stderr)
-        sys.exit(2)
-    return jobs
+        rows[name if seen[name] == 1 else f"{name}#{seen[name]}"] = row
+    return rows
 
 
-def sweep_grid(doc):
-    """The (shards, threads) configurations of one perf sweep."""
-    return {
-        (row.get("shards"), row.get("threads"))
-        for row in doc.get("cache", {}).get("sweeps", [])
-    }
+def number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def kernel_rows(doc):
-    """{(kernel, qubits): row} from the pauli_kernels section."""
-    return {
-        (row.get("kernel"), row.get("qubits")): row
-        for row in doc.get("pauli_kernels", {}).get("rows", [])
-    }
+def judge(policy, old, new, slack):
+    """'fail', 'warn' or None for one field under its policy."""
+    if policy == "exact":
+        return "fail" if old != new else None
+    if not (number(old) and number(new)):
+        return None
+    if policy == "quality":
+        return "fail" if new > old * slack else None
+    if policy == "higher":
+        return "warn" if old > 0 and new > old * slack else None
+    return "warn" if old > 0 and new * slack < old else None
 
 
-def diff_perf(base, cand, tolerance):
-    """Diff two perf-v1 trajectories: timing warns, drift fails."""
-    failures = []
-    warnings = []
-    slack = 1.0 + tolerance / 100.0
-
-    # Shard count, the sweep grid, and mmap availability are derived
-    # from the machine. On the *same* hardware a change means a code
-    # or environment drift (fail); across different machines it is
-    # expected (warn), like timing.
-    base_hw = base.get("hardware_concurrency")
-    cand_hw = cand.get("hardware_concurrency")
-    same_machine = base_hw == cand_hw
-    if not same_machine:
-        warnings.append(
-            f"hardware concurrency differs ({base_hw} vs {cand_hw}); "
-            "machine-derived drift checks downgraded to warnings"
-        )
-
-    def drift(message):
-        (failures if same_machine else warnings).append(message)
-
-    # --- configuration / semantics drift -----------------------------
-    base_grid, cand_grid = sweep_grid(base), sweep_grid(cand)
-    if base_grid != cand_grid:
-        drift(
-            "cache sweep grid drifted: "
-            f"baseline {sorted(base_grid)} vs "
-            f"candidate {sorted(cand_grid)}"
-        )
-    base_shards = base.get("cache", {}).get("default_shard_count")
-    cand_shards = cand.get("cache", {}).get("default_shard_count")
-    if base_shards != cand_shards:
-        drift(
-            f"default shard count drifted: {base_shards} -> "
-            f"{cand_shards}"
-        )
-    base_mmap = base.get("artifact_load", {}).get("mmap_enabled")
-    cand_mmap = cand.get("artifact_load", {}).get("mmap_enabled")
-    if base_mmap != cand_mmap:
-        drift(
-            f"mmap availability drifted: {base_mmap} -> {cand_mmap}"
-        )
-    # Warm-run semantics hold on any machine: always hard failures.
-    warm = cand.get("engine", {}).get("warm", {})
-    recompiled = warm.get("completed", 0)
-    if recompiled != 0:
-        failures.append(
-            f"warm engine run recompiled {recompiled} job(s) "
-            "(must be served entirely from the store)"
-        )
-    if warm.get("disk_hits", 0) == 0:
-        failures.append("warm engine run had no disk hits")
-
-    # --- timing: warnings only --------------------------------------
-    cand_rows = {
-        (r.get("shards"), r.get("threads")): r
-        for r in cand.get("cache", {}).get("sweeps", [])
-    }
-    for row in base.get("cache", {}).get("sweeps", []):
-        key = (row.get("shards"), row.get("threads"))
-        other = cand_rows.get(key)
-        if other is None:
-            continue
-        old, new = row.get("ops_per_sec", 0), other.get("ops_per_sec", 0)
-        if old > 0 and new * slack < old:
-            pct = 100.0 * (old - new) / old
-            warnings.append(
-                f"shards={key[0]} threads={key[1]}: throughput "
-                f"{old / 1e6:.2f} -> {new / 1e6:.2f} Mops/s "
-                f"(-{pct:.1f}%)"
-            )
-    for phase in ("cold", "warm", "buffered"):
-        old = base.get("artifact_load", {}).get(phase, {}).get("avg_ns")
-        new = cand.get("artifact_load", {}).get(phase, {}).get("avg_ns")
-        if old and new and new > old * slack:
-            pct = 100.0 * (new - old) / old
-            warnings.append(
-                f"{phase} artifact load {old:.0f} -> {new:.0f} ns "
-                f"(+{pct:.1f}%)"
-            )
-
-    # --- pauli kernel trend: grid drifts fail, timing warns ----------
-    # The (kernel, qubits) grid is code-derived, but older baselines
-    # predate the section entirely, so a missing *baseline* section
-    # is only a note; a candidate that *dropped* the section drifted.
-    base_kernels, cand_kernels = kernel_rows(base), kernel_rows(cand)
-    if base_kernels and not cand_kernels:
-        drift("pauli_kernels section disappeared from the candidate")
-    elif cand_kernels and not base_kernels:
-        print(
-            "note: baseline predates the pauli_kernels section; "
-            "no kernel trend to compare"
-        )
-    elif base_kernels:
-        if set(base_kernels) != set(cand_kernels):
-            drift(
-                "pauli kernel grid drifted: "
-                f"baseline {sorted(base_kernels)} vs "
-                f"candidate {sorted(cand_kernels)}"
-            )
-        for key in sorted(base_kernels.keys() & cand_kernels.keys()):
-            kernel, qubits = key
-            old_row, new_row = base_kernels[key], cand_kernels[key]
-            old_ns = old_row.get("packed_ns")
-            new_ns = new_row.get("packed_ns")
-            if old_ns and new_ns and new_ns > old_ns * slack:
-                pct = 100.0 * (new_ns - old_ns) / old_ns
-                warnings.append(
-                    f"{kernel}@{qubits}q: packed kernel "
-                    f"{old_ns:.2f} -> {new_ns:.2f} ns (+{pct:.1f}%)"
-                )
-            old_sp = old_row.get("speedup")
-            new_sp = new_row.get("speedup")
-            if old_sp and new_sp and new_sp * slack < old_sp:
-                pct = 100.0 * (old_sp - new_sp) / old_sp
-                warnings.append(
-                    f"{kernel}@{qubits}q: packed-vs-byte speedup "
-                    f"{old_sp:.1f}x -> {new_sp:.1f}x (-{pct:.1f}%)"
-                )
-
-    # --- obs-plane overhead trend: timing warns, loss fails ----------
-    # Same shape as pauli_kernels: baselines predating the section
-    # get a note; a candidate that dropped it drifted.
-    base_obs = base.get("obs_overhead", {})
-    cand_obs = cand.get("obs_overhead", {})
-    if base_obs and not cand_obs:
-        drift("obs_overhead section disappeared from the candidate")
-    elif cand_obs and not base_obs:
-        print(
-            "note: baseline predates the obs_overhead section; "
-            "no obs trend to compare"
-        )
-    elif base_obs:
-        obs_timings = (
-            ("event_log_disabled_ns", "disarmed event log", "ns/op"),
-            ("scrape_load_avg_us", "/metrics under load", "us"),
-            ("scrape_idle_avg_us", "/metrics idle", "us"),
-        )
-        for key, label, unit in obs_timings:
-            old, new = base_obs.get(key), cand_obs.get(key)
-            if old and new and new > old * slack:
-                pct = 100.0 * (new - old) / old
-                warnings.append(
-                    f"{label}: {old:.2f} -> {new:.2f} {unit} "
-                    f"(+{pct:.1f}%)"
-                )
-
-    for message in warnings:
-        print(f"perf warning (timing, not failing): {message}")
-    if failures:
-        print(f"PERF DRIFT ({len(failures)} failure(s)):")
-        for message in failures:
-            print(f"  {message}")
-        return 1
-    print(
-        f"OK: perf trajectories consistent "
-        f"({len(warnings)} timing warning(s), "
-        f"tolerance {tolerance:g}%)"
-    )
-    return 0
-
-
-def diff_serve(base, cand, tolerance):
-    """Diff two serve-v1 trajectories: latency warns, drift fails.
-
-    The stress grid (clients x jobs x programs) and the correctness
-    counters are code-derived and must not move: any rejected
-    request, transport error, verify failure, or warm-phase
-    recompile in the *candidate* is a hard failure regardless of the
-    baseline. Latency percentiles and throughput are machine- and
-    load-dependent, so they only warn, like perf timings.
-    """
-    failures = []
-    warnings = []
-    slack = 1.0 + tolerance / 100.0
-
-    base_cfg = base.get("config", {})
-    cand_cfg = cand.get("config", {})
-    grid_keys = (
-        "clients",
-        "jobs_per_client",
-        "distinct_programs",
-        "qubits",
-        "verify",
-    )
-    base_grid = tuple(base_cfg.get(k) for k in grid_keys)
-    cand_grid = tuple(cand_cfg.get(k) for k in grid_keys)
-    if base_grid != cand_grid:
-        failures.append(
-            f"stress grid drifted: baseline {base_grid} vs "
-            f"candidate {cand_grid}; regenerate with matching "
-            "serve_stress arguments"
-        )
-
-    # --- correctness: candidate must be clean ------------------------
-    for phase in ("cold", "warm"):
-        p = cand.get(phase, {})
-        for counter in ("rejected", "transport_errors", "verify_fail"):
-            n = p.get(counter, 0)
-            if n != 0:
-                failures.append(
-                    f"{phase} phase had {n} {counter.replace('_', ' ')}"
-                )
-    if cand.get("warm_recompiled"):
-        failures.append(
-            f"warm phase recompiled "
-            f"{cand.get('warm', {}).get('compiles', '?')} program(s) "
-            "(must be served entirely from the cache)"
-        )
-    bad_frames = cand.get("server", {}).get("bad_frames", 0)
-    if bad_frames != 0:
-        failures.append(
-            f"server counted {bad_frames} bad frame(s) from the "
-            "stress clients (codec drift?)"
-        )
-
-    # --- latency / throughput: warnings only -------------------------
-    for phase in ("cold", "warm"):
-        old_p, new_p = base.get(phase, {}), cand.get(phase, {})
-        for pct_key in ("p50", "p99"):
-            old = old_p.get("latency_ms", {}).get(pct_key)
-            new = new_p.get("latency_ms", {}).get(pct_key)
-            if old and new and new > old * slack:
-                pct = 100.0 * (new - old) / old
-                warnings.append(
-                    f"{phase} {pct_key} latency {old:.2f} -> "
-                    f"{new:.2f} ms (+{pct:.1f}%)"
-                )
-        old = old_p.get("throughput_rps")
-        new = new_p.get("throughput_rps")
-        if old and new and new * slack < old:
-            pct = 100.0 * (old - new) / old
-            warnings.append(
-                f"{phase} throughput {old:.0f} -> {new:.0f} req/s "
-                f"(-{pct:.1f}%)"
-            )
-
-    for message in warnings:
-        print(f"serve warning (timing, not failing): {message}")
-    if failures:
-        print(f"SERVE DRIFT ({len(failures)} failure(s)):")
-        for message in failures:
-            print(f"  {message}")
-        return 1
-    print(
-        f"OK: serve trajectories consistent "
-        f"({len(warnings)} timing warning(s), "
-        f"tolerance {tolerance:g}%)"
-    )
-    return 0
-
-
-def diff_stream(base, cand, tolerance):
-    """Diff two stream-v1 trajectories: rates warn, drift fails.
-
-    Everything counted is deterministic given (workload grid, window,
-    instruction floor, quick mode): the generators are seeded and the
-    windowing is pure arithmetic, so instruction/block/chunk counts
-    moving means the frontend or the windowing changed semantics, not
-    the machine. Rates and wall time are machine-dependent and only
-    warn. The candidate must also be internally clean: zero verify
-    failures and peak RSS within its own window bound, regardless of
-    what the baseline did.
-    """
-    failures = []
-    warnings = []
-    slack = 1.0 + tolerance / 100.0
-
-    grid_ok = True
-    cfg_keys = ("window", "instruction_floor", "quickMode")
-    base_cfg = tuple(base.get(k) for k in cfg_keys)
-    cand_cfg = tuple(cand.get(k) for k in cfg_keys)
-    if base_cfg != cand_cfg:
-        grid_ok = False
-        failures.append(
-            f"run configuration drifted: baseline {base_cfg} vs "
-            f"candidate {cand_cfg} for (window, instruction_floor, "
-            "quickMode); regenerate with matching settings"
-        )
-
-    def rows_by_name(doc):
-        return {row.get("name"): row for row in doc.get("rows", [])}
-
-    base_rows, cand_rows = rows_by_name(base), rows_by_name(cand)
-    base_grid = {
-        (r.get("name"), r.get("format"), r.get("qubits"))
-        for r in base.get("rows", [])
-    }
-    cand_grid = {
-        (r.get("name"), r.get("format"), r.get("qubits"))
-        for r in cand.get("rows", [])
-    }
-    if base_grid != cand_grid:
-        grid_ok = False
-        failures.append(
-            f"workload grid drifted: baseline {sorted(base_grid)} vs "
-            f"candidate {sorted(cand_grid)}"
-        )
-
-    # --- candidate correctness: clean regardless of the baseline -----
-    for name, row in sorted(cand_rows.items()):
-        vf = row.get("verify_failures", 0)
-        if vf != 0:
-            failures.append(
-                f"{name}: {vf} chunk(s) failed semantic verification"
-            )
-    if not cand.get("rss_within_bound", True):
-        failures.append(
-            f"peak RSS {cand.get('peak_rss_kb')} KiB exceeds the "
-            f"window bound {cand.get('rss_bound_kb')} KiB — streaming "
-            "memory is no longer O(window)"
-        )
-
-    # --- deterministic counts: must match exactly --------------------
-    if grid_ok:  # counts are only comparable on a matching grid
-        count_keys = (
-            "generated_instructions",
-            "instructions",
-            "blocks",
-            "chunks",
-        )
-        for name in sorted(base_rows.keys() & cand_rows.keys()):
-            for key in count_keys:
-                old = base_rows[name].get(key)
-                new = cand_rows[name].get(key)
-                if old is not None and new is not None and old != new:
-                    failures.append(
-                        f"{name}: {key} drifted {old} -> {new} "
-                        "(deterministic given the grid and window)"
-                    )
-
-    # --- rates / wall time: warnings only ----------------------------
-    rate_keys = (
-        ("instructions_per_sec", "ingest rate", "instr/s"),
-        ("bytes_per_sec", "byte rate", "B/s"),
-        ("chunks_per_sec", "chunk throughput", "chunks/s"),
-    )
-    for name in sorted(base_rows.keys() & cand_rows.keys()):
-        old_row, new_row = base_rows[name], cand_rows[name]
-        for key, label, unit in rate_keys:
-            old, new = old_row.get(key), new_row.get(key)
-            if old and new and new * slack < old:
-                pct = 100.0 * (old - new) / old
-                warnings.append(
-                    f"{name}: {label} {old:.0f} -> {new:.0f} {unit} "
-                    f"(-{pct:.1f}%)"
-                )
-        old = old_row.get("total_seconds")
-        new = new_row.get("total_seconds")
-        if old and new and new > old * slack:
-            pct = 100.0 * (new - old) / old
-            warnings.append(
-                f"{name}: end-to-end {old:.2f} -> {new:.2f} s "
-                f"(+{pct:.1f}%)"
-            )
-
-    for message in warnings:
-        print(f"stream warning (timing, not failing): {message}")
-    if failures:
-        print(f"STREAM DRIFT ({len(failures)} failure(s)):")
-        for message in failures:
-            print(f"  {message}")
-        return 1
-    print(
-        f"OK: stream trajectories consistent "
-        f"({len(warnings)} timing warning(s), "
-        f"tolerance {tolerance:g}%)"
-    )
-    return 0
+def change(old, new):
+    """'old -> new (+x%)', the percentage only between two numbers."""
+    text = " -> ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                       for v in (old, new))
+    if number(old) and number(new) and old:
+        text += f" ({100.0 * (new - old) / old:+.1f}%)"
+    return text
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Diff two BENCH_*.json artifacts for regressions."
-    )
+        description="Diff two bench-v3 BENCH_*.json files.")
     parser.add_argument("baseline")
     parser.add_argument("candidate")
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.0,
-        metavar="PCT",
-        help="allowed increase in percent before a metric counts as "
-        "a regression (default: 0, any increase)",
-    )
+        "--tolerance", type=float, default=0.0, metavar="PCT",
+        help="allowed move in percent before a field fails or warns "
+        "(default: 0)")
     args = parser.parse_args()
     if args.tolerance < 0:
         parser.error("--tolerance must be >= 0")
+    slack = 1.0 + args.tolerance / 100.0
 
-    base_doc = load_doc(args.baseline)
-    cand_doc = load_doc(args.candidate)
+    base, cand = load(args.baseline), load(args.candidate)
+    if base.get("artifact") != cand.get("artifact"):
+        die(f"artifacts differ: {base.get('artifact')!r} vs "
+            f"{cand.get('artifact')!r}")
 
-    # Schema gate. Three document versions exist: legacy job
-    # trajectories (no "schema" key), "bench-v2" job trajectories
-    # (added the engine.histograms section), and "perf-v1" perf
-    # trajectories. Diffing across versions would silently compare
-    # different measurements, so mixed schemas are an invocation
-    # error (exit 2), not a regression.
-    base_schema = base_doc.get("schema")
-    cand_schema = cand_doc.get("schema")
-    if base_schema != cand_schema:
-        print(
-            "bench_diff: schema mismatch: "
-            f"{args.baseline} is {base_schema or 'legacy (pre-v2)'}, "
-            f"{args.candidate} is {cand_schema or 'legacy (pre-v2)'}; "
-            "regenerate both artifacts with the same build",
-            file=sys.stderr,
-        )
-        return 2
-    if base_schema not in (None, "bench-v2", "perf-v1", "serve-v1",
-                           "stream-v1"):
-        print(
-            f"bench_diff: unknown schema '{base_schema}' "
-            "(this script understands legacy, bench-v2, perf-v1, "
-            "serve-v1, and stream-v1)",
-            file=sys.stderr,
-        )
-        return 2
-    if base_schema == "perf-v1":
-        return diff_perf(base_doc, cand_doc, args.tolerance)
-    if base_schema == "serve-v1":
-        return diff_serve(base_doc, cand_doc, args.tolerance)
-    if base_schema == "stream-v1":
-        return diff_stream(base_doc, cand_doc, args.tolerance)
+    base_cfg, cand_cfg = base.get("config", {}), cand.get("config", {})
+    for key in sorted(base_cfg.keys() | cand_cfg.keys()):
+        if base_cfg.get(key) != cand_cfg.get(key):
+            print(f"note: config {key}: {base_cfg.get(key)!r} -> "
+                  f"{cand_cfg.get(key)!r}")
 
-    base = load_jobs(args.baseline, base_doc)
-    cand = load_jobs(args.candidate, cand_doc)
+    base_rows, cand_rows = rows_by_key(base), rows_by_key(cand)
+    failures, warnings, compared = [], [], 0
+    for key in sorted(base_rows.keys() ^ cand_rows.keys()):
+        side = args.baseline if key in base_rows else args.candidate
+        failures.append(f"{key}: row only in {side}")
+    for key in sorted(base_rows.keys() & cand_rows.keys()):
+        old_row, new_row = base_rows[key], cand_rows[key]
+        if old_row.get("cancelled") or new_row.get("cancelled"):
+            print(f"note: {key}: cancelled, not compared")
+            continue
+        compared += 1
+        old_flat, new_flat = flatten(old_row), flatten(new_row)
+        for field in sorted(old_flat.keys() & new_flat.keys()):
+            policy = POLICY.get(field.rsplit(".", 1)[-1])
+            old, new = old_flat[field], new_flat[field]
+            verdict = policy and judge(policy, old, new, slack)
+            if verdict:
+                (failures if verdict == "fail" else warnings).append(
+                    f"{key}: {field} {change(old, new)}")
 
-    regressions = []
-    improvements = 0
-    for name in sorted(base.keys() & cand.keys()):
-        for metric in METRICS:
-            old = base[name].get(metric)
-            new = cand[name].get(metric)
-            if old is None or new is None:
-                continue
-            if new > old * (1.0 + args.tolerance / 100.0):
-                pct = 100.0 * (new - old) / old if old else float("inf")
-                regressions.append((name, metric, old, new, pct))
-            elif new < old:
-                improvements += 1
-
-    only_base = sorted(base.keys() - cand.keys())
-    only_cand = sorted(cand.keys() - base.keys())
-    for name in only_base:
-        print(f"note: job '{name}' only in {args.baseline}")
-    for name in only_cand:
-        print(f"note: job '{name}' only in {args.candidate}")
-
-    common = len(base.keys() & cand.keys())
-    if regressions:
-        print(
-            f"REGRESSIONS ({len(regressions)} metric(s) across "
-            f"{len({r[0] for r in regressions})} job(s), "
-            f"tolerance {args.tolerance:g}%):"
-        )
-        for name, metric, old, new, pct in regressions:
-            print(f"  {name}: {metric} {old} -> {new} (+{pct:.1f}%)")
-        print(
-            f"compared {common} common job(s); "
-            f"{improvements} metric(s) improved"
-        )
+    for message in warnings:
+        print(f"warning: {message}")
+    if failures:
+        print(f"FAIL ({len(failures)} failure(s), tolerance "
+              f"{args.tolerance:g}%):")
+        for message in failures:
+            print(f"  {message}")
         return 1
-
-    print(
-        f"OK: no regressions across {common} common job(s) "
-        f"({improvements} metric(s) improved, "
-        f"tolerance {args.tolerance:g}%)"
-    )
+    print(f"OK: {compared} row(s) compared, {len(warnings)} warning(s), "
+          f"tolerance {args.tolerance:g}%")
     return 0
 
 

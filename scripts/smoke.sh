@@ -14,15 +14,15 @@
 # report zero contended cache lock waits (published hits are served
 # by the cache's lock-free read view). The perf microbench (sharded
 # cache + mmap artifact reads + packed Pauli kernels) then runs its
-# quick preset: its warm engine sweep must do zero recompiles, its
-# pure-hit cache sweeps must be lock-free, and the packed kernels
-# must hold their >=5x speedup at 64+ qubits.
+# quick preset: its warm engine sweep must do zero recompiles (the
+# binary exits 1 otherwise), its pure-hit cache sweeps must be
+# lock-free, and the packed kernels must hold their >=5x speedup at
+# 64+ qubits.
 #
-# Observability: trajectories must carry the bench-v2 schema with
-# latency histograms, a TETRIS_TRACE run must produce a file that
-# scripts/trace_report.py validates, and bench_diff.py must refuse
-# (exit 2) to diff artifacts with mismatched schemas. The resident
-# obs plane then runs for real: a sweep with TETRIS_OBS_ADDR serves
+# Observability: sweep BENCH files must carry latency histograms,
+# and a TETRIS_TRACE run must produce a file that
+# scripts/trace_report.py validates. The resident obs plane then
+# runs for real: a sweep with TETRIS_OBS_ADDR serves
 # /metrics mid-run (scraped and strictly validated by
 # scripts/obs_scrape.py), its idle-state scrape must agree with the
 # BENCH json bucket for bucket, and TETRIS_EVENT_LOG must record the
@@ -30,7 +30,8 @@
 # most (obs_overhead section of BENCH_perf.json).
 #
 # Serving: the multi-client stress bench must pass (warm phase all
-# cache hits) and write its serve-v1 trajectory, then a real tetrisd
+# cache hits) and write BENCH_serve.json (every BENCH file is then
+# checked for the shared bench-v3 layout), then a real tetrisd
 # round-trips compilations over TCP + unix socket via tetris_client
 # — including a streamed program file ingested in windowed chunks
 # with server-side verification on — and is SIGTERMed mid-batch; the
@@ -38,11 +39,15 @@
 # exit 0.
 #
 # Streaming frontend: the quick stream bench must verify every chunk
-# and write its stream-v1 trajectory (self-diffing clean), a short
-# frontend fuzz sweep must find no total-decode violation, and a
-# dedicated 1M+-instruction run must hold peak RSS under the
-# window-proportional bound — the O(window) memory claim, asserted
-# at file scale.
+# and write BENCH_stream.json, a short frontend fuzz sweep must find
+# no total-decode violation, and a dedicated 1M+-instruction run must
+# hold peak RSS under the window-proportional bound — the O(window)
+# memory claim, asserted at file scale.
+#
+# bench_diff.py then runs on mutated copies of the fresh table2 and
+# stream files: an unchanged file passes, a moved count or a dropped
+# row fails, a halved rate only warns, and an older schema is
+# refused.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,21 +66,18 @@ for artifact in table2 fig14 fig23; do
 done
 
 # ---- observability: schema, histograms, tracing -------------------
-# Every job trajectory must declare the bench-v2 schema and carry
-# ordered latency percentiles for job latency and queue wait, none of
-# them above the recorded max.
+# A sweep's engine section must carry ordered latency percentiles for
+# job latency and queue wait, none of them above the recorded max.
 python3 - build/BENCH_table2.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc.get("schema") == "bench-v2", \
-    f"expected bench-v2 schema, got {doc.get('schema')!r}"
 hists = doc["engine"]["histograms"]
 for name in ("job.latency_ns", "job.queue_wait_ns"):
     h = hists[name]
     assert h["count"] > 0, f"{name} recorded nothing"
     assert h["p50"] <= h["p90"] <= h["p99"] <= h["max"], \
         f"{name} percentiles out of order or above max: {h}"
-print(f"smoke OK: bench-v2 histograms present "
+print(f"smoke OK: latency histograms present "
       f"(job latency p99 {hists['job.latency_ns']['p99']} ns over "
       f"{hists['job.latency_ns']['count']} job(s))")
 EOF
@@ -140,26 +142,6 @@ fi
 echo "smoke OK: live /metrics scrape validated + matched BENCH json;" \
   "event log recorded the job lifecycle; one sweep summary line"
 
-# Mixing a bench-v2 trajectory with a legacy (pre-schema) one must be
-# an invocation error (exit 2), not a crash or a silent diff.
-python3 - build/BENCH_table2.json build/BENCH_table2.legacy.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc.pop("schema", None)
-doc["engine"].pop("histograms", None)
-json.dump(doc, open(sys.argv[2], "w"))
-EOF
-set +e
-python3 scripts/bench_diff.py \
-  build/BENCH_table2.json build/BENCH_table2.legacy.json
-mixed_rc=$?
-set -e
-if [ "$mixed_rc" -ne 2 ]; then
-  echo "smoke FAIL: mixed-schema diff exited $mixed_rc (want 2)" >&2
-  exit 1
-fi
-echo "smoke OK: mixed-schema diff refused with exit 2"
-
 # ---- persistent disk cache: cold run, warm run, corruption --------
 warm_dir="${TETRIS_CACHE_DIR:-$PWD/build/tetris-cache}/smoke"
 rm -rf "$warm_dir"
@@ -169,11 +151,13 @@ rm -rf "$warm_dir"
 python3 - build/BENCH_table2.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-disk = doc["cache"]["disk"]
-assert disk["enabled"], "disk cache not enabled on cold run"
-assert disk["writes"] > 0, "cold run persisted nothing"
-assert disk["hits"] == 0, "cold run cannot have disk hits"
-print(f"smoke OK: cold run persisted {disk['writes']} artifact(s)")
+counts = doc["engine"]["counts"]
+writes = counts.get("cache.disk.writes", 0)
+assert doc["config"]["disk_cache"], "disk cache not enabled on cold run"
+assert writes > 0, "cold run persisted nothing"
+assert counts.get("jobs.disk_hits", 0) == 0, \
+    "cold run cannot have disk hits"
+print(f"smoke OK: cold run persisted {writes} artifact(s)")
 EOF
 cp build/BENCH_table2.json build/BENCH_table2.cold.json
 
@@ -186,20 +170,20 @@ cp build/BENCH_table2.json build/BENCH_table2.cold.json
 python3 - build/BENCH_table2.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-disk = doc["cache"]["disk"]
 counts = doc["engine"]["counts"]
-assert disk["hits"] > 0, "warm run reported no disk-cache hits"
+disk_hits = counts.get("jobs.disk_hits", 0)
+assert disk_hits > 0, "warm run reported no disk-cache hits"
 assert counts.get("jobs.completed", 0) == 0, \
     f"warm run still compiled {counts.get('jobs.completed')} job(s)"
 lock_wait = counts.get("cache.lock_wait_ns", 0)
 assert lock_wait == 0, \
     f"warm run saw {lock_wait} ns of contended cache lock waits " \
     "(hit path must be lock-free)"
-print(f"smoke OK: warm run served {disk['hits']} job(s) from disk, "
+print(f"smoke OK: warm run served {disk_hits} job(s) from disk, "
       "0 recompilations, 0 ns contended cache lock wait")
 EOF
 
-# Identical runs must also diff clean.
+# The cold and warm runs must also diff clean.
 python3 scripts/bench_diff.py \
   build/BENCH_table2.cold.json build/BENCH_table2.json
 
@@ -212,10 +196,10 @@ printf 'deliberately corrupted' > "$victim"
 python3 - build/BENCH_table2.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-disk = doc["cache"]["disk"]
-assert disk["misses"] > 0, "corrupted artifact did not read as a miss"
+misses = doc["engine"]["counts"].get("cache.disk.misses", 0)
+assert misses > 0, "corrupted artifact did not read as a miss"
 print("smoke OK: corrupted artifact degraded to a miss "
-      f"({disk['misses']} miss(es), run still succeeded)")
+      f"({misses} miss(es), run still succeeded)")
 EOF
 
 python3 scripts/cache_tool.py stats --dir "$warm_dir"
@@ -226,34 +210,37 @@ echo "smoke OK: persistent cache cold/warm/corruption cycle passed"
 # ---- perf microbench: caching-path throughput/latency -------------
 # Quick preset of the cache/artifact-load/engine microbenchmark. The
 # embedded warm engine sweep must be served entirely from the store
-# (zero recompilations) and, where the platform supports it, through
-# the zero-copy mmap path.
+# (zero recompilations; the binary exits 1 otherwise) and, where the
+# platform supports it, through the zero-copy mmap path.
 (cd build && ./perf_microbench)
 python3 - build/BENCH_perf.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "perf-v1", "unexpected perf schema"
-warm = doc["engine"]["warm"]
+rows = {row["name"]: row for row in doc["rows"]}
+warm = rows["engine/warm"]
 assert warm["completed"] == 0, \
     f"warm microbench recompiled {warm['completed']} job(s)"
 assert warm["disk_hits"] > 0, "warm microbench had no disk hits"
-load = doc["artifact_load"]
-if load["mmap_enabled"]:
-    assert load["mmap_loads"] > 0, "mmap load path not exercised"
-assert load["buffered_loads"] > 0, "buffered fallback not exercised"
-assert doc["cache"]["sweeps"], "empty cache sweep"
-for sweep in doc["cache"]["sweeps"]:
+if doc["config"]["mmap_enabled"]:
+    assert rows["load/warm"]["mmap_loads"] > 0, \
+        "mmap load path not exercised"
+assert rows["load/buffered"]["buffered_loads"] > 0, \
+    "buffered fallback not exercised"
+sweeps = [r for name, r in rows.items() if name.startswith("cache/")]
+assert sweeps, "empty cache sweep"
+for sweep in sweeps:
     assert sweep["lock_wait_ns"] == 0, \
-        f"pure-hit cache sweep reported {sweep['lock_wait_ns']} ns " \
-        "of lock wait (hit path must be lock-free)"
-rows = doc["pauli_kernels"]["rows"]
-assert rows, "pauli_kernels section is empty"
-slow = [r for r in rows
+        f"pure-hit cache sweep {sweep['name']} reported " \
+        f"{sweep['lock_wait_ns']} ns of lock wait (hit path must be " \
+        "lock-free)"
+kernels = [r for name, r in rows.items() if name.startswith("pauli/")]
+assert kernels, "no pauli kernel rows"
+slow = [r for r in kernels
         if r["qubits"] >= 64
         and r["kernel"] in ("commute", "product")
         and r["speedup"] < 5.0]
 assert not slow, f"packed Pauli kernels below 5x at >=64 qubits: {slow}"
-obs = doc["obs_overhead"]
+obs = rows["obs_overhead"]
 assert obs["event_log_disabled_ns"] < 50.0, \
     "disarmed event log costs " \
     f"{obs['event_log_disabled_ns']:.1f} ns/op (must stay a few ns)"
@@ -261,14 +248,11 @@ assert obs["scrape_load_count"] > 0, \
     "no /metrics scrapes landed during the loaded run"
 print("smoke OK: warm microbench did zero recompiles "
       f"({warm['disk_hits']} disk hit(s), "
-      f"{load['mmap_loads']} mmap load(s)); pure-hit sweeps "
+      f"{warm['mmap_loads']} mmap load(s)); pure-hit sweeps "
       "lock-free; packed Pauli kernels >=5x at 64+ qubits; "
       f"disarmed event log {obs['event_log_disabled_ns']:.2f} ns/op")
 EOF
-# A perf trajectory must diff clean against itself.
-python3 scripts/bench_diff.py \
-  build/BENCH_perf.json build/BENCH_perf.json
-echo "smoke OK: perf microbench + perf diff passed"
+echo "smoke OK: perf microbench passed"
 
 # ---- semantic verification sweep ----------------------------------
 # Every result of a multi-pipeline molecule sweep (and every QAOA
@@ -286,29 +270,84 @@ echo "smoke OK: verification + differential fuzz passed"
 
 # ---- streaming frontend: windowed chunk compilation ---------------
 # Quick preset with per-chunk semantic verification: every chunk of
-# every workload family must verify, peak RSS must sit inside the
-# window bound (the binary exits 1 on either), and the stream-v1
-# trajectory must self-diff clean.
+# every workload family must verify and peak RSS must sit inside the
+# window bound (the binary exits 1 on either).
 (cd build && TETRIS_VERIFY=1 ./stream_bench)
 test -s build/BENCH_stream.json
 python3 - build/BENCH_stream.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc.get("schema") == "stream-v1", \
-    f"expected stream-v1 schema, got {doc.get('schema')!r}"
-assert doc["rss_within_bound"], \
-    f"peak RSS {doc['peak_rss_kb']} KiB over bound {doc['rss_bound_kb']}"
-for row in doc["rows"]:
+*workloads, proc = doc["rows"]
+assert proc["peak_rss_kb"] <= proc["rss_bound_kb"], \
+    f"peak RSS {proc['peak_rss_kb']} KiB over bound {proc['rss_bound_kb']}"
+for row in workloads:
     assert row["verify_failures"] == 0, \
         f"{row['name']}: {row['verify_failures']} chunk(s) failed verify"
     assert row["chunks"] > 1, \
         f"{row['name']}: only {row['chunks']} chunk(s) — not windowed"
-print(f"smoke OK: {len(doc['rows'])} streamed workload(s), every "
-      f"chunk verified, peak RSS {doc['peak_rss_kb']} KiB "
-      f"(bound {doc['rss_bound_kb']} KiB)")
+print(f"smoke OK: {len(workloads)} streamed workload(s), every "
+      f"chunk verified, peak RSS {proc['peak_rss_kb']} KiB "
+      f"(bound {proc['rss_bound_kb']} KiB)")
 EOF
-python3 scripts/bench_diff.py \
-  build/BENCH_stream.json build/BENCH_stream.json
+
+# ---- bench_diff on mutated copies ---------------------------------
+# Each mutated copy of the fresh table2 and stream files must get its
+# stated exit status: 0 unchanged; 1 for a moved quality count, a
+# moved exact count, or a dropped row; 0 with a warning line for a
+# halved rate; 2 for the previous envelope version.
+python3 - <<'EOF'
+import copy, json
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+def write(doc, name, edit):
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    with open(f"build/diff-{name}.json", "w") as f:
+        json.dump(doc, f)
+
+def bump(row, field):
+    row[field] += 1
+
+def halve_rate(doc):
+    doc["rows"][0]["instructions_per_sec"] /= 2
+
+def older_schema(doc):
+    doc["schema"] = doc["schema"].replace("v3", "v2")
+
+table2 = load("build/BENCH_table2.json")
+stream = load("build/BENCH_stream.json")
+write(table2, "cnot", lambda d: bump(d["rows"][0]["stats"], "cnotCount"))
+write(stream, "chunks", lambda d: bump(d["rows"][0], "chunks"))
+write(table2, "dropped", lambda d: d["rows"].pop())
+write(stream, "rate", halve_rate)
+write(table2, "schema", older_schema)
+EOF
+expect_diff() { # want-status baseline candidate
+  set +e
+  python3 scripts/bench_diff.py "$2" "$3" > build/diff-out.txt 2>&1
+  local rc=$?
+  set -e
+  if [ "$rc" -ne "$1" ]; then
+    cat build/diff-out.txt
+    echo "smoke FAIL: bench_diff on $3 exited $rc (want $1)" >&2
+    exit 1
+  fi
+}
+expect_diff 0 build/BENCH_table2.json build/BENCH_table2.json
+expect_diff 0 build/BENCH_stream.json build/BENCH_stream.json
+expect_diff 1 build/BENCH_table2.json build/diff-cnot.json
+expect_diff 1 build/BENCH_stream.json build/diff-chunks.json
+expect_diff 1 build/BENCH_table2.json build/diff-dropped.json
+expect_diff 0 build/BENCH_stream.json build/diff-rate.json
+if ! grep -q '^warning: .*instructions_per_sec' build/diff-out.txt; then
+  echo "smoke FAIL: a halved rate printed no warning" >&2
+  exit 1
+fi
+expect_diff 2 build/BENCH_table2.json build/diff-schema.json
+echo "smoke OK: bench_diff gave each mutated copy its exit status"
 
 # Bounded frontend fuzz: random/mutated/garbage bytes through both
 # parsers — clean end or one typed positioned error, deterministic.
@@ -325,25 +364,37 @@ echo "smoke OK: streaming bench + frontend fuzz passed"
 python3 - build/BENCH_stream.json <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["rss_within_bound"], \
-    f"peak RSS {doc['peak_rss_kb']} KiB over bound {doc['rss_bound_kb']}"
-for row in doc["rows"]:
+*workloads, proc = doc["rows"]
+assert proc["peak_rss_kb"] <= proc["rss_bound_kb"], \
+    f"peak RSS {proc['peak_rss_kb']} KiB over bound {proc['rss_bound_kb']}"
+for row in workloads:
     assert row["instructions"] >= 1000000, \
         f"{row['name']}: only {row['instructions']} instruction(s)"
 print(f"smoke OK: 1M+-instruction streams held peak RSS at "
-      f"{doc['peak_rss_kb']} KiB (bound {doc['rss_bound_kb']} KiB, "
-      f"window {doc['window']})")
+      f"{proc['peak_rss_kb']} KiB (bound {proc['rss_bound_kb']} KiB, "
+      f"window {doc['config']['window']})")
 EOF
 
 # ---- resident serve plane: tetrisd + wire protocol ----------------
 # The multi-client stress bench runs the full frame protocol against
 # an in-process server: the warm phase must be pure cache hits (the
-# binary itself exits 1 on any recompile, rejection, or verify
-# failure) and the serve-v1 trajectory must self-diff clean.
+# binary itself exits 1 on any recompile, rejection, verify failure,
+# or bad frame).
 (cd build && ./serve_stress)
 test -s build/BENCH_serve.json
-python3 scripts/bench_diff.py \
-  build/BENCH_serve.json build/BENCH_serve.json
+
+# Every BENCH file written above shares one layout: exactly schema,
+# artifact, config and named rows, plus engine where one engine ran.
+python3 - build/BENCH_{table2,fig14,fig23,perf,stream,serve}.json <<'EOF'
+import json, sys
+for path in sys.argv[1:]:
+    doc = json.load(open(path))
+    assert doc.get("schema") == "bench-v3", f"{path}: {doc.get('schema')!r}"
+    assert set(doc) - {"engine"} == {"schema", "artifact", "config", "rows"}, \
+        f"{path}: top-level keys {sorted(doc)}"
+    assert all("name" in row for row in doc["rows"]), f"{path}: unnamed row"
+print(f"smoke OK: {len(sys.argv) - 1} BENCH file(s) share the bench-v3 layout")
+EOF
 echo "smoke OK: serve_stress wrote build/BENCH_serve.json"
 
 # Then the real daemon: start tetrisd on an ephemeral port + unix

@@ -471,7 +471,11 @@ Engine::syncCacheMetrics()
     metrics_.setCount("cache.shard_count",
                       static_cast<uint64_t>(cache_.shardCount()));
     metrics_.setCount("cache.lock_wait_ns", cache_.lockWaitNs());
+    metrics_.setCount("cache.hits", cache_.hits());
+    metrics_.setCount("cache.misses", cache_.misses());
     if (opts_.diskCache) {
+        metrics_.setCount("cache.disk.misses", opts_.diskCache->misses());
+        metrics_.setCount("cache.disk.writes", opts_.diskCache->writes());
         metrics_.setCount("cache.disk.mmap_loads",
                           opts_.diskCache->mmapLoads());
         metrics_.setCount("cache.disk.buffered_loads",

@@ -325,9 +325,10 @@ class Engine
 
     /**
      * Publish the cache's gauge-style counters into the metrics
-     * registry: cache.shard_count, cache.lock_wait_ns, and — when a
-     * disk tier is attached — cache.disk.mmap_loads /
-     * cache.disk.buffered_loads. Called automatically at the end of
+     * registry: cache.shard_count, cache.lock_wait_ns, cache.hits,
+     * cache.misses, and — when a disk tier is attached —
+     * cache.disk.misses / writes / mmap_loads / buffered_loads (disk
+     * hits are jobs.disk_hits). Called automatically at the end of
      * compileAll(); call it directly before reading metrics() after
      * bare submit()/wait() traffic.
      */
