@@ -527,8 +527,8 @@ main()
     // ns/op for each observability primitive, measured tight-loop on
     // one thread: the string-keyed metrics path (map lookup under the
     // registry mutex), the interned-handle path (one relaxed atomic
-    // add), wait-free histogram recording, and a TraceSpan on a
-    // disabled tracer (the always-on cost every job pays when
+    // add), wait-free histogram recording, and a span recorded on a
+    // disabled tracer (the always-on cost every job stage pays when
     // TETRIS_TRACE is unset — must stay in low single-digit ns).
     const uint64_t overhead_iters = quick ? 200000 : 2000000;
     double string_ns = 0.0, handle_ns = 0.0, hist_ns = 0.0,
@@ -552,8 +552,9 @@ main()
         Histogram &hist = registry.histogram("perf.hist");
         hist_ns = time_ns_per_op([&](uint64_t i) { hist.record(i); });
         Tracer disabled_tracer;
-        span_ns = time_ns_per_op([&](uint64_t) {
-            TraceSpan span(&disabled_tracer, "perf", "perf");
+        const std::string job = "perf/job";
+        span_ns = time_ns_per_op([&](uint64_t i) {
+            disabled_tracer.recordSpan("perf", "perf", i, i + 1, job);
         });
 
         std::printf("\ninstrument overhead (%llu iters):\n"

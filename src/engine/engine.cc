@@ -15,19 +15,7 @@
 namespace tetris
 {
 
-namespace
-{
-
-/** Stage durations -> span lengths on the trace timeline. */
-uint64_t
-secondsToNs(double seconds)
-{
-    if (seconds <= 0.0)
-        return 0;
-    return static_cast<uint64_t>(seconds * 1e9);
-}
-
-} // namespace
+using Field = EventLog::Field;
 
 Engine::Engine(EngineOptions opts)
     : opts_(opts), cache_(opts.cacheShards),
@@ -106,36 +94,6 @@ Engine::uptimeSeconds() const
     return static_cast<double>(steadyNowNs() - startNs_) / 1e9;
 }
 
-std::shared_ptr<Engine::ActiveJob>
-Engine::beginActiveJob(const std::string &name, uint64_t key,
-                       uint64_t start_ns)
-{
-    auto job = std::make_shared<ActiveJob>();
-    job->name = name;
-    job->key = key;
-    job->startNs = start_ns;
-    std::lock_guard<std::mutex> lock(activeMutex_);
-    active_.push_back(job);
-    return job;
-}
-
-void
-Engine::endActiveJob(const std::shared_ptr<ActiveJob> &job)
-{
-    std::lock_guard<std::mutex> lock(activeMutex_);
-    active_.erase(std::remove(active_.begin(), active_.end(), job),
-                  active_.end());
-}
-
-void
-Engine::pushRecentJob(const std::string &name, uint64_t duration_ns)
-{
-    std::lock_guard<std::mutex> lock(recentMutex_);
-    recent_.push_back(RecentJob{name, duration_ns});
-    if (recent_.size() > 64)
-        recent_.pop_front();
-}
-
 std::vector<std::shared_ptr<Engine::ActiveJob>>
 Engine::activeJobs() const
 {
@@ -181,9 +139,9 @@ Engine::jobKey(const CompileJob &job, uint32_t abi_version)
 void
 Engine::reportDone(const std::string &name)
 {
-    // The finished count always advances (the stats reporter polls
-    // it); the progress mutex only serializes the user callback so
-    // its (done, total) pairs never interleave or run backwards.
+    // The finished count always advances (/healthz and serve
+    // admission read it); the mutex only keeps the callback's
+    // (done, total) pairs in order.
     if (!opts_.onJobDone) {
         finished_.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -193,13 +151,169 @@ Engine::reportDone(const std::string &name)
     opts_.onJobDone(done, submittedCount(), name);
 }
 
-VerifyStatus
-Engine::verifyJob(const CompileJob &job, const CompileResult &result)
+/**
+ * One dequeued job's lifecycle, reported from one place to the
+ * in-flight table (/statusz, the watchdog), tracer spans, event
+ * records, outcome counters, latency histograms, the recent-job ring
+ * and the progress callback.
+ */
+class Engine::JobTimeline
 {
-    TraceSpan span(tracer_, "verify", "verify", job.name);
+  public:
+    /** A stage's in-flight name and span category (null: no span). */
+    struct Stage
+    {
+        const char *name;
+        const char *category;
+    };
+    /** The only place the stages are named. */
+    static constexpr Stage kQueued{"queued", nullptr},
+        kDiskRead{"disk_read", "disk"}, kCompile{"compile", "compile"},
+        kVerify{"verify", "verify"}, kPublish{"publish", nullptr},
+        kDiskWrite{"disk_write", "disk"};
+
+    enum class Outcome
+    {
+        Cancelled,
+        DiskHit,
+        Compiled,
+    };
+
+    JobTimeline(Engine &engine, const CompileJob &job, uint64_t key,
+                uint64_t submit_ns)
+        : engine_(engine), job_(job), submitNs_(submit_ns)
+    {
+        engine_.started_.fetch_add(1, std::memory_order_relaxed);
+        active_->name = job.name;
+        active_->key = key;
+        active_->startNs = steadyNowNs();
+        active_->stage.store(kQueued.name, std::memory_order_relaxed);
+        engine_.queueWaitHist_->record(active_->startNs - submit_ns);
+        engine_.tracer_->recordSpan("queue_wait", "queue", submit_ns,
+                                    active_->startNs, job.name);
+        std::lock_guard<std::mutex> lock(engine_.activeMutex_);
+        engine_.active_.push_back(active_);
+    }
+
+    /** Closes the last open span and leaves the in-flight table. */
+    ~JobTimeline()
+    {
+        closeSpan(steadyNowNs());
+        std::lock_guard<std::mutex> lock(engine_.activeMutex_);
+        std::erase(engine_.active_, active_);
+    }
+
+    /** One timestamp closes the open stage's span and opens `stage`.
+     *  Leaving the queue writes the job.start record. */
+    void enter(const Stage &stage)
+    {
+        if (active_->stage.load(std::memory_order_relaxed) == kQueued.name &&
+            engine_.eventLog_->enabled()) {
+            engine_.eventLog_->record(
+                "job.start", {Field::str("job", job_.name),
+                              Field::u64("key", active_->key),
+                              Field::str("pipeline", job_.pipeline->name())});
+        }
+        const uint64_t now_ns = steadyNowNs();
+        closeSpan(now_ns);
+        active_->stage.store(stage.name, std::memory_order_relaxed);
+        if (stage.category != nullptr) {
+            open_ = &stage;
+            openNs_ = now_ns;
+        }
+    }
+
+    /** The pipeline returned: fold its stats into the metrics and
+     *  close the compile span, with the pipeline's stages under it. */
+    void compiled(const CompileStats &stats)
+    {
+        uint64_t t = openNs_;
+        const uint64_t end_ns = steadyNowNs();
+        closeSpan(end_ns);
+        engine_.metrics_.recordCompile(stats);
+        // The stages run one after another, so their spans lie
+        // back-to-back from the measured durations.
+        const std::pair<const char *, double> stages[] = {
+            {"schedule", stats.scheduleSeconds},
+            {"synthesis", stats.synthSeconds},
+            {"peephole", stats.peepholeSeconds}};
+        for (const auto &[name, seconds] : stages) {
+            const uint64_t end = std::min(
+                t + static_cast<uint64_t>(std::max(seconds, 0.0) * 1e9),
+                end_ns);
+            engine_.tracer_->recordSpan(name, "stage", t, end, job_.name);
+            t = end;
+        }
+    }
+
+    /** Report the outcome before the entry publishes: the counter,
+     *  progress callback, latency, `job` span and closing record. */
+    void finish(Outcome outcome, bool verify_failed = false)
+    {
+        Engine &e = engine_;
+        const MetricsRegistry::Handle counters[] = {
+            e.jobsCancelledH_, e.jobsDiskHitsH_, e.jobsCompletedH_};
+        e.metrics_.addCount(counters[static_cast<size_t>(outcome)]);
+        e.reportDone(job_.name);
+        const uint64_t end_ns = steadyNowNs();
+        closeSpan(end_ns);
+        const uint64_t latency_ns = end_ns - submitNs_;
+        e.latencyHist_->record(latency_ns);
+        {
+            std::lock_guard<std::mutex> lock(e.recentMutex_);
+            e.recent_.push_back(RecentJob{job_.name, latency_ns});
+            if (e.recent_.size() > 64)
+                e.recent_.pop_front();
+        }
+        e.tracer_->recordSpan("job", "job", active_->startNs, end_ns,
+                              job_.name);
+        if (!e.eventLog_->enabled())
+            return;
+        const Field job = Field::str("job", job_.name);
+        const Field key = Field::u64("key", active_->key);
+        const Field latency = Field::f64(
+            "latency_ms", static_cast<double>(latency_ns) / 1e6);
+        if (outcome == Outcome::Cancelled)
+            e.eventLog_->record("job.cancel", {job, key});
+        else if (outcome == Outcome::DiskHit)
+            e.eventLog_->record(
+                "job.finish",
+                {job, key, Field::str("outcome", "disk_hit"), latency});
+        else
+            e.eventLog_->record(
+                "job.finish",
+                {job, key, Field::str("outcome", "compiled"), latency,
+                 Field::b("verify_failed", verify_failed)});
+    }
+
+  private:
+    void closeSpan(uint64_t end_ns)
+    {
+        if (open_ != nullptr)
+            engine_.tracer_->recordSpan(open_->name, open_->category,
+                                        openNs_, end_ns, job_.name);
+        open_ = nullptr;
+    }
+
+    Engine &engine_;
+    const CompileJob &job_;
+    const uint64_t submitNs_;
+    /** The job's in-flight row: name, key, dequeue time, stage. */
+    std::shared_ptr<ActiveJob> active_ = std::make_shared<ActiveJob>();
+    /** The stage whose span is open (null: none), and its start. */
+    const Stage *open_ = nullptr;
+    uint64_t openNs_ = 0;
+};
+
+VerifyStatus
+Engine::verifyJob(JobTimeline &timeline, const CompileJob &job,
+                  const CompileResult &result, CompileCache::Entry &entry)
+{
+    timeline.enter(JobTimeline::kVerify);
     ScopedTimer timer(metrics_, verifySecondsH_);
     VerifyReport report =
         verifyCompileResult(job.blocks, result, opts_.verifyOptions);
+    entry.setVerifyStatus(1 + static_cast<uint8_t>(report.status));
     switch (report.status) {
       case VerifyStatus::Pass:
         metrics_.addCount(verifyPassH_);
@@ -207,11 +321,10 @@ Engine::verifyJob(const CompileJob &job, const CompileResult &result)
       case VerifyStatus::Fail:
         metrics_.addCount(verifyFailH_);
         if (eventLog_->enabled()) {
-            eventLog_->record(
-                "verify.fail",
-                {EventLog::Field::str("job", job.name),
-                 EventLog::Field::str("method", report.method),
-                 EventLog::Field::str("detail", report.detail)});
+            eventLog_->record("verify.fail",
+                              {Field::str("job", job.name),
+                               Field::str("method", report.method),
+                               Field::str("detail", report.detail)});
         }
         logWarn("verify FAIL [", job.name, "] via ", report.method,
                 ": ", report.detail);
@@ -228,37 +341,12 @@ Engine::runJob(const CompileJob &job, uint64_t key,
                const std::shared_ptr<CompileCache::Entry> &entry,
                uint64_t submit_ns)
 {
-    started_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t dequeue_ns = steadyNowNs();
-    queueWaitHist_->record(dequeue_ns >= submit_ns
-                               ? dequeue_ns - submit_ns
-                               : 0);
-    if (tracer_->enabled()) {
-        tracer_->recordSpan("queue_wait", "queue", submit_ns,
-                            dequeue_ns, job.name);
-    }
-    // Register with the in-flight table for the watchdog and
-    // /statusz; deregistered at every exit from this function.
-    auto active = beginActiveJob(job.name, key, dequeue_ns);
-    // One "job" span per dequeued submission, dequeue -> publish; the
-    // latency histogram additionally covers the queue wait. Returns
-    // the submit-to-publish latency for the job.finish event record.
-    auto finishJob = [&]() -> uint64_t {
-        const uint64_t end_ns = steadyNowNs();
-        const uint64_t latency_ns =
-            end_ns >= submit_ns ? end_ns - submit_ns : 0;
-        latencyHist_->record(latency_ns);
-        pushRecentJob(job.name, latency_ns);
-        if (tracer_->enabled())
-            tracer_->recordSpan("job", "job", dequeue_ns, end_ns,
-                                job.name);
-        return latency_ns;
-    };
+    using Outcome = JobTimeline::Outcome;
+    JobTimeline timeline(*this, job, key, submit_ns);
 
     // Cancellation gate: checked when a worker dequeues the job, so
     // cancelPending() stops everything that has not started yet.
     if (cancel_.load()) {
-        metrics_.addCount(jobsCancelledH_);
         if (opts_.enableCache && !job.transient) {
             // Don't let the placeholder result shadow the key: a
             // later engine (or run) must recompile it.
@@ -266,141 +354,58 @@ Engine::runJob(const CompileJob &job, uint64_t key,
         }
         auto placeholder = std::make_shared<CompileResult>();
         placeholder->cancelled = true;
-        reportDone(job.name);
-        finishJob();
-        if (eventLog_->enabled()) {
-            eventLog_->record("job.cancel",
-                              {EventLog::Field::str("job", job.name),
-                               EventLog::Field::u64("key", key)});
-        }
+        timeline.finish(Outcome::Cancelled);
         entry->publish(std::move(placeholder));
-        endActiveJob(active);
         return;
-    }
-
-    if (eventLog_->enabled()) {
-        eventLog_->record(
-            "job.start",
-            {EventLog::Field::str("job", job.name),
-             EventLog::Field::u64("key", key),
-             EventLog::Field::str("pipeline", job.pipeline->name())});
     }
 
     // Read-through: an in-memory miss may still be served from the
     // persistent store of a previous process.
     if (opts_.diskCache) {
-        active->stage.store("disk_read", std::memory_order_relaxed);
-        auto loadPersisted = [&] {
-            TraceSpan span(tracer_, "disk_read", "disk", job.name);
-            return opts_.diskCache->load(key);
-        };
-        if (auto persisted = loadPersisted()) {
-            metrics_.addCount(jobsDiskHitsH_);
+        timeline.enter(JobTimeline::kDiskRead);
+        if (auto persisted = opts_.diskCache->load(key)) {
             // Disk artifacts are verified too: this is what catches a
             // stale or silently-wrong .tca entry before its numbers
             // reach a BENCH_*.json.
-            if (opts_.verify) {
-                active->stage.store("verify",
-                                    std::memory_order_relaxed);
-                entry->setVerifyStatus(
-                    1 + static_cast<uint8_t>(verifyJob(job, *persisted)));
-            }
-            reportDone(job.name);
-            const uint64_t latency_ns = finishJob();
-            if (eventLog_->enabled()) {
-                eventLog_->record(
-                    "job.finish",
-                    {EventLog::Field::str("job", job.name),
-                     EventLog::Field::u64("key", key),
-                     EventLog::Field::str("outcome", "disk_hit"),
-                     EventLog::Field::f64(
-                         "latency_ms",
-                         static_cast<double>(latency_ns) / 1e6)});
-            }
+            if (opts_.verify)
+                verifyJob(timeline, job, *persisted, *entry);
+            timeline.finish(Outcome::DiskHit);
             entry->publish(std::move(persisted));
-            endActiveJob(active);
             return;
         }
     }
 
-    active->stage.store("compile", std::memory_order_relaxed);
-    const uint64_t compile_start_ns = steadyNowNs();
+    timeline.enter(JobTimeline::kCompile);
     CompileResult result = job.pipeline->run(job.blocks, *job.hw);
-    const uint64_t compile_end_ns = steadyNowNs();
-    metrics_.recordCompile(result.stats);
-    metrics_.addCount(jobsCompletedH_);
-    if (tracer_->enabled()) {
-        tracer_->recordSpan("compile", "compile", compile_start_ns,
-                            compile_end_ns, job.name);
-        // The pipeline runs its stages sequentially, so their spans
-        // can be laid back-to-back from the measured durations; they
-        // nest under "compile" on the same track.
-        struct StageSpan
-        {
-            const char *name;
-            double seconds;
-        };
-        const StageSpan stages[] = {
-            {"schedule", result.stats.scheduleSeconds},
-            {"synthesis", result.stats.synthSeconds},
-            {"peephole", result.stats.peepholeSeconds},
-        };
-        uint64_t t = compile_start_ns;
-        for (const StageSpan &stage : stages) {
-            uint64_t end =
-                std::min(t + secondsToNs(stage.seconds),
-                         compile_end_ns);
-            tracer_->recordSpan(stage.name, "stage", t, end, job.name);
-            t = end;
-        }
-    }
+    timeline.compiled(result.stats);
     // Verify-on-write: the verdict is taken *before* the artifact can
     // reach the disk tier, so a miscompile never lands in the store.
-    bool verify_failed = false;
-    if (opts_.verify) {
-        active->stage.store("verify", std::memory_order_relaxed);
-        const VerifyStatus status = verifyJob(job, result);
-        entry->setVerifyStatus(1 + static_cast<uint8_t>(status));
-        verify_failed = status == VerifyStatus::Fail;
-    }
-    active->stage.store("publish", std::memory_order_relaxed);
-    // Report before publishing: once the entry publishes, waiters
-    // (compileAll callers) may proceed, and every callback for their
-    // jobs must already have returned.
-    reportDone(job.name);
-    const uint64_t latency_ns = finishJob();
-    if (eventLog_->enabled()) {
-        eventLog_->record(
-            "job.finish",
-            {EventLog::Field::str("job", job.name),
-             EventLog::Field::u64("key", key),
-             EventLog::Field::str("outcome", "compiled"),
-             EventLog::Field::f64("latency_ms",
-                                  static_cast<double>(latency_ns) /
-                                      1e6),
-             EventLog::Field::b("verify_failed", verify_failed)});
-    }
+    const bool verify_failed =
+        opts_.verify &&
+        verifyJob(timeline, job, result, *entry) == VerifyStatus::Fail;
+    timeline.enter(JobTimeline::kPublish);
+    // Report before publishing: once it publishes, waiters proceed,
+    // and every callback for their jobs must already have returned.
+    timeline.finish(Outcome::Compiled, verify_failed);
     auto shared = std::make_shared<const CompileResult>(std::move(result));
     entry->publish(shared);
     // Write-behind: persist after publishing so waiters never block
     // on disk I/O. The job stays in the in-flight table until the
     // persist lands, so a wedged disk write is stall-visible too.
     if (opts_.diskCache) {
-        active->stage.store("disk_write", std::memory_order_relaxed);
         if (verify_failed && opts_.verifyBeforeStore) {
             metrics_.addCount("verify.blocked_write");
             logWarn("verify: not persisting failed compilation [",
                     job.name, "]");
         } else {
-            TraceSpan span(tracer_, "disk_write", "disk", job.name);
+            timeline.enter(JobTimeline::kDiskWrite);
             opts_.diskCache->store(key, *shared);
         }
     }
-    endActiveJob(active);
 }
 
 std::shared_ptr<CompileCache::Entry>
-Engine::submitEntry(CompileJob job)
+Engine::submitScoped(CompileJob job)
 {
     TETRIS_ASSERT(job.hw != nullptr, "job without a device");
     TETRIS_ASSERT(job.pipeline != nullptr, "job without a pipeline");
@@ -441,16 +446,10 @@ Engine::submitEntry(CompileJob job)
 Engine::JobId
 Engine::submit(CompileJob job)
 {
-    auto entry = submitEntry(std::move(job));
+    auto entry = submitScoped(std::move(job));
     std::lock_guard<std::mutex> lock(jobsMutex_);
     jobs_.push_back(std::move(entry));
     return jobs_.size() - 1;
-}
-
-std::shared_ptr<CompileCache::Entry>
-Engine::submitScoped(CompileJob job)
-{
-    return submitEntry(std::move(job));
 }
 
 std::shared_ptr<const CompileResult>

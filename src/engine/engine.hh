@@ -284,9 +284,9 @@ class Engine
 
     /**
      * One dequeued-but-unfinished job as the obs plane sees it. The
-     * engine updates `stage` (a string literal: queued, disk_read,
-     * compile, verify, publish, disk_write) as the job progresses;
-     * the watchdog sets `stalled` at most once. Snapshots share
+     * engine updates `stage` as the job progresses; the names are
+     * listed once, in JobTimeline's stage table (engine.cc). The
+     * watchdog sets `stalled` at most once. Snapshots share
      * ownership, so a job finishing mid-scrape never dangles.
      */
     struct ActiveJob
@@ -295,7 +295,7 @@ class Engine
         uint64_t key = 0;
         /** steadyNowNs() at dequeue. */
         uint64_t startNs = 0;
-        std::atomic<const char *> stage{"queued"};
+        std::atomic<const char *> stage{nullptr};
         std::atomic<bool> stalled{false};
     };
 
@@ -351,18 +351,17 @@ class Engine
                            uint32_t abi_version = kTetrisAbiVersion);
 
   private:
-    std::shared_ptr<CompileCache::Entry> submitEntry(CompileJob job);
+    /** Reports one dequeued job's stages and outcome (engine.cc). */
+    class JobTimeline;
+
     void runJob(const CompileJob &job, uint64_t key,
                 const std::shared_ptr<CompileCache::Entry> &entry,
                 uint64_t submit_ns);
-    VerifyStatus verifyJob(const CompileJob &job,
-                           const CompileResult &result);
+    /** The verify stage: check, count and record the verdict. */
+    VerifyStatus verifyJob(JobTimeline &timeline, const CompileJob &job,
+                           const CompileResult &result,
+                           CompileCache::Entry &entry);
     void reportDone(const std::string &name);
-    std::shared_ptr<ActiveJob> beginActiveJob(const std::string &name,
-                                              uint64_t key,
-                                              uint64_t start_ns);
-    void endActiveJob(const std::shared_ptr<ActiveJob> &job);
-    void pushRecentJob(const std::string &name, uint64_t duration_ns);
 
     EngineOptions opts_;
     std::atomic<bool> cancel_{false};

@@ -67,7 +67,8 @@ Tracer::localBuffer()
 
 void
 Tracer::recordSpan(const char *name, const char *category,
-                   uint64_t start_ns, uint64_t end_ns, std::string job)
+                   uint64_t start_ns, uint64_t end_ns,
+                   const std::string &job)
 {
     if (!enabled())
         return;
@@ -75,8 +76,8 @@ Tracer::recordSpan(const char *name, const char *category,
         end_ns = start_ns;
     Buffer &buffer = localBuffer();
     std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.events.push_back(Event{name, category, start_ns,
-                                  end_ns - start_ns, std::move(job)});
+    buffer.events.push_back(
+        Event{name, category, start_ns, end_ns - start_ns, job});
 }
 
 size_t

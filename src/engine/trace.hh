@@ -10,10 +10,9 @@
  * offline (per-stage totals, slowest jobs, queue-wait share).
  *
  * Cost model:
- *  - disabled (the default): recordSpan() and TraceSpan construction
- *    are one relaxed atomic load each — no clock reads, no
- *    allocation. The engine's hot paths stay unmeasurably close to
- *    the untraced build (perf_microbench guards this).
+ *  - disabled (the default): recordSpan() is one relaxed atomic
+ *    load — no allocation. The engine's hot paths stay unmeasurably
+ *    close to the untraced build (perf_microbench guards this).
  *  - enabled: each thread appends to its own buffer under its own
  *    never-contended mutex (taken only by that thread while
  *    recording, and by the exporter after the fact), so tracing
@@ -83,7 +82,7 @@ class Tracer
      */
     void recordSpan(const char *name, const char *category,
                     uint64_t start_ns, uint64_t end_ns,
-                    std::string job = {});
+                    const std::string &job = {});
 
     /** Spans recorded so far, across all threads. */
     size_t eventCount() const;
@@ -141,49 +140,6 @@ class Tracer
     std::string path_;
     mutable std::mutex buffersMutex_;
     std::vector<std::unique_ptr<Buffer>> buffers_;
-};
-
-/**
- * RAII span: captures the clock on construction, records on
- * destruction. When the tracer is null or disabled the constructor
- * is a branch and the destructor a no-op.
- */
-class TraceSpan
-{
-  public:
-    TraceSpan(Tracer *tracer, const char *name, const char *category,
-              std::string job = {})
-    {
-        if (tracer != nullptr && tracer->enabled()) {
-            tracer_ = tracer;
-            name_ = name;
-            category_ = category;
-            job_ = std::move(job);
-            startNs_ = steadyNowNs();
-        }
-    }
-
-    ~TraceSpan() { close(); }
-
-    /** Record the span now instead of at scope exit. */
-    void close()
-    {
-        if (tracer_ == nullptr)
-            return;
-        tracer_->recordSpan(name_, category_, startNs_, steadyNowNs(),
-                            std::move(job_));
-        tracer_ = nullptr;
-    }
-
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
-
-  private:
-    Tracer *tracer_ = nullptr;
-    const char *name_ = nullptr;
-    const char *category_ = nullptr;
-    std::string job_;
-    uint64_t startNs_ = 0;
 };
 
 } // namespace tetris

@@ -10,8 +10,8 @@
  * the MetricsRegistry (so /metrics alerts can fire), a `stall`
  * record in the structured event log, and a warn-level log line
  * carrying the job name, cache key, and the stage it is stuck in
- * (queued / disk_read / compile / verify / disk_write). Each job is
- * flagged at most once; it keeps running — detection, not
+ * (one of the stages Engine::JobTimeline names in engine.cc). Each
+ * job is flagged at most once; it keeps running — detection, not
  * preemption, matching the engine's cooperative cancellation model.
  *
  * Armed per engine by EngineOptions::stallMs or TETRIS_STALL_MS
