@@ -10,9 +10,9 @@
  *  - the randomized differential suite in tests/test_pauli.cc
  *    asserts the packed kernels agree with them bit-for-bit
  *    (operator content, commutation verdict, product phase);
- *  - bench/perf_microbench.cc and bench/micro_kernels.cc time them
- *    against the packed kernels, which is where the repacking's
- *    speedup claim is measured rather than asserted.
+ *  - bench/perf_microbench.cc times them against the packed
+ *    kernels, which is where the repacking's speedup claim is
+ *    measured rather than asserted.
  */
 
 #ifndef TETRIS_PAULI_PAULI_REF_HH
