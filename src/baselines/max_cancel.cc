@@ -12,33 +12,6 @@
 namespace tetris
 {
 
-namespace
-{
-
-void
-basisEnterLogical(Circuit &circ, int q, PauliOp op)
-{
-    if (op == PauliOp::X) {
-        circ.h(q);
-    } else if (op == PauliOp::Y) {
-        circ.sdg(q);
-        circ.h(q);
-    }
-}
-
-void
-basisExitLogical(Circuit &circ, int q, PauliOp op)
-{
-    if (op == PauliOp::X) {
-        circ.h(q);
-    } else if (op == PauliOp::Y) {
-        circ.h(q);
-        circ.s(q);
-    }
-}
-
-} // namespace
-
 Circuit
 synthesizeMaxCancelLogical(const std::vector<PauliBlock> &blocks,
                            size_t *logical_cx)
@@ -69,7 +42,7 @@ synthesizeMaxCancelLogical(const std::vector<PauliBlock> &blocks,
 
         // Prologue: leaf basis + internal chain CNOTs.
         for (size_t q : leaves)
-            basisEnterLogical(circ, static_cast<int>(q), tb.leafOp(q));
+            circ.basisEnter(static_cast<int>(q), tb.leafOp(q));
         for (size_t i = 0; i + 1 < leaves.size(); ++i) {
             circ.cx(static_cast<int>(leaves[i]),
                     static_cast<int>(leaves[i + 1]));
@@ -79,7 +52,7 @@ synthesizeMaxCancelLogical(const std::vector<PauliBlock> &blocks,
         for (size_t si = 0; si < b.size(); ++si) {
             const PauliString &s = b.string(si);
             for (size_t q : roots)
-                basisEnterLogical(circ, static_cast<int>(q), s.op(q));
+                circ.basisEnter(static_cast<int>(q), s.op(q));
             // Connector from the leaf-chain top into the root chain.
             if (has_leaves) {
                 circ.cx(static_cast<int>(leaves.back()),
@@ -104,7 +77,7 @@ synthesizeMaxCancelLogical(const std::vector<PauliBlock> &blocks,
                 ++cx;
             }
             for (size_t q : roots)
-                basisExitLogical(circ, static_cast<int>(q), s.op(q));
+                circ.basisExit(static_cast<int>(q), s.op(q));
         }
 
         // Epilogue: mirror the leaf chain.
@@ -114,7 +87,7 @@ synthesizeMaxCancelLogical(const std::vector<PauliBlock> &blocks,
             ++cx;
         }
         for (size_t q : leaves)
-            basisExitLogical(circ, static_cast<int>(q), tb.leafOp(q));
+            circ.basisExit(static_cast<int>(q), tb.leafOp(q));
     }
 
     if (logical_cx)

@@ -10,33 +10,6 @@
 namespace tetris
 {
 
-namespace
-{
-
-void
-chainBasisEnter(Circuit &circ, int q, PauliOp op)
-{
-    if (op == PauliOp::X) {
-        circ.h(q);
-    } else if (op == PauliOp::Y) {
-        circ.sdg(q);
-        circ.h(q);
-    }
-}
-
-void
-chainBasisExit(Circuit &circ, int q, PauliOp op)
-{
-    if (op == PauliOp::X) {
-        circ.h(q);
-    } else if (op == PauliOp::Y) {
-        circ.h(q);
-        circ.s(q);
-    }
-}
-
-} // namespace
-
 void
 emitChainString(Circuit &circ, const PauliString &s, double angle)
 {
@@ -44,7 +17,7 @@ emitChainString(Circuit &circ, const PauliString &s, double angle)
     if (active.empty())
         return;
     for (size_t q : active)
-        chainBasisEnter(circ, static_cast<int>(q), s.op(q));
+        circ.basisEnter(static_cast<int>(q), s.op(q));
     for (size_t i = 0; i + 1 < active.size(); ++i) {
         circ.cx(static_cast<int>(active[i]),
                 static_cast<int>(active[i + 1]));
@@ -55,7 +28,7 @@ emitChainString(Circuit &circ, const PauliString &s, double angle)
                 static_cast<int>(active[i]));
     }
     for (size_t q : active)
-        chainBasisExit(circ, static_cast<int>(q), s.op(q));
+        circ.basisExit(static_cast<int>(q), s.op(q));
 }
 
 Circuit

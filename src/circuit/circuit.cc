@@ -19,6 +19,24 @@ Circuit::add(const Gate &g)
 }
 
 void
+Circuit::basisEnter(int q, PauliOp op)
+{
+    if (op == PauliOp::Y)
+        sdg(q);
+    if (op == PauliOp::X || op == PauliOp::Y)
+        h(q);
+}
+
+void
+Circuit::basisExit(int q, PauliOp op)
+{
+    if (op == PauliOp::X || op == PauliOp::Y)
+        h(q);
+    if (op == PauliOp::Y)
+        s(q);
+}
+
+void
 Circuit::append(const Circuit &other)
 {
     TETRIS_ASSERT(other.numQubits_ <= numQubits_,

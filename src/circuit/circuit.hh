@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "circuit/gate.hh"
+#include "pauli/pauli_op.hh"
 
 namespace tetris
 {
@@ -75,6 +76,13 @@ class Circuit
     void swap(int a, int b) { add(Gate::swap(a, b)); }
     void measure(int q) { add(Gate::measure(q)); }
     void reset(int q) { add(Gate::reset(q)); }
+
+    /**
+     * Rotate wire q so a Z-basis parity sees Pauli `op`: H for X,
+     * Sdg then H for Y, nothing for I or Z. basisExit() undoes it.
+     */
+    void basisEnter(int q, PauliOp op);
+    void basisExit(int q, PauliOp op);
 
     /** Append all gates of another circuit (same register width). */
     void append(const Circuit &other);

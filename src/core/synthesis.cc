@@ -242,38 +242,6 @@ BlockSynthesizer::buildBfsTree(const std::vector<int> &positions,
 }
 
 void
-BlockSynthesizer::basisEnter(Circuit &circ, int pos, PauliOp op)
-{
-    switch (op) {
-      case PauliOp::X:
-        circ.h(pos);
-        break;
-      case PauliOp::Y:
-        circ.sdg(pos);
-        circ.h(pos);
-        break;
-      default:
-        break;
-    }
-}
-
-void
-BlockSynthesizer::basisExit(Circuit &circ, int pos, PauliOp op)
-{
-    switch (op) {
-      case PauliOp::X:
-        circ.h(pos);
-        break;
-      case PauliOp::Y:
-        circ.h(pos);
-        circ.s(pos);
-        break;
-      default:
-        break;
-    }
-}
-
-void
 BlockSynthesizer::synthesizeString(const PauliString &s, double angle,
                                    Layout &layout, Circuit &circ,
                                    SynthStats &stats)
@@ -285,9 +253,9 @@ BlockSynthesizer::synthesizeString(const PauliString &s, double angle,
     if (support.size() == 1) {
         int pos = layout.physOf(static_cast<int>(support[0]));
         PauliOp op = s.op(support[0]);
-        basisEnter(circ, pos, op);
+        circ.basisEnter(pos, op);
         circ.rz(pos, angle);
-        basisExit(circ, pos, op);
+        circ.basisExit(pos, op);
         return;
     }
 
@@ -313,7 +281,7 @@ BlockSynthesizer::synthesizeString(const PauliString &s, double angle,
     buildBfsTree(cluster, root_pos, bfs_order, parent);
 
     for (size_t q : support)
-        basisEnter(circ, layout.physOf(static_cast<int>(q)), s.op(q));
+        circ.basisEnter(layout.physOf(static_cast<int>(q)), s.op(q));
     for (auto it = bfs_order.rbegin(); it != bfs_order.rend(); ++it) {
         if (parent[*it] != -1) {
             circ.cx(*it, parent[*it]);
@@ -328,7 +296,7 @@ BlockSynthesizer::synthesizeString(const PauliString &s, double angle,
         }
     }
     for (size_t q : support)
-        basisExit(circ, layout.physOf(static_cast<int>(q)), s.op(q));
+        circ.basisExit(layout.physOf(static_cast<int>(q)), s.op(q));
 }
 
 BlockSynthesizer::AttachResult
@@ -470,7 +438,7 @@ BlockSynthesizer::emitBlock(const TetrisBlock &tb,
 
     // --- Block prologue: leaf basis gates + internal leaf CNOTs. ---
     for (const auto &[logical, pos] : att.leafPositions)
-        basisEnter(circ, pos, tb.leafOp(logical));
+        circ.basisEnter(pos, tb.leafOp(logical));
     for (auto it = att.edges.rbegin(); it != att.edges.rend(); ++it) {
         if (!it->connector) {
             circ.cx(it->childPos, it->parentPos);
@@ -483,8 +451,7 @@ BlockSynthesizer::emitBlock(const TetrisBlock &tb,
     for (size_t i = 0; i < block.size(); ++i) {
         const PauliString &s = block.string(i);
         for (size_t q : tb.rootSet()) {
-            basisEnter(circ, layout.physOf(static_cast<int>(q)),
-                       s.op(q));
+            circ.basisEnter(layout.physOf(static_cast<int>(q)), s.op(q));
         }
         for (auto it = att.edges.rbegin(); it != att.edges.rend(); ++it) {
             if (it->connector) {
@@ -513,8 +480,7 @@ BlockSynthesizer::emitBlock(const TetrisBlock &tb,
             }
         }
         for (size_t q : tb.rootSet()) {
-            basisExit(circ, layout.physOf(static_cast<int>(q)),
-                      s.op(q));
+            circ.basisExit(layout.physOf(static_cast<int>(q)), s.op(q));
         }
     }
 
@@ -526,7 +492,7 @@ BlockSynthesizer::emitBlock(const TetrisBlock &tb,
         }
     }
     for (const auto &[logical, pos] : att.leafPositions)
-        basisExit(circ, pos, tb.leafOp(logical));
+        circ.basisExit(pos, tb.leafOp(logical));
 }
 
 void

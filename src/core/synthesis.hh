@@ -142,9 +142,6 @@ class BlockSynthesizer
                    const AttachResult &att, Layout &layout,
                    Circuit &circ, SynthStats &stats);
 
-    void basisEnter(Circuit &circ, int pos, PauliOp op);
-    void basisExit(Circuit &circ, int pos, PauliOp op);
-
     const CouplingGraph &hw_;
     SynthesisOptions opts_;
     /**
