@@ -525,7 +525,7 @@ main()
 
     // ---- 5. instrument overhead ------------------------------------
     // ns/op for each observability primitive, measured tight-loop on
-    // one thread: the string-keyed metrics path (map lookup under the
+    // one thread: the string-keyed metrics path (slot lookup under the
     // registry mutex), the interned-handle path (one relaxed atomic
     // add), wait-free histogram recording, and a span recorded on a
     // disabled tracer (the always-on cost every job stage pays when

@@ -24,7 +24,7 @@ MetricsRegistry::MetricsRegistry()
 {
     // Per-job hot instruments: recordCompile() runs once per fresh
     // compilation on a worker thread, so its updates go through
-    // interned slots (pure atomic adds), not the mutex-guarded maps.
+    // handles (pure atomic adds), never the registry mutex.
     compileTotal_ = timerHandle("compile.total");
     compileSchedule_ = timerHandle("compile.schedule");
     compileSynthesis_ = timerHandle("compile.synthesis");
@@ -34,24 +34,23 @@ MetricsRegistry::MetricsRegistry()
     gatesSwap_ = counterHandle("gates.swap");
 }
 
-MetricsRegistry::Handle
-MetricsRegistry::internSlot(const std::string &name)
+MetricsRegistry::Slot &
+MetricsRegistry::slotLocked(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     auto it = slotIndex_.find(name);
     if (it != slotIndex_.end())
-        return it->second;
-    slots_.emplace_back();
-    slots_.back().name = name;
-    Handle h = slots_.size() - 1;
-    slotIndex_.emplace(name, h);
-    return h;
+        return *it->second;
+    Slot &slot = slots_.emplace_back();
+    slot.name = name;
+    slotIndex_.emplace(name, &slot);
+    return slot;
 }
 
 MetricsRegistry::Handle
 MetricsRegistry::counterHandle(const std::string &name)
 {
-    return internSlot(name);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return &slotLocked(name);
 }
 
 MetricsRegistry::Handle
@@ -63,14 +62,13 @@ MetricsRegistry::timerHandle(const std::string &name)
 void
 MetricsRegistry::addCount(Handle h, uint64_t delta)
 {
-    slots_[h].count.fetch_add(delta, std::memory_order_relaxed);
+    h->count.fetch_add(delta, std::memory_order_relaxed);
 }
 
 void
 MetricsRegistry::addSeconds(Handle h, double seconds)
 {
-    slots_[h].nanos.fetch_add(toNanos(seconds),
-                              std::memory_order_relaxed);
+    h->nanos.fetch_add(toNanos(seconds), std::memory_order_relaxed);
 }
 
 Histogram &
@@ -91,21 +89,27 @@ void
 MetricsRegistry::addCount(const std::string &name, uint64_t delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    counts_[name] += delta;
+    Slot &slot = slotLocked(name);
+    slot.count.fetch_add(delta, std::memory_order_relaxed);
+    slot.countListed = true;
 }
 
 void
 MetricsRegistry::setCount(const std::string &name, uint64_t value)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    counts_[name] = value;
+    Slot &slot = slotLocked(name);
+    slot.count.store(value, std::memory_order_relaxed);
+    slot.countListed = true;
 }
 
 void
 MetricsRegistry::addSeconds(const std::string &name, double seconds)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    timers_[name] += seconds;
+    Slot &slot = slotLocked(name);
+    slot.nanos.fetch_add(toNanos(seconds), std::memory_order_relaxed);
+    slot.timerListed = true;
 }
 
 void
@@ -124,42 +128,33 @@ uint64_t
 MetricsRegistry::count(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t total = 0;
-    auto it = counts_.find(name);
-    if (it != counts_.end())
-        total += it->second;
-    auto slot = slotIndex_.find(name);
-    if (slot != slotIndex_.end())
-        total += slots_[slot->second].count.load(
-            std::memory_order_relaxed);
-    return total;
+    auto it = slotIndex_.find(name);
+    return it == slotIndex_.end()
+               ? 0
+               : it->second->count.load(std::memory_order_relaxed);
 }
 
 double
 MetricsRegistry::seconds(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    double total = 0.0;
-    auto it = timers_.find(name);
-    if (it != timers_.end())
-        total += it->second;
-    auto slot = slotIndex_.find(name);
-    if (slot != slotIndex_.end())
-        total += static_cast<double>(slots_[slot->second].nanos.load(
-                     std::memory_order_relaxed)) /
-                 1e9;
-    return total;
+    auto it = slotIndex_.find(name);
+    if (it == slotIndex_.end())
+        return 0.0;
+    return static_cast<double>(
+               it->second->nanos.load(std::memory_order_relaxed)) /
+           1e9;
 }
 
 std::map<std::string, uint64_t>
 MetricsRegistry::counts() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::map<std::string, uint64_t> out = counts_;
-    for (const auto &slot : slots_) {
-        uint64_t v = slot.count.load(std::memory_order_relaxed);
-        if (v != 0)
-            out[slot.name] += v;
+    std::map<std::string, uint64_t> out;
+    for (const Slot &slot : slots_) {
+        const uint64_t v = slot.count.load(std::memory_order_relaxed);
+        if (v != 0 || slot.countListed)
+            out[slot.name] = v;
     }
     return out;
 }
@@ -168,11 +163,11 @@ std::map<std::string, double>
 MetricsRegistry::timers() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::map<std::string, double> out = timers_;
-    for (const auto &slot : slots_) {
-        uint64_t ns = slot.nanos.load(std::memory_order_relaxed);
-        if (ns != 0)
-            out[slot.name] += static_cast<double>(ns) / 1e9;
+    std::map<std::string, double> out;
+    for (const Slot &slot : slots_) {
+        const uint64_t ns = slot.nanos.load(std::memory_order_relaxed);
+        if (ns != 0 || slot.timerListed)
+            out[slot.name] = static_cast<double>(ns) / 1e9;
     }
     return out;
 }
@@ -204,11 +199,10 @@ void
 MetricsRegistry::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    counts_.clear();
-    timers_.clear();
-    for (auto &slot : slots_) {
+    for (Slot &slot : slots_) {
         slot.count.store(0, std::memory_order_relaxed);
         slot.nanos.store(0, std::memory_order_relaxed);
+        slot.countListed = slot.timerListed = false;
     }
     for (auto &[name, hist] : histograms_)
         hist.clear();
@@ -217,18 +211,18 @@ MetricsRegistry::clear()
 void
 MetricsRegistry::writeJson(JsonWriter &w) const
 {
-    // Build merged views first: counts()/timers() take the mutex
-    // themselves, and the histogram walk below takes it again.
-    std::map<std::string, uint64_t> merged_counts = counts();
-    std::map<std::string, double> merged_timers = timers();
+    // Copy first: counts()/timers() take the mutex themselves, and
+    // the histogram walk below takes it again.
+    const std::map<std::string, uint64_t> counts_copy = counts();
+    const std::map<std::string, double> timers_copy = timers();
 
     w.beginObject();
     w.key("counts").beginObject();
-    for (const auto &[name, v] : merged_counts)
+    for (const auto &[name, v] : counts_copy)
         w.key(name).value(v);
     w.endObject();
     w.key("seconds").beginObject();
-    for (const auto &[name, v] : merged_timers)
+    for (const auto &[name, v] : timers_copy)
         w.key(name).value(v);
     w.endObject();
     w.key("histograms").beginObject();

@@ -3,12 +3,13 @@
  * Thread-safe metrics registry for the batch-compilation engine.
  *
  * Three kinds of instruments:
- *  - named monotonic counters and accumulated timers (string-keyed,
- *    mutex-guarded map — fine for cold paths);
+ *  - named monotonic counters and accumulated timers, each one
+ *    atomic slot. A string-keyed update finds (or creates) its slot
+ *    under the registry mutex — fine for cold paths;
  *  - interned handles for both (counterHandle()/timerHandle()): a
- *    one-time string lookup returns a stable id whose updates are a
- *    single relaxed atomic add — no mutex, no string copy. The
- *    engine pre-registers its per-job instruments this way, so a
+ *    one-time lookup returns the slot's address, and updates through
+ *    it are a single relaxed atomic add — no mutex, no string copy.
+ *    The engine pre-registers its per-job instruments this way, so a
  *    64-thread sweep's hot path never touches the registry lock;
  *  - fixed-bucket log2 Histograms (common/histogram.hh) for latency
  *    distributions (job latency, queue wait, lock wait): wait-free
@@ -43,9 +44,11 @@ struct CompileStats;
 
 class MetricsRegistry
 {
+    struct Slot;
+
   public:
-    /** Interned instrument id; see counterHandle()/timerHandle(). */
-    using Handle = size_t;
+    /** Interned instrument; see counterHandle()/timerHandle(). */
+    using Handle = Slot *;
 
     MetricsRegistry();
 
@@ -53,9 +56,10 @@ class MetricsRegistry
     void addCount(const std::string &name, uint64_t delta = 1);
 
     /**
-     * Set a named counter to an absolute value (gauge semantics).
-     * Used to publish snapshots of externally-accumulated state,
-     * e.g. the cache's shard count and lock-wait total.
+     * Set a named counter to an absolute value (gauge semantics),
+     * replacing whatever was added to it. Used to publish snapshots
+     * of externally-accumulated state, e.g. the cache's shard count
+     * and lock-wait total.
      */
     void setCount(const std::string &name, uint64_t value);
 
@@ -65,9 +69,8 @@ class MetricsRegistry
     /**
      * Intern a counter/timer once; the returned handle is stable for
      * the registry's lifetime and updates through it are lock-free.
-     * Interning the same name twice returns the same handle, and the
-     * handle's total merges with any string-keyed updates of the
-     * same name in every read-out.
+     * Interning the same name twice returns the same handle, and
+     * string-keyed updates of that name land in the same slot.
      */
     Handle counterHandle(const std::string &name);
     Handle timerHandle(const std::string &name);
@@ -89,7 +92,8 @@ class MetricsRegistry
     uint64_t count(const std::string &name) const;
     double seconds(const std::string &name) const;
 
-    /** Stable-ordered copies for reporting (handles merged in). */
+    /** Stable-ordered copies for reporting: names written by a
+     *  string-keyed call even at zero, handle-only ones if nonzero. */
     std::map<std::string, uint64_t> counts() const;
     std::map<std::string, double> timers() const;
 
@@ -122,22 +126,26 @@ class MetricsRegistry
     std::string toJson() const;
 
   private:
+    /** One named counter/timer; a Handle is its address. */
     struct Slot
     {
         std::string name;
         std::atomic<uint64_t> count{0};
         /** Timers accumulate integer nanoseconds (atomic-add). */
         std::atomic<uint64_t> nanos{0};
+        /** Written by a string-keyed call (under the mutex). */
+        bool countListed = false;
+        bool timerListed = false;
     };
 
-    Handle internSlot(const std::string &name);
+    /** The slot named `name`, created on first use; mutex_ held. */
+    Slot &slotLocked(const std::string &name);
 
     mutable std::mutex mutex_;
-    std::map<std::string, uint64_t> counts_;
-    std::map<std::string, double> timers_;
-    /** deque: stable addresses across growth, indexed by Handle. */
+    /** deque: elements never move, so handles stay valid while
+     *  other names are interned. */
     std::deque<Slot> slots_;
-    std::unordered_map<std::string, Handle> slotIndex_;
+    std::unordered_map<std::string, Slot *> slotIndex_;
     std::deque<std::pair<std::string, Histogram>> histograms_;
     std::unordered_map<std::string, size_t> histogramIndex_;
 
@@ -148,35 +156,30 @@ class MetricsRegistry
 };
 
 /**
- * RAII timer adding its lifetime to a registry timer. Prefer the
- * Handle constructor on hot paths: it records through one atomic
- * add, while the string form pays a map lookup under the registry
- * mutex per event.
+ * RAII timer adding its lifetime to a registry timer. The name form
+ * interns the timer once, at construction; hot paths pass a
+ * pre-interned Handle and skip even that.
  */
 class ScopedTimer
 {
   public:
-    ScopedTimer(MetricsRegistry &registry, std::string name)
-        : registry_(registry), name_(std::move(name)),
-          start_(std::chrono::steady_clock::now())
+    ScopedTimer(MetricsRegistry &registry, const std::string &name)
+        : ScopedTimer(registry, registry.timerHandle(name))
     {
     }
 
     ScopedTimer(MetricsRegistry &registry, MetricsRegistry::Handle handle)
-        : registry_(registry), handle_(handle), useHandle_(true),
+        : registry_(registry), handle_(handle),
           start_(std::chrono::steady_clock::now())
     {
     }
 
     ~ScopedTimer()
     {
-        double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count();
-        if (useHandle_)
-            registry_.addSeconds(handle_, elapsed);
-        else
-            registry_.addSeconds(name_, elapsed);
+        registry_.addSeconds(
+            handle_, std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start_)
+                         .count());
     }
 
     ScopedTimer(const ScopedTimer &) = delete;
@@ -184,9 +187,7 @@ class ScopedTimer
 
   private:
     MetricsRegistry &registry_;
-    std::string name_;
-    MetricsRegistry::Handle handle_ = 0;
-    bool useHandle_ = false;
+    MetricsRegistry::Handle handle_;
     std::chrono::steady_clock::time_point start_;
 };
 
