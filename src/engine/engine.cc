@@ -181,13 +181,11 @@ class Engine::JobTimeline
 
     JobTimeline(Engine &engine, const CompileJob &job, uint64_t key,
                 uint64_t submit_ns)
-        : engine_(engine), job_(job), submitNs_(submit_ns)
+        : engine_(engine), job_(job), submitNs_(submit_ns),
+          active_(std::make_shared<ActiveJob>(job.name, key, steadyNowNs(),
+                                              kQueued.name))
     {
         engine_.started_.fetch_add(1, std::memory_order_relaxed);
-        active_->name = job.name;
-        active_->key = key;
-        active_->startNs = steadyNowNs();
-        active_->stage.store(kQueued.name, std::memory_order_relaxed);
         engine_.queueWaitHist_->record(active_->startNs - submit_ns);
         engine_.tracer_->recordSpan("queue_wait", "queue", submit_ns,
                                     active_->startNs, job.name);
@@ -202,6 +200,9 @@ class Engine::JobTimeline
         std::lock_guard<std::mutex> lock(engine_.activeMutex_);
         std::erase(engine_.active_, active_);
     }
+
+    JobTimeline(const JobTimeline &) = delete;
+    JobTimeline &operator=(const JobTimeline &) = delete;
 
     /** One timestamp closes the open stage's span and opens `stage`.
      *  Leaving the queue writes the job.start record. */
@@ -299,7 +300,7 @@ class Engine::JobTimeline
     const CompileJob &job_;
     const uint64_t submitNs_;
     /** The job's in-flight row: name, key, dequeue time, stage. */
-    std::shared_ptr<ActiveJob> active_ = std::make_shared<ActiveJob>();
+    const std::shared_ptr<ActiveJob> active_;
     /** The stage whose span is open (null: none), and its start. */
     const Stage *open_ = nullptr;
     uint64_t openNs_ = 0;
