@@ -3,10 +3,9 @@
  * Span-tracer tests: zero-cost disabled behavior, span recording,
  * cross-thread buffer merging with distinct track ids, Chrome
  * trace-event JSON shape and balance, file export, and the engine's
- * job lifecycle: for runs with no disk tier, a cold
- * and a warm store, and cancellation, each job's nested spans, its
- * event records, the counters and histograms, and the in-flight and
- * recent-job tables.
+ * job lifecycle: for runs with no disk tier, a cold and a warm store,
+ * and cancellation, each job's nested spans, its event records, the
+ * counters and histograms, and the in-flight and recent-job tables.
  */
 
 #include <gtest/gtest.h>
