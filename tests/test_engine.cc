@@ -996,6 +996,25 @@ TEST(Metrics, HandlesMergeWithStringKeys)
     EXPECT_GE(reg.seconds("phase.scoped"), 0.0);
 }
 
+TEST(Metrics, HandlesStayValidWhileNamesIntern)
+{
+    // Workers update through handles without the registry mutex
+    // while other threads intern new names; the slot a handle names
+    // must not move, and finding it must not read state that
+    // interning rewrites (the TSan job runs this suite).
+    MetricsRegistry reg;
+    MetricsRegistry::Handle hot = reg.counterHandle("hot");
+    std::thread writer([&] {
+        for (int i = 0; i < 20000; ++i)
+            reg.addCount(hot);
+    });
+    for (int i = 0; i < 2000; ++i)
+        reg.addCount(reg.counterHandle("cold." + std::to_string(i)));
+    writer.join();
+    EXPECT_EQ(reg.count("hot"), 20000u);
+    EXPECT_EQ(reg.counts().size(), 2001u);
+}
+
 TEST(Metrics, HistogramsInRegistry)
 {
     MetricsRegistry reg;
