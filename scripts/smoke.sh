@@ -407,7 +407,7 @@ mkdir -p "$serve_dir"
 rm -f build/tetrisd.port build/tetrisd.log
 # exec so $! is tetrisd itself, not a wrapping subshell — the
 # SIGTERM below must land on the daemon.
-(cd build && exec env TETRIS_CACHE_DIR="$serve_dir" TETRIS_VERIFY=1 \
+(cd build && exec env TETRIS_CACHE_DIR="$serve_dir" \
   ./tetrisd_main --port 0 --port-file tetrisd.port \
   --unix "$serve_dir/tetrisd.sock" > tetrisd.log 2>&1) &
 tetrisd_pid=$!
@@ -432,8 +432,9 @@ echo "smoke OK: tetrisd round-trips over TCP + unix socket"
 # Streamed ingest through the live daemon: generate a program file,
 # chunk it client-side, and chain each chunk's final layout into the
 # next submission over the wire (protocol v2 seeding). The daemon
-# runs with TETRIS_VERIFY=1, and the client exits nonzero if any
-# chunk's verify verdict comes back as a failure.
+# verifies every result (it does unless started with --no-verify),
+# and the client exits nonzero if any chunk's verify verdict comes
+# back as a failure.
 (cd build && ./gen_workloads --kind shor --qubits 12 \
   --min-instructions 3000 --out smoke-stream.pauli)
 (cd build && ./tetris_client --port "$serve_port" \
