@@ -52,8 +52,9 @@ usage()
                  "tket] [--swap-weight W] [--lookahead K]"
                  " [--no-bridging] [--verify] [--qasm FILE]\n"
                  "(--verify, or TETRIS_VERIFY=1, checks the compiled "
-                 "circuit against the source Pauli-block program and "
-                 "exits nonzero on a semantic mismatch)\n",
+                 "circuit against the source Pauli-block program with "
+                 "the conjugation checker and exits nonzero on a "
+                 "semantic mismatch)\n",
                  ids.c_str());
     std::exit(2);
 }
@@ -203,8 +204,7 @@ main(int argc, char **argv)
     }
 
     if (do_verify) {
-        VerifyReport report =
-            verifyCompileResult(blocks, result, VerifyOptions());
+        VerifyReport report = verifyConjugation(blocks, result);
         std::printf("verify     : %s (%s checker%s%s)\n",
                     verifyStatusName(report.status),
                     report.method.c_str(),

@@ -312,8 +312,7 @@ Engine::verifyJob(JobTimeline &timeline, const CompileJob &job,
 {
     timeline.enter(JobTimeline::kVerify);
     ScopedTimer timer(metrics_, verifySecondsH_);
-    VerifyReport report =
-        verifyCompileResult(job.blocks, result, opts_.verifyOptions);
+    VerifyReport report = verifyConjugation(job.blocks, result);
     entry.setVerifyStatus(1 + static_cast<uint8_t>(report.status));
     switch (report.status) {
       case VerifyStatus::Pass:

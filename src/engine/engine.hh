@@ -106,19 +106,17 @@ struct EngineOptions
      */
     std::shared_ptr<DiskCache> diskCache;
     /**
-     * Run the semantic equivalence verifier (verify/verify.hh) on
-     * every result this engine produces: fresh compilations and
-     * disk-cache hits alike, so a stale or corrupted-but-decodable
-     * artifact is caught the moment it is served. Outcomes land in
-     * the metrics as verify.pass / verify.fail / verify.skipped
-     * (time under verify.seconds); failures additionally warn with
-     * the job name and the checker's diagnostic. In-memory
-     * deduplicated submissions share the one verification of the
-     * submission that compiled.
+     * Run the semantic equivalence verifier (verifyConjugation in
+     * verify/verify.hh) on every result this engine produces: fresh
+     * compilations and disk-cache hits alike, so a stale or
+     * corrupted-but-decodable artifact is caught the moment it is
+     * served. Outcomes land in the metrics as verify.pass /
+     * verify.fail / verify.skipped (time under verify.seconds);
+     * failures additionally warn with the job name and the checker's
+     * diagnostic. In-memory deduplicated submissions share the one
+     * verification of the submission that compiled.
      */
     bool verify = false;
-    /** Checker knobs used when `verify` is set. */
-    VerifyOptions verifyOptions;
     /**
      * When the verify pass is on, gate the disk tier on its verdict:
      * a compilation whose verification *fails* is still published to

@@ -30,8 +30,9 @@
  *  (3) the residual Clifford acts as the finalLayout permutation on
  *      the logical wires and as a Z-type map on the |0> ancillas.
  *
- * Unlike the exact checker this is polynomial everywhere, so it runs
- * on the 64/65-qubit devices of the paper's evaluation.
+ * Unlike the exact checker this is polynomial everywhere, so it is
+ * the production checker at every width, up to the 64/65-qubit
+ * devices of the paper's evaluation.
  */
 
 #include <cmath>

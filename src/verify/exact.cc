@@ -14,86 +14,11 @@
 namespace tetris
 {
 
-namespace verify_detail
-{
-
-int
-registerWidth(const std::vector<PauliBlock> &blocks,
-              const CompileResult &result)
-{
-    int width = std::max(result.circuit.numQubits(),
-                         blocksNumQubits(blocks));
-    return std::max(width, 1);
-}
-
-bool
-circuitIsUnitary(const Circuit &c)
-{
-    for (const auto &g : c.gates()) {
-        if (g.kind == GateKind::MEASURE || g.kind == GateKind::RESET)
-            return false;
-    }
-    return true;
-}
-
-std::optional<std::vector<int>>
-layoutPermutation(const Layout &layout, int num_logical, int num_phys,
-                  std::string &why_not)
-{
-    // Unrouted pipelines leave the layout default-constructed:
-    // logical wire l stays on physical wire l.
-    std::vector<int> new_pos(num_phys, -1);
-    std::vector<bool> used(num_phys, false);
-    for (int l = 0; l < num_logical; ++l) {
-        int pos = l;
-        if (layout.numPhysical() > 0) {
-            if (l >= layout.numLogical()) {
-                why_not = "layout narrower than the program";
-                return std::nullopt;
-            }
-            pos = layout.physOf(l);
-        }
-        if (pos < 0) {
-            // Qubit-reuse pipelines evict finished logical qubits;
-            // the permutation contract does not apply to them.
-            why_not = "logical qubit evicted from the layout "
-                      "(qubit reuse)";
-            return std::nullopt;
-        }
-        if (pos >= num_phys || used[pos]) {
-            why_not = "layout is not an injective map into the "
-                      "register";
-            return std::nullopt;
-        }
-        new_pos[l] = pos;
-        used[pos] = true;
-    }
-    // Free wires are |0> on both sides; fill the remaining slots in
-    // ascending order so the permutation is total.
-    int next_free = 0;
-    for (int b = 0; b < num_phys; ++b) {
-        if (new_pos[b] >= 0)
-            continue;
-        while (used[next_free])
-            ++next_free;
-        new_pos[b] = next_free;
-        used[next_free] = true;
-    }
-    return new_pos;
-}
-
-std::optional<std::vector<int>>
-finalPermutation(const CompileResult &result, int num_logical,
-                 int num_phys, std::string &why_not)
-{
-    return layoutPermutation(result.finalLayout, num_logical, num_phys,
-                             why_not);
-}
-
-} // namespace verify_detail
-
 namespace
 {
+
+/** Widest register simulated: 2^18 amplitudes, 4 MiB per state. */
+constexpr int kMaxQubits = 18;
 
 /** Pad a logical string with identities up to num_qubits wires. */
 PauliString
@@ -147,11 +72,9 @@ verifyExact(const std::vector<PauliBlock> &blocks,
 
     const int num_logical = blocksNumQubits(blocks);
     const int num_phys = verify_detail::registerWidth(blocks, result);
-    if (num_phys > opts.maxExactQubits) {
-        std::ostringstream os;
-        os << "register of " << num_phys
-           << " wires exceeds maxExactQubits=" << opts.maxExactQubits;
-        report.detail = os.str();
+    if (num_phys > kMaxQubits) {
+        report.detail = "register of " + std::to_string(num_phys) +
+                        " wires is too wide to simulate";
         return report;
     }
     if (!verify_detail::circuitIsUnitary(result.circuit)) {

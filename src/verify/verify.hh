@@ -12,26 +12,27 @@
  *
  * Two checkers share one report type:
  *
- *  - verifyExact(): simulates the compiled circuit and the analytic
- *    reference on random input states (sim/statevector) and compares
- *    up to global phase. Exhaustive in practice, but exponential in
- *    width -- usable up to VerifyOptions::maxExactQubits wires.
- *
- *  - verifyConjugation(): scales to every device in the repository.
- *    Walks the circuit once, maintaining the Clifford back-conjugation
- *    frame (verify/pauli_frame.hh); each RZ/RX is pulled back to an
+ *  - verifyConjugation(): the production checker, polynomial in
+ *    circuit size and width, so one checker covers every device from
+ *    a 4-wire line to the 64/65-qubit ones. Walks the circuit once,
+ *    maintaining the Clifford back-conjugation frame
+ *    (verify/pauli_frame.hh); each RZ/RX is pulled back to an
  *    input-frame rotation axis, and the resulting (axis, angle)
  *    sequence is matched blockwise against the scheduled blocks
  *    (per-axis angle sums, mod 2pi, within each commuting block).
  *    The residual Clifford must be exactly the finalLayout
  *    permutation on logical wires and Z-type on the |0> ancillas.
  *
- * verifyCompileResult() dispatches: exact when the circuit is narrow
- *    enough, conjugation otherwise. Circuits with MEASURE/RESET
- *    (QAOA qubit reuse) or evicted logical qubits are reported as
- *    Skipped -- their semantics are not the unitary contract above.
+ *  - verifyExact(): the test oracle that cross-checks it. Simulates
+ *    the compiled circuit and the analytic reference on random input
+ *    states (sim/statevector) and compares up to global phase.
+ *    Exponential in width, and blind to small angle errors (an error
+ *    of delta moves the overlap by O(delta^2)); only tests call it.
  *
- * The engine runs this on every fresh compilation *and* every
+ * Both report cancelled results, circuits with MEASURE/RESET (QAOA
+ * qubit reuse) and evicted logical qubits as Skipped -- their
+ * semantics are not the unitary contract above. The engine runs
+ * verifyConjugation() on every fresh compilation *and* every
  * disk-cache hit when EngineOptions::verify is set, recording
  * verify.pass / verify.fail / verify.skipped metrics (see the README
  * "Verification" section).
@@ -67,8 +68,6 @@ const char *verifyStatusName(VerifyStatus s);
 /** Knobs of both checkers. */
 struct VerifyOptions
 {
-    /** Widest register verifyExact() will simulate (2^n amplitudes). */
-    int maxExactQubits = 14;
     /** Random input states per exact check. */
     int numStates = 2;
     /** Seed for the exact checker's random input states. */
@@ -97,8 +96,9 @@ struct VerifyReport
  * Statevector check: simulate compiled circuit and reference program
  * on numStates random inputs (ancillas |0>), undo the finalLayout
  * permutation, require overlap 1 up to `tolerance`. Skipped when the
- * register exceeds maxExactQubits or the circuit leaves the unitary
- * gate set (MEASURE/RESET).
+ * register exceeds 18 wires or the circuit leaves the unitary gate
+ * set (MEASURE/RESET). The test oracle; production code runs
+ * verifyConjugation().
  */
 VerifyReport verifyExact(const std::vector<PauliBlock> &blocks,
                          const CompileResult &result,
@@ -110,21 +110,12 @@ VerifyReport verifyExact(const std::vector<PauliBlock> &blocks,
  * per-axis angle sums (order free); blocks with non-commuting
  * strings are matched as an ordered rotation sequence where only
  * commutation-preserving reorderings are accepted, so arbitrary
- * client-submitted programs verify rather than skip. Skipped only
- * for MEASURE/RESET (qubit-reuse) circuits.
+ * client-submitted programs verify rather than skip. The production
+ * entry point (engine, compile_cli --verify).
  */
 VerifyReport verifyConjugation(const std::vector<PauliBlock> &blocks,
                                const CompileResult &result,
                                const VerifyOptions &opts = VerifyOptions());
-
-/**
- * The engine's entry point: exact for registers up to
- * maxExactQubits, conjugation beyond. Cancelled results are Skipped.
- */
-VerifyReport verifyCompileResult(const std::vector<PauliBlock> &blocks,
-                                 const CompileResult &result,
-                                 const VerifyOptions &opts
-                                 = VerifyOptions());
 
 } // namespace tetris
 

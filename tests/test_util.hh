@@ -16,6 +16,7 @@
 #include "hardware/coupling_graph.hh"
 #include "pauli/pauli_block.hh"
 #include "sim/statevector.hh"
+#include "verify/internal.hh"
 #include "verify/verify.hh"
 
 namespace tetris::test
@@ -76,18 +77,20 @@ isHardwareCompliant(const Circuit &c, const CouplingGraph &hw)
  * Check that a compiled result implements the scheduled product of
  * exp(-i w theta/2 P) rotations followed by the final-layout wire
  * permutation, up to global phase, on a random input state with
- * ancillas in |0>. Thin wrapper over verifyExact(); `num_phys` caps
- * the exact checker's width so callers keep their old signature.
+ * ancillas in |0>. Thin wrapper over verifyExact(); a register wider
+ * than `num_phys` wires fails the check.
  */
 inline bool
 checkCompiledEquivalence(const std::vector<PauliBlock> &blocks,
                          const CompileResult &result, int num_phys,
                          Rng &rng, double tol = 1e-7)
 {
+    if (verify_detail::registerWidth(blocks, result) >
+        std::max(num_phys, 1))
+        return false;
     VerifyOptions opts;
     opts.seed = rng.engine()();
     opts.tolerance = tol;
-    opts.maxExactQubits = std::max(num_phys, 1);
     opts.numStates = 1; // one state per call, as the old helper did
     return verifyExact(blocks, result, opts).pass();
 }

@@ -4,10 +4,11 @@
  * checkers pass on every registered general-purpose pipeline, a
  * matrix of deliberate miscompiles (dropped gate, flipped angle sign,
  * swapped CX wires, stale layout, injected gate) is rejected by
- * *both* checkers, bridged circuits with Z-factors on |0> ancillas
- * are accepted, qubit-reuse circuits are skipped, and the engine's
+ * *both* checkers, a 1e-4 angle error by the conjugation checker,
+ * bridged circuits with Z-factors on |0> ancillas are accepted,
+ * qubit-reuse circuits are skipped, and the engine's
  * EngineOptions::verify pass counts pass/fail/skipped -- including
- * catching a stale artifact served from the persistent disk store.
+ * catching stale artifacts served from the persistent disk store.
  */
 
 #include <algorithm>
@@ -66,6 +67,25 @@ compileSmall(const std::string &pipeline_id)
     return pipe->run(smallWorkload(), hw);
 }
 
+/** A copy of `res` whose first RZ angle is off by `delta`. */
+CompileResult
+withRzError(const CompileResult &res, double delta)
+{
+    CompileResult out = res;
+    Circuit circ(res.circuit.numQubits());
+    bool nudged = false;
+    for (Gate g : res.circuit.gates()) {
+        if (!nudged && g.kind == GateKind::RZ) {
+            g.angle += delta;
+            nudged = true;
+        }
+        circ.add(g);
+    }
+    EXPECT_TRUE(nudged) << "no RZ gate to corrupt";
+    out.circuit = std::move(circ);
+    return out;
+}
+
 TEST(VerifyCheckers, EveryGeneralPipelinePassesBoth)
 {
     auto blocks = smallWorkload();
@@ -106,10 +126,6 @@ TEST(VerifyConjugation, ScalesToRealDeviceWidths)
 
     VerifyReport conj = verifyConjugation(blocks, res);
     EXPECT_EQ(conj.status, VerifyStatus::Pass) << conj.detail;
-
-    VerifyReport dispatched = verifyCompileResult(blocks, res);
-    EXPECT_EQ(dispatched.method, "conjugation");
-    EXPECT_TRUE(dispatched.pass()) << dispatched.detail;
 }
 
 TEST(VerifyConjugation, AcceptsBridgedRotationsThroughAncillas)
@@ -217,7 +233,7 @@ TEST(VerifyConjugation, EnforcesNonCommutingRotationOrder)
     EXPECT_TRUE(verifyConjugation(blocks, merged).failed());
 }
 
-TEST(VerifyDispatch, SkipsQubitReuseCircuits)
+TEST(VerifyConjugation, SkipsQubitReuseCircuits)
 {
     Graph g = Graph::regular(8, 3, 17);
     auto blocks = buildQaoaCostBlocks(g, 0.2);
@@ -226,18 +242,17 @@ TEST(VerifyDispatch, SkipsQubitReuseCircuits)
     opts.enableQubitReuse = true;
     CompileResult res = compileQaoaTetris(blocks, hw, opts);
 
-    VerifyReport report = verifyCompileResult(blocks, res);
+    VerifyReport report = verifyConjugation(blocks, res);
     EXPECT_EQ(report.status, VerifyStatus::Skipped);
     EXPECT_NE(report.detail.find("MEASURE"), std::string::npos)
         << report.detail;
 }
 
-TEST(VerifyDispatch, SkipsCancelledResults)
+TEST(VerifyConjugation, SkipsCancelledResults)
 {
     CompileResult cancelled;
     cancelled.cancelled = true;
-    VerifyReport report =
-        verifyCompileResult(smallWorkload(), cancelled);
+    VerifyReport report = verifyConjugation(smallWorkload(), cancelled);
     EXPECT_EQ(report.status, VerifyStatus::Skipped);
 }
 
@@ -338,6 +353,16 @@ TEST_F(VerifyMutations, StaleFinalLayout)
     expectRejected(res, "stale final layout");
 }
 
+TEST_F(VerifyMutations, SmallAngleError)
+{
+    // A 1e-4 error in one RZ angle. The exact checker passes this:
+    // the state overlap moves by only O(delta^2), about 1e-9, inside
+    // its 1e-7 tolerance. The conjugation checker sees the 1e-4
+    // per-axis angle residual itself.
+    VerifyReport conj = verifyConjugation(blocks_, withRzError(good_, 1e-4));
+    EXPECT_EQ(conj.status, VerifyStatus::Fail) << conj.detail;
+}
+
 TEST_F(VerifyMutations, CorruptBlockOrder)
 {
     CompileResult res = good_;
@@ -376,38 +401,43 @@ TEST(VerifyEngine, CountsPassesOncePerUniqueJob)
 
 TEST(VerifyEngine, CatchesStaleDiskArtifact)
 {
-    fs::path root =
-        fs::path(::testing::TempDir()) / "tetris_verify_stale";
-    fs::remove_all(root);
-    auto disk = DiskCache::open(root.string());
-    ASSERT_NE(disk, nullptr);
-
     CompileJob job;
     job.name = "victim";
     job.blocks = smallWorkload();
     job.hw = sharedLine(7);
 
-    // Plant an artifact under the job's key whose circuit belongs to
-    // a *different* program: a decodable-but-wrong entry, exactly
-    // what a key collision or a missed ABI bump would produce.
+    // Plant artifacts under the job's key that decode but are wrong,
+    // exactly what a key collision or a missed ABI bump would
+    // produce: the circuit of a *different* program, and the job's
+    // own circuit with one RZ angle off by 1e-4 (which the exact
+    // checker would pass).
     std::vector<PauliBlock> other = {
         PauliBlock({PauliString::fromText("XIIII")}, 1.1)};
-    CompileResult wrong =
-        defaultPipeline()->run(other, *job.hw);
-    ASSERT_TRUE(disk->store(Engine::jobKey(job), wrong));
+    const std::pair<const char *, CompileResult> planted[] = {
+        {"other program", defaultPipeline()->run(other, *job.hw)},
+        {"rz off by 1e-4",
+         withRzError(defaultPipeline()->run(job.blocks, *job.hw), 1e-4)},
+    };
+    for (const auto &[what, wrong] : planted) {
+        fs::path root =
+            fs::path(::testing::TempDir()) / "tetris_verify_stale";
+        fs::remove_all(root);
+        auto disk = DiskCache::open(root.string());
+        ASSERT_NE(disk, nullptr);
+        ASSERT_TRUE(disk->store(Engine::jobKey(job), wrong));
 
-    EngineOptions opts;
-    opts.verify = true;
-    opts.diskCache = disk;
-    Engine engine(opts);
-    engine.submit(job);
-    auto res = engine.wait(0);
-    ASSERT_NE(res, nullptr);
+        EngineOptions opts;
+        opts.verify = true;
+        opts.diskCache = disk;
+        Engine engine(opts);
+        engine.submit(job);
+        ASSERT_NE(engine.wait(0), nullptr) << what;
 
-    EXPECT_EQ(engine.metrics().count("jobs.disk_hits"), 1u);
-    EXPECT_EQ(engine.metrics().count("verify.fail"), 1u);
-    EXPECT_EQ(engine.metrics().count("verify.pass"), 0u);
-    fs::remove_all(root);
+        EXPECT_EQ(engine.metrics().count("jobs.disk_hits"), 1u) << what;
+        EXPECT_EQ(engine.metrics().count("verify.fail"), 1u) << what;
+        EXPECT_EQ(engine.metrics().count("verify.pass"), 0u) << what;
+        fs::remove_all(root);
+    }
 }
 
 TEST(VerifyEngine, AbiVersionMovesJobKey)

@@ -300,7 +300,7 @@ TEST(DifferentialFuzz, QaoaProgramsIncludeQaoaPipelines)
         // ZZ cost layers are globally commuting, so the QAOA-special
         // pipelines can be compared directly against the general
         // ones. Qubit reuse is disabled: measure+reset circuits are
-        // outside the unitary contract (the dispatcher skips them).
+        // outside the unitary contract (the checkers skip them).
         std::vector<Compiled> compiled = compileAllAndVerify(
             blocks, hw,
             {"tetris", "paulihedral", "naive", "qaoa-2qan"},
