@@ -264,7 +264,9 @@ TEST(DifferentialFuzz, RandomProgramsAcrossAllPipelines)
     for (int c = 0; c < cases; ++c) {
         Rng rng(baseSeed() * 1000003 + c);
         const bool order_free = c % 2 == 0;
-        const int num_qubits = rng.uniformInt(3, 5);
+        // 3-11 logicals put the devices at 4-14 wires, so the two
+        // checkers are compared at every width from 4 to 14.
+        const int num_qubits = rng.uniformInt(3, 11);
         auto blocks = randomProgram(rng, num_qubits, order_free);
         CouplingGraph hw = randomDevice(rng, num_qubits + 1);
 
