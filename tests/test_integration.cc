@@ -42,7 +42,7 @@ TEST_P(LihSliceCompilers, FunctionallyEquivalent)
 {
     auto [encoder, which] = GetParam();
     auto blocks = lihSlice(encoder);
-    CouplingGraph hw = heavyHexTopology(2, 8); // 14 qubits (incl. 2
+    CouplingGraph hw = heavyHexTopology(2, 8); // 18 qubits (incl. 2
                                                // bridges per gap)
     ASSERT_GE(hw.numQubits(), 13);
 
