@@ -51,6 +51,9 @@ namespace
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
+/** Largest per-axis angle residual (mod 2pi) that still matches. */
+constexpr double kAngleTolerance = 1e-6;
+
 /** One input-frame rotation, reduced to the logical wires. */
 struct LogicalRotation
 {
@@ -81,11 +84,11 @@ struct Pool
 };
 
 bool
-angleIsIdentity(double angle, double tol)
+angleIsIdentity(double angle)
 {
     // exp(-i a/2 P) is the identity up to global phase iff a = 0 mod
     // 2pi (a = 2pi gives the -1 phase).
-    return std::abs(std::remainder(angle, kTwoPi)) <= tol;
+    return std::abs(std::remainder(angle, kTwoPi)) <= kAngleTolerance;
 }
 
 std::string
@@ -104,7 +107,7 @@ describeAxis(const PauliString &axis)
  * commute, which changes the unitary.
  */
 Entry *
-findSlot(Pool &pool, const PauliString &axis, double tol)
+findSlot(Pool &pool, const PauliString &axis)
 {
     if (!pool.ordered) {
         auto it = pool.index.find(axis);
@@ -113,8 +116,7 @@ findSlot(Pool &pool, const PauliString &axis, double tol)
     for (Entry &e : pool.seq) {
         if (e.axis == axis)
             return &e;
-        if (!angleIsIdentity(e.remaining, tol) &&
-            !e.axis.commutesWith(axis))
+        if (!angleIsIdentity(e.remaining) && !e.axis.commutesWith(axis))
             return nullptr; // blocked: order would be violated
     }
     return nullptr;
@@ -129,13 +131,12 @@ findSlot(Pool &pool, const PauliString &axis, double tol)
  * the way there.
  */
 bool
-closePool(std::vector<Pool> &pools, size_t bi, double tol,
-          std::string &detail)
+closePool(std::vector<Pool> &pools, size_t bi, std::string &detail)
 {
     Pool &pool = pools[bi];
     for (size_t i = 0; i < pool.seq.size(); ++i) {
         Entry &e = pool.seq[i];
-        if (angleIsIdentity(e.remaining, tol))
+        if (angleIsIdentity(e.remaining))
             continue;
         bool carried = false;
         bool blocked = false;
@@ -151,7 +152,7 @@ closePool(std::vector<Pool> &pools, size_t bi, double tol,
                 break;
             }
             if (pool.ordered &&
-                !angleIsIdentity(pool.seq[j].remaining, tol) &&
+                !angleIsIdentity(pool.seq[j].remaining) &&
                 !pool.seq[j].axis.commutesWith(e.axis)) {
                 blocked = true;
                 break;
@@ -177,7 +178,7 @@ closePool(std::vector<Pool> &pools, size_t bi, double tol,
                     break;
                 }
                 for (const Entry &ne : np.seq) {
-                    if (!angleIsIdentity(ne.remaining, tol) &&
+                    if (!angleIsIdentity(ne.remaining) &&
                         !ne.axis.commutesWith(e.axis)) {
                         blocked = true;
                         break;
@@ -191,7 +192,7 @@ closePool(std::vector<Pool> &pools, size_t bi, double tol,
                         carried = true;
                         break;
                     }
-                    if (!angleIsIdentity(ne.remaining, tol) &&
+                    if (!angleIsIdentity(ne.remaining) &&
                         !ne.axis.commutesWith(e.axis)) {
                         blocked = true;
                         break;
@@ -215,7 +216,7 @@ closePool(std::vector<Pool> &pools, size_t bi, double tol,
 
 VerifyReport
 verifyConjugation(const std::vector<PauliBlock> &blocks,
-                  const CompileResult &result, const VerifyOptions &opts)
+                  const CompileResult &result)
 {
     VerifyReport report;
     report.method = "conjugation";
@@ -320,6 +321,11 @@ verifyConjugation(const std::vector<PauliBlock> &blocks,
         Pool &pool = pools.back();
         for (size_t i = 0; i < b.size(); ++i) {
             PauliString axis = extend(b.string(i));
+            // A constant (all-identity) term is only a global phase:
+            // the pipelines emit no gate for it, and it commutes with
+            // every rotation, so it neither fills nor orders a slot.
+            if (axis.isIdentity())
+                continue;
             double angle = b.weight(i) * b.theta();
             if (pool.ordered) {
                 pool.seq.push_back({std::move(axis), angle});
@@ -385,14 +391,13 @@ verifyConjugation(const std::vector<PauliBlock> &blocks,
                 report.detail = os.str();
                 return report;
             }
-            Entry *slot =
-                findSlot(pools[bi], rot.axis, opts.angleTolerance);
+            Entry *slot = findSlot(pools[bi], rot.axis);
             if (slot != nullptr) {
                 slot->remaining -= rot.angle;
                 break;
             }
             std::string detail;
-            if (!closePool(pools, bi, opts.angleTolerance, detail)) {
+            if (!closePool(pools, bi, detail)) {
                 std::ostringstream os;
                 os << detail << "; next rotation axis "
                    << describeAxis(rot.axis);
@@ -405,7 +410,7 @@ verifyConjugation(const std::vector<PauliBlock> &blocks,
     }
     for (; bi < pools.size(); ++bi) {
         std::string detail;
-        if (!closePool(pools, bi, opts.angleTolerance, detail)) {
+        if (!closePool(pools, bi, detail)) {
             report.status = VerifyStatus::Fail;
             report.detail = detail;
             return report;

@@ -65,18 +65,15 @@ enum class VerifyStatus
 /** Human-readable name of a status. */
 const char *verifyStatusName(VerifyStatus s);
 
-/** Knobs of both checkers. */
+/** Knobs of the exact checker. */
 struct VerifyOptions
 {
     /** Random input states per exact check. */
     int numStates = 2;
     /** Seed for the exact checker's random input states. */
     uint64_t seed = 0x7e72150001ull;
-    /** Allowed |overlap - 1| deviation in the exact checker. */
+    /** Allowed |overlap - 1| deviation. */
     double tolerance = 1e-7;
-    /** Allowed per-axis angle residual (mod 2pi) in the conjugation
-     *  checker. */
-    double angleTolerance = 1e-6;
 };
 
 /** Result of one verification run. */
@@ -114,8 +111,7 @@ VerifyReport verifyExact(const std::vector<PauliBlock> &blocks,
  * entry point (engine, compile_cli --verify).
  */
 VerifyReport verifyConjugation(const std::vector<PauliBlock> &blocks,
-                               const CompileResult &result,
-                               const VerifyOptions &opts = VerifyOptions());
+                               const CompileResult &result);
 
 } // namespace tetris
 

@@ -192,10 +192,9 @@ TEST_F(StreamDifferentialTest, WindowsAgreeWithWholeProgram)
         // The semantic differential: the concatenation of all chunk
         // circuits must implement the whole program, per both the
         // exact simulator and the scalable conjugation checker.
-        VerifyOptions vo;
-        VerifyReport conj = verifyConjugation(whole, combined, vo);
+        VerifyReport conj = verifyConjugation(whole, combined);
         EXPECT_EQ(conj.status, VerifyStatus::Pass) << conj.detail;
-        VerifyReport exact = verifyExact(whole, combined, vo);
+        VerifyReport exact = verifyExact(whole, combined);
         EXPECT_EQ(exact.status, VerifyStatus::Pass) << exact.detail;
 
         fs::remove(tcs);

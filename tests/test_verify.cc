@@ -5,8 +5,9 @@
  * matrix of deliberate miscompiles (dropped gate, flipped angle sign,
  * swapped CX wires, stale layout, injected gate) is rejected by
  * *both* checkers, a 1e-4 angle error by the conjugation checker,
- * bridged circuits with Z-factors on |0> ancillas are accepted,
- * qubit-reuse circuits are skipped, and the engine's
+ * bridged circuits with Z-factors on |0> ancillas and programs with
+ * constant (all-identity) terms are accepted, qubit-reuse circuits
+ * are skipped, and the engine's
  * EngineOptions::verify pass counts pass/fail/skipped -- including
  * catching stale artifacts served from the persistent disk store.
  */
@@ -86,17 +87,55 @@ withRzError(const CompileResult &res, double delta)
     return out;
 }
 
+/**
+ * Programs with constant (all-identity) terms, which Hamiltonian
+ * Pauli lists often carry: one beside the strings of a commuting
+ * block, one inside a non-commuting block, and one alone; then a
+ * globally commuting program (a single order-free pool) with one. An
+ * identity rotation is only a global phase, so no pipeline emits a
+ * gate for it.
+ */
+std::vector<std::vector<PauliBlock>>
+identityTermWorkloads()
+{
+    std::vector<PauliBlock> mixed = smallWorkload();
+    mixed[0] = PauliBlock({PauliString::fromText("XXIII"),
+                           PauliString::fromText("IIIII"),
+                           PauliString::fromText("YYIII")},
+                          {1.0, 0.7, 1.0}, 0.31);
+    mixed.push_back(PauliBlock({PauliString::fromText("XIIII"),
+                                PauliString::fromText("IIIII"),
+                                PauliString::fromText("ZIIII")},
+                               {0.4, 1.3, 0.9}, 0.6));
+    mixed.push_back(PauliBlock({PauliString::fromText("IIIII")}, -1.2));
+
+    std::vector<PauliBlock> commuting = {
+        PauliBlock({PauliString::fromText("ZZIII"),
+                    PauliString::fromText("IIIII")},
+                   0.45),
+        PauliBlock({PauliString::fromText("IZZII")}, 0.8)};
+    return {mixed, commuting};
+}
+
 TEST(VerifyCheckers, EveryGeneralPipelinePassesBoth)
 {
-    auto blocks = smallWorkload();
-    for (const auto &id : generalPipelines()) {
-        CompileResult res = compileSmall(id);
-        VerifyReport exact = verifyExact(blocks, res);
-        EXPECT_EQ(exact.status, VerifyStatus::Pass)
-            << id << ": " << exact.detail;
-        VerifyReport conj = verifyConjugation(blocks, res);
-        EXPECT_EQ(conj.status, VerifyStatus::Pass)
-            << id << ": " << conj.detail;
+    // The compiled circuit holds no rotation for a constant term, so
+    // neither checker may expect one.
+    std::vector<std::vector<PauliBlock>> workloads = identityTermWorkloads();
+    workloads.insert(workloads.begin(), smallWorkload());
+    CouplingGraph hw = lineTopology(7);
+    for (size_t w = 0; w < workloads.size(); ++w) {
+        const auto &blocks = workloads[w];
+        for (const auto &id : generalPipelines()) {
+            CompileResult res =
+                PipelineRegistry::instance().create(id)->run(blocks, hw);
+            VerifyReport exact = verifyExact(blocks, res);
+            EXPECT_EQ(exact.status, VerifyStatus::Pass)
+                << "workload " << w << ", " << id << ": " << exact.detail;
+            VerifyReport conj = verifyConjugation(blocks, res);
+            EXPECT_EQ(conj.status, VerifyStatus::Pass)
+                << "workload " << w << ", " << id << ": " << conj.detail;
+        }
     }
 }
 
@@ -438,6 +477,25 @@ TEST(VerifyEngine, CatchesStaleDiskArtifact)
         EXPECT_EQ(engine.metrics().count("verify.pass"), 0u) << what;
         fs::remove_all(root);
     }
+}
+
+TEST(VerifyEngine, PassesProgramsWithIdentityTerms)
+{
+    EngineOptions opts;
+    opts.verify = true;
+    Engine engine(opts);
+
+    std::vector<CompileJob> jobs;
+    for (auto &blocks : identityTermWorkloads()) {
+        CompileJob job;
+        job.name = "constant-term-" + std::to_string(jobs.size());
+        job.blocks = std::move(blocks);
+        job.hw = sharedLine(7);
+        jobs.push_back(std::move(job));
+    }
+    engine.compileAll(std::move(jobs));
+    EXPECT_EQ(engine.metrics().count("verify.pass"), 2u);
+    EXPECT_EQ(engine.metrics().count("verify.fail"), 0u);
 }
 
 TEST(VerifyEngine, AbiVersionMovesJobKey)

@@ -2,13 +2,13 @@
  * @file
  * Differential fuzzing harness: seeded random Pauli-block programs
  * and devices (with adversarial rotation angles at and near 0 and
- * +-pi -- see fuzzTheta), compiled through every registered
- * pipeline, with every result checked against the source program
- * (both checkers) and -- when the program is order-free (globally
- * commuting) -- against every *other* pipeline's result
- * state-for-state. Each pipeline thus
- * acts as a test oracle for all the others: a miscompile must either
- * trip its own verifier or disagree with six independent compilers.
+ * +-pi -- see fuzzTheta -- and the odd constant, all-identity term),
+ * compiled through every registered pipeline, with every result
+ * checked against the source program (both checkers) and -- when the
+ * program is order-free (globally commuting) -- against every *other*
+ * pipeline's result state-for-state. Each pipeline thus acts as a
+ * test oracle for all the others: a miscompile must either trip its
+ * own verifier or disagree with six independent compilers.
  *
  * The sweep is seeded and bounded so ctest stays fast; scripts/
  * fuzz_verify.py drives many seeds for the long-running version:
@@ -115,7 +115,13 @@ randomProgram(Rng &rng, int num_qubits, bool globally_commuting)
         for (int attempt = 0; attempt < 200 &&
                               static_cast<int>(strings.size()) < want;
              ++attempt) {
-            PauliString cand = randomString(rng, num_qubits);
+            // One draw in eight is a constant term, as Hamiltonian
+            // Pauli lists carry: a global phase no pipeline emits a
+            // gate for, which the checkers must not expect either.
+            PauliString cand =
+                rng.uniformInt(0, 7) == 0
+                    ? PauliString(static_cast<size_t>(num_qubits))
+                    : randomString(rng, num_qubits);
             bool ok = true;
             for (const auto &s : strings)
                 ok = ok && cand.commutesWith(s);
