@@ -1,10 +1,12 @@
 /**
  * @file
  * Golden corpus: the quick sweeps of Table II (the 16 jobs
- * table2_main builds with TETRIS_BENCH_QUICK=1) and Fig. 23 (the 36
- * QAOA jobs fig23_qaoa builds in the same mode) pinned job by job.
+ * table2_main builds with TETRIS_BENCH_QUICK=1), Fig. 23 (the 36
+ * QAOA jobs fig23_qaoa builds in the same mode) and Fig. 19 (the
+ * lookahead K sweep, plus a program wider than one 64-qubit
+ * bit-plane word) pinned job by job.
  *
- * Each row of data/golden/table2_quick.txt and fig23_quick.txt holds
+ * Each row of the data/golden/*_quick.txt files holds
  * one job's CNOT, one-qubit, depth and SWAP counts plus an FNV-1a
  * hash over its gate sequence (kind, q0, q1) and final layout, so any
  * change to a compiled circuit fails here, not only a change to its
@@ -141,6 +143,39 @@ fig23QuickJobs()
     return jobs;
 }
 
+/** fig19_lookahead_sweep's quick set (the first three molecules
+ *  under JW at every K), then the first 60 blocks of UCC-70 on a 9x9
+ *  grid: 15 of them have leaf qubits >= 64, so the scheduler's
+ *  similarity runs over two-word bit-planes. */
+std::vector<CompileJob>
+fig19QuickJobs()
+{
+    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
+    std::vector<CompileJob> jobs;
+    auto add = [&](const std::string &workload,
+                   const std::vector<PauliBlock> &blocks,
+                   const std::shared_ptr<const CouplingGraph> &device,
+                   int k) {
+        TetrisOptions opts;
+        opts.lookaheadK = k;
+        jobs.push_back(makeJob(workload + "/k=" + std::to_string(k),
+                               blocks, device,
+                               makeTetrisPipeline(opts)));
+    };
+    for (size_t i = 0; i < 3; ++i) {
+        const MoleculeSpec &spec = moleculeBenchmarks()[i];
+        auto blocks = buildMolecule(spec, "jw");
+        for (int k : {1, 4, 7, 10, 13, 16, 19, 22})
+            add("jw/" + spec.name, blocks, hw, k);
+    }
+    auto grid = std::make_shared<const CouplingGraph>(gridTopology(9, 9));
+    auto wide = buildSyntheticUcc(70, 1070);
+    wide.resize(60);
+    for (int k : {1, 10, 22})
+        add("ucc/UCC-70x60", wide, grid, k);
+    return jobs;
+}
+
 TEST(Golden, QuickSweepsAreUnchanged)
 {
     const struct
@@ -150,6 +185,7 @@ TEST(Golden, QuickSweepsAreUnchanged)
     } sweeps[] = {
         {TETRIS_TEST_DATA_DIR "/golden/table2_quick.txt", table2QuickJobs},
         {TETRIS_TEST_DATA_DIR "/golden/fig23_quick.txt", fig23QuickJobs},
+        {TETRIS_TEST_DATA_DIR "/golden/fig19_quick.txt", fig19QuickJobs},
     };
     for (const auto &sweep : sweeps) {
         SCOPED_TRACE(sweep.corpus);
