@@ -1,6 +1,7 @@
 #include "core/tetris_ir.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <sstream>
 
@@ -74,27 +75,65 @@ TetrisBlock::toText() const
     return os.str();
 }
 
-double
-blockSimilarity(const TetrisBlock &a, const TetrisBlock &b)
+LeafSignatures::LeafSignatures(const std::vector<TetrisBlock> &ir)
 {
-    size_t common = 0;
-    // Leaf sets are sorted ascending; intersect with matching ops.
-    size_t i = 0, j = 0;
-    const auto &la = a.leafSet();
-    const auto &lb = b.leafSet();
-    while (i < la.size() && j < lb.size()) {
-        if (la[i] < lb[j]) {
-            ++i;
-        } else if (la[i] > lb[j]) {
-            ++j;
-        } else {
-            if (a.leafOp(la[i]) == b.leafOp(lb[j]))
-                ++common;
-            ++i;
-            ++j;
-        }
+    if (!ir.empty()) {
+        records_.reserve(ir.size() *
+                         (1 + 5 * ir.front().block().strings().front()
+                                      .numWords()));
     }
-    size_t denom = la.size() + lb.size() - common;
+    for (const TetrisBlock &tb : ir)
+        append(tb);
+}
+
+void
+LeafSignatures::append(const TetrisBlock &block)
+{
+    const PauliString &head = block.block().strings().front();
+    const PauliString &tail = block.block().strings().back();
+    if (records_.empty()) {
+        words_ = head.numWords();
+        numQubits_ = head.numQubits();
+    }
+    TETRIS_ASSERT(head.numQubits() == numQubits_,
+                  "blocks of one list must share a width");
+    records_.push_back(block.leafSet().size());
+    const size_t leaf_at = records_.size();
+    records_.resize(leaf_at + words_, 0);
+    for (size_t q : block.leafSet())
+        records_[leaf_at + (q >> 6)] |= uint64_t{1} << (q & 63);
+    for (const uint64_t *plane :
+         {head.xWords(), head.zWords(), tail.xWords(), tail.zWords()})
+        records_.insert(records_.end(), plane, plane + words_);
+}
+
+double
+LeafSignatures::similarity(size_t a, size_t b) const
+{
+    const size_t w = words_;
+    const uint64_t *ra = &records_[a * (1 + 5 * w)];
+    const uint64_t *rb = &records_[b * (1 + 5 * w)];
+    // Record layout: leaf count, then leaf, head X, head Z, tail X,
+    // tail Z planes of w words each.
+    const uint64_t *leaf_a = ra + 1, *head_xa = leaf_a + w,
+                   *head_za = head_xa + w, *tail_xa = head_za + w,
+                   *tail_za = tail_xa + w;
+    const uint64_t *leaf_b = rb + 1, *head_xb = leaf_b + w,
+                   *head_zb = head_xb + w;
+    size_t common = 0;
+    size_t boundary = 0;
+    for (size_t i = 0; i < w; ++i) {
+        // Shared leaves whose operators (the head's there) agree.
+        common += static_cast<size_t>(std::popcount(
+            leaf_a[i] & leaf_b[i] &
+            ~((head_xa[i] ^ head_xb[i]) | (head_za[i] ^ head_zb[i]))));
+        // Operators of a's tail that b's head repeats; padding bits
+        // are zero in both planes, so the occupancy excludes them.
+        boundary += static_cast<size_t>(std::popcount(
+            (tail_xa[i] | tail_za[i]) &
+            ~((tail_xa[i] ^ head_xb[i]) | (tail_za[i] ^ head_zb[i]))));
+    }
+    const size_t denom = ra[0] + rb[0] - common;
     double eq1 = denom == 0 ? 0.0
                             : static_cast<double>(common) /
                                   static_cast<double>(denom);
@@ -103,12 +142,18 @@ blockSimilarity(const TetrisBlock &a, const TetrisBlock &b)
     // uninformative (e.g. Bravyi-Kitaev blocks), adjacency of blocks
     // whose boundary strings share operators still enables peephole
     // cancellation. Scaled so it can never override Eq. 1.
-    const PauliString &tail = a.block().strings().back();
-    const PauliString &head = b.block().strings().front();
-    size_t boundary = PauliBlock::commonOperatorCount(tail, head);
     double tie = static_cast<double>(boundary) /
-                 static_cast<double>(tail.numQubits() + 1);
+                 static_cast<double>(numQubits_ + 1);
     return eq1 + 1e-3 * tie;
+}
+
+double
+blockSimilarity(const TetrisBlock &a, const TetrisBlock &b)
+{
+    LeafSignatures signatures;
+    signatures.append(a);
+    signatures.append(b);
+    return signatures.similarity(0, 1);
 }
 
 PauliBlock

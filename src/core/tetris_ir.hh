@@ -13,6 +13,7 @@
 #ifndef TETRIS_CORE_TETRIS_IR_HH
 #define TETRIS_CORE_TETRIS_IR_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,9 +63,41 @@ class TetrisBlock
 };
 
 /**
- * Eq. 1: |C| / (|LT1| + |LT2| - |C|) where C counts leaf qubits the
- * two blocks share with identical operators.
+ * The Eq. 1 operands of a block list, built once and stored flat so
+ * the scheduler's inner loop is popcounts over adjacent words. One
+ * record per block holds its leaf count, then words() 64-qubit
+ * words each of the leaf-occupancy mask, the head string's X and Z
+ * planes and the tail string's X and Z planes. On a leaf qubit every
+ * string carries the leaf operator, so the head planes encode it.
  */
+class LeafSignatures
+{
+  public:
+    LeafSignatures() = default;
+
+    /** Signatures of every block of `ir`, in order. */
+    explicit LeafSignatures(const std::vector<TetrisBlock> &ir);
+
+    /** Append one block's record; all blocks share one width. */
+    void append(const TetrisBlock &block);
+
+    /**
+     * Eq. 1 similarity of block `b` scheduled right after block `a`:
+     * |C| / (|LT1| + |LT2| - |C|), where C counts leaf qubits the two
+     * blocks share with identical operators. Ties break on how many
+     * operators b's head string repeats from a's tail string, scaled
+     * to under 1e-3 so it never overrides Eq. 1.
+     */
+    double similarity(size_t a, size_t b) const;
+
+  private:
+    /** Words per plane; a record is 1 + 5 * words_ words. */
+    size_t words_ = 0;
+    size_t numQubits_ = 0;
+    std::vector<uint64_t> records_;
+};
+
+/** Eq. 1 similarity of a two-block list (see LeafSignatures). */
 double blockSimilarity(const TetrisBlock &a, const TetrisBlock &b);
 
 /** Wrap a list of Pauli blocks into TetrisBlocks. */

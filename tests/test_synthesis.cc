@@ -104,6 +104,111 @@ TEST(TetrisIr, SimilarityRequiresMatchingOperators)
     EXPECT_LT(blockSimilarity(a, b), 1e-2);
 }
 
+/**
+ * Eq. 1 as the scheduler first computed it, kept as the reference:
+ * merge the sorted leaf sets and compare leafOp() on each shared
+ * qubit, then add the boundary-string tie-break.
+ */
+double
+mergeSimilarity(const TetrisBlock &a, const TetrisBlock &b)
+{
+    size_t common = 0;
+    size_t i = 0, j = 0;
+    const auto &la = a.leafSet();
+    const auto &lb = b.leafSet();
+    while (i < la.size() && j < lb.size()) {
+        if (la[i] < lb[j]) {
+            ++i;
+        } else if (la[i] > lb[j]) {
+            ++j;
+        } else {
+            if (a.leafOp(la[i]) == b.leafOp(lb[j]))
+                ++common;
+            ++i;
+            ++j;
+        }
+    }
+    size_t denom = la.size() + lb.size() - common;
+    double eq1 = denom == 0 ? 0.0
+                            : static_cast<double>(common) /
+                                  static_cast<double>(denom);
+    const PauliString &tail = a.block().strings().back();
+    const PauliString &head = b.block().strings().front();
+    size_t boundary = PauliBlock::commonOperatorCount(tail, head);
+    double tie = static_cast<double>(boundary) /
+                 static_cast<double>(tail.numQubits() + 1);
+    return eq1 + 1e-3 * tie;
+}
+
+/**
+ * A random block on n qubits whose operators mostly follow
+ * `pattern`, so two blocks share leaves with equal and with unequal
+ * operators. The first string is the base; later strings re-draw
+ * about a fifth of its qubits (the root set). When `pin_edges`, the
+ * base keeps the pattern on qubits 63/64 and 127/128 and no string
+ * re-draws them, so they are leaves across the word boundaries.
+ */
+PauliBlock
+randomPatternBlock(const std::vector<PauliOp> &pattern, Rng &rng,
+                   bool pin_edges)
+{
+    static constexpr PauliOp kOps[4] = {PauliOp::I, PauliOp::X,
+                                        PauliOp::Y, PauliOp::Z};
+    const size_t n = pattern.size();
+    auto pinned = [&](size_t q) {
+        return pin_edges && (q == 63 || q == 64 || q == 127 || q == 128);
+    };
+    std::vector<PauliOp> base(n);
+    for (size_t q = 0; q < n; ++q) {
+        base[q] = pinned(q) || rng.uniform() < 0.5
+                      ? pattern[q]
+                      : kOps[rng.uniformInt(0, 3)];
+    }
+    std::vector<PauliString> strings{PauliString(base)};
+    const int extra = rng.uniformInt(0, 3);
+    for (int s = 0; s < extra; ++s) {
+        std::vector<PauliOp> ops = base;
+        for (size_t q = 0; q < n; ++q) {
+            if (!pinned(q) && rng.uniform() < 0.2)
+                ops[q] = kOps[rng.uniformInt(0, 3)];
+        }
+        strings.emplace_back(ops);
+    }
+    return PauliBlock(std::move(strings), 0.3);
+}
+
+TEST(TetrisIr, SimilarityMatchesMergeReference)
+{
+    for (size_t n : {5, 63, 64, 65, 127, 130}) {
+        SCOPED_TRACE(n);
+        Rng rng(0xe91u + n);
+        std::vector<PauliOp> pattern(n);
+        for (auto &op : pattern)
+            op = static_cast<PauliOp>(rng.uniformInt(1, 3));
+        std::vector<TetrisBlock> ir;
+        for (int b = 0; b < 24; ++b)
+            ir.emplace_back(randomPatternBlock(pattern, rng, b % 2 == 0));
+
+        size_t edge_leaves = 0, edge_qubits = 0;
+        for (size_t q : {63, 64, 127, 128})
+            edge_qubits += q < n;
+        const LeafSignatures signatures(ir);
+        for (size_t a = 0; a < ir.size(); ++a) {
+            for (size_t b = 0; b < ir.size(); ++b) {
+                const double want = mergeSimilarity(ir[a], ir[b]);
+                EXPECT_EQ(blockSimilarity(ir[a], ir[b]), want)
+                    << a << " -> " << b;
+                EXPECT_EQ(signatures.similarity(a, b), want)
+                    << a << " -> " << b;
+            }
+            for (size_t q : ir[a].leafSet())
+                edge_leaves += q == 63 || q == 64 || q == 127 || q == 128;
+        }
+        // Each of the 12 pinned blocks has a leaf on every edge qubit.
+        EXPECT_GE(edge_leaves, 12 * edge_qubits);
+    }
+}
+
 TEST(Synthesis, SingleStringOnLine)
 {
     SynthesisOptions opts;
