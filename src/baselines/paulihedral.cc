@@ -1,8 +1,6 @@
 #include "baselines/paulihedral.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <numeric>
 
 #include "chem/uccsd.hh"
 #include "circuit/peephole.hh"
@@ -27,16 +25,7 @@ compilePaulihedral(const std::vector<PauliBlock> &blocks,
     SynthStats synth_stats;
 
     // Lexicographic block order keeps similar strings adjacent.
-    std::vector<std::string> keys(blocks.size());
-    for (size_t i = 0; i < blocks.size(); ++i) {
-        for (const auto &s : blocks[i].strings())
-            keys[i] += s.toText();
-    }
-    std::vector<size_t> order(blocks.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return keys[a] < keys[b];
-    });
+    const std::vector<size_t> order = lexicographicOrder(blocks);
 
     CompileResult result;
     result.blockOrder.reserve(order.size());

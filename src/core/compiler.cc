@@ -46,10 +46,6 @@ finalizeStats(const Circuit &circuit, size_t original_cnots,
     stats.synthesis = synth;
 }
 
-namespace
-{
-
-/** Lexicographic block order by concatenated string text. */
 std::vector<size_t>
 lexicographicOrder(const std::vector<PauliBlock> &blocks)
 {
@@ -64,8 +60,6 @@ lexicographicOrder(const std::vector<PauliBlock> &blocks)
                      [&](size_t a, size_t b) { return keys[a] < keys[b]; });
     return order;
 }
-
-} // namespace
 
 CompileResult
 compileTetris(const std::vector<PauliBlock> &blocks,
@@ -128,13 +122,26 @@ compileTetris(const std::vector<PauliBlock> &blocks,
         // the largest active length; then repeatedly rank remaining
         // blocks by similarity to the last scheduled block, and among
         // the top-K pick the one with the cheapest root clustering
-        // under the live layout. Both working sets live in a per-job
-        // arena: allocated once, recycled when the job ends.
+        // under the live layout. Each step scores every remaining
+        // block once, from signatures built once with the IR, and
+        // sorts only the K best of those scores. The order (score
+        // descending, then block index) is total, so the top K and
+        // the pick do not depend on the order of `remaining`, and the
+        // chosen block leaves it by swap-remove. Both working sets
+        // live in a per-job arena: allocated once, recycled when the
+        // job ends.
+        const LeafSignatures signatures(ir);
         Arena arena;
         const ArenaAllocator<size_t> alloc(arena);
         std::vector<size_t, ArenaAllocator<size_t>> remaining(ir.size(),
                                                              0, alloc);
         std::iota(remaining.begin(), remaining.end(), 0);
+        auto take_out = [&](size_t slot) {
+            const size_t idx = remaining[slot];
+            remaining[slot] = remaining.back();
+            remaining.pop_back();
+            return idx;
+        };
 
         size_t first = 0;
         for (size_t i = 1; i < remaining.size(); ++i) {
@@ -143,43 +150,48 @@ compileTetris(const std::vector<PauliBlock> &blocks,
                 first = i;
             }
         }
-        size_t last_block = remaining[first];
-        remaining.erase(remaining.begin() + first);
+        size_t last_block = take_out(first);
         synthesize(last_block);
 
-        const size_t k =
-            std::max<size_t>(1, static_cast<size_t>(opts.lookaheadK));
-        std::vector<size_t, ArenaAllocator<size_t>> candidates(alloc);
-        candidates.reserve(ir.size());
+        struct Scored
+        {
+            double score;
+            size_t block;
+            size_t slot; ///< Position of `block` in `remaining`.
+        };
+        const size_t k = static_cast<size_t>(std::max(1, opts.lookaheadK));
+        std::vector<Scored, ArenaAllocator<Scored>> scored(alloc);
+        scored.reserve(ir.size());
         while (!remaining.empty()) {
-            size_t take = std::min(k, remaining.size());
-            candidates.assign(remaining.begin(), remaining.end());
-            std::partial_sort(
-                candidates.begin(), candidates.begin() + take,
-                candidates.end(), [&](size_t a, size_t b) {
-                    double sa = blockSimilarity(ir[last_block], ir[a]);
-                    double sb = blockSimilarity(ir[last_block], ir[b]);
-                    if (sa != sb)
-                        return sa > sb;
-                    return a < b;
-                });
+            scored.clear();
+            for (size_t slot = 0; slot < remaining.size(); ++slot) {
+                const size_t idx = remaining[slot];
+                scored.push_back(
+                    {signatures.similarity(last_block, idx), idx, slot});
+            }
+            const size_t take = std::min(k, scored.size());
+            std::partial_sort(scored.begin(), scored.begin() + take,
+                              scored.end(),
+                              [](const Scored &a, const Scored &b) {
+                                  if (a.score != b.score)
+                                      return a.score > b.score;
+                                  return a.block < b.block;
+                              });
 
-            size_t chosen = candidates[0];
+            size_t chosen = 0;
             long best_cost =
-                synth.estimateRootClusterCost(ir[chosen], layout);
+                synth.estimateRootClusterCost(ir[scored[0].block], layout);
             for (size_t i = 1; i < take; ++i) {
                 long cost = synth.estimateRootClusterCost(
-                    ir[candidates[i]], layout);
+                    ir[scored[i].block], layout);
                 if (cost < best_cost) {
                     best_cost = cost;
-                    chosen = candidates[i];
+                    chosen = i;
                 }
             }
 
-            remaining.erase(std::find(remaining.begin(), remaining.end(),
-                                      chosen));
-            last_block = chosen;
-            synthesize(chosen);
+            last_block = take_out(scored[chosen].slot);
+            synthesize(last_block);
         }
     }
 

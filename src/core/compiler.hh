@@ -120,6 +120,13 @@ CompileResult compileTetris(const std::vector<PauliBlock> &blocks,
                             const CouplingGraph &hw,
                             const TetrisOptions &opts = TetrisOptions());
 
+/**
+ * Block indices sorted by the blocks' concatenated string text
+ * (stable): the order of SchedulerKind::Lexicographic and of the
+ * Paulihedral baseline.
+ */
+std::vector<size_t> lexicographicOrder(const std::vector<PauliBlock> &blocks);
+
 /** Number of logical qubits a block list is defined over. */
 int blocksNumQubits(const std::vector<PauliBlock> &blocks);
 
