@@ -25,11 +25,15 @@
  *     store, or the binary exits 1.
  *  5. The ns/op of each metrics primitive and of the obs plane
  *     (disarmed event log, /metrics scrape under load and idle).
+ *  6. The Sec. V-B lookahead scheduler: CompileStats::scheduleSeconds
+ *     per scheduled block for UCC-20 and CH4/JW on the heavy-hex
+ *     device at K in {1, 10, 22}.
  *
  * TETRIS_BENCH_QUICK=1 shrinks every dimension for CI. BENCH_perf.json
  * uses bench_util.hh's shared layout: one row per cache sweep (the
  * default shard count is always swept, as `shards=default`), kernel,
- * load phase, engine phase and overhead section.
+ * load phase, engine phase, overhead section and scheduler
+ * (workload, K) pair.
  * scripts/bench_diff.py warns when two runs' timings drift apart.
  */
 
@@ -51,6 +55,7 @@
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/rng.hh"
+#include "core/compiler.hh"
 #include "engine/compile_cache.hh"
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
@@ -373,6 +378,55 @@ struct EngineRun
     uint64_t lockWaitNs = 0;
 };
 
+// ---- 6. lookahead scheduler ----------------------------------------
+
+struct ScheduleRow
+{
+    std::string name;
+    uint64_t blocks = 0;
+    uint64_t compiles = 0;
+    /** Schedule time per scheduled block, over every compile. */
+    double avgNs = 0.0;
+};
+
+/**
+ * Compile each (workload, K) pair with the Tetris pipeline and read
+ * the schedule stage's time (ranking and cost estimation, without
+ * synthesis) from CompileStats. Peephole runs after the schedule and
+ * is not part of its time, so it is off here.
+ */
+std::vector<ScheduleRow>
+runScheduler(bool quick)
+{
+    const uint64_t compiles = quick ? 1 : 3;
+    const CouplingGraph hw = ibmIthaca65();
+    const std::pair<const char *, std::vector<PauliBlock>> workloads[] = {
+        {"ucc/UCC-20", buildSyntheticUcc(20, 1020)},
+        {"jw/CH4", buildMolecule(moleculeByName("CH4"), "jw")},
+    };
+    std::vector<ScheduleRow> rows;
+    for (const auto &[label, blocks] : workloads) {
+        for (int k : {1, 10, 22}) {
+            TetrisOptions opts;
+            opts.lookaheadK = k;
+            opts.runPeephole = false;
+            double seconds = 0.0;
+            for (uint64_t c = 0; c < compiles; ++c)
+                seconds +=
+                    compileTetris(blocks, hw, opts).stats.scheduleSeconds;
+            ScheduleRow row;
+            row.name = std::string("schedule/") + label + "/k=" +
+                       std::to_string(k);
+            row.blocks = blocks.size();
+            row.compiles = compiles;
+            row.avgNs = seconds * 1e9 /
+                        static_cast<double>(compiles * blocks.size());
+            rows.push_back(std::move(row));
+        }
+    }
+    return rows;
+}
+
 } // namespace
 
 int
@@ -652,6 +706,16 @@ main()
 
     fs::remove_all(store_root, ec);
 
+    // ---- 6. lookahead scheduler ------------------------------------
+    std::printf("\nlookahead scheduler (schedule time per block):\n");
+    const std::vector<ScheduleRow> schedules = runScheduler(quick);
+    for (const ScheduleRow &row : schedules) {
+        std::printf("  %-26s %5llu blocks  %9.0f ns/block\n",
+                    row.name.c_str(),
+                    static_cast<unsigned long long>(row.blocks),
+                    row.avgNs);
+    }
+
     auto config = [&](JsonWriter &w) {
         w.key("quick").value(quick);
         w.key("hardware_concurrency")
@@ -727,6 +791,14 @@ main()
         w.key("scrape_idle_avg_us").value(idle_avg_us);
         w.key("scrape_body_bytes").value(body_bytes);
         w.endObject();
+        for (const ScheduleRow &row : schedules) {
+            w.beginObject();
+            w.key("name").value(row.name);
+            w.key("blocks").value(row.blocks);
+            w.key("compiles").value(row.compiles);
+            w.key("avg_ns").value(row.avgNs);
+            w.endObject();
+        }
     };
     if (writeBenchFile("perf", config, rows, nullptr).empty())
         return 1;

@@ -51,6 +51,8 @@ usage()
                  " [--backend ithaca|sycamore] [--compiler %s|ph|max|"
                  "tket] [--swap-weight W] [--lookahead K]"
                  " [--no-bridging] [--verify] [--qasm FILE]\n"
+                 "(--lookahead sets the scheduler's candidate-set size, "
+                 "an integer K in [1, 1048576]; default 10)\n"
                  "(--verify, or TETRIS_VERIFY=1, checks the compiled "
                  "circuit against the source Pauli-block program with "
                  "the conjugation checker and exits nonzero on a "
@@ -144,8 +146,12 @@ main(int argc, char **argv)
             compiler = need("--compiler");
         else if (!std::strcmp(argv[i], "--swap-weight"))
             opts.synthesis.swapWeight = std::atof(need("--swap-weight"));
-        else if (!std::strcmp(argv[i], "--lookahead"))
-            opts.lookaheadK = std::atoi(need("--lookahead"));
+        else if (!std::strcmp(argv[i], "--lookahead")) {
+            auto k = parseBoundedInt(need("--lookahead"), 1, 1 << 20);
+            if (!k)
+                usage();
+            opts.lookaheadK = static_cast<int>(*k);
+        }
         else if (!std::strcmp(argv[i], "--no-bridging"))
             opts.synthesis.enableBridging = false;
         else if (!std::strcmp(argv[i], "--verify"))

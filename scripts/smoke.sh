@@ -16,8 +16,9 @@
 # cache + mmap artifact reads + packed Pauli kernels) then runs its
 # quick preset: its warm engine sweep must do zero recompiles (the
 # binary exits 1 otherwise), its pure-hit cache sweeps must be
-# lock-free, and the packed kernels must hold their >=5x speedup at
-# 64+ qubits.
+# lock-free, the packed kernels must hold their >=5x speedup at
+# 64+ qubits, and each scheduler row (UCC-20 and CH4/JW at K in
+# {1, 10, 22}) must have scheduled blocks.
 #
 # Observability: sweep BENCH files must carry latency histograms,
 # and a TETRIS_TRACE run must produce a file that
@@ -246,13 +247,34 @@ assert obs["event_log_disabled_ns"] < 50.0, \
     f"{obs['event_log_disabled_ns']:.1f} ns/op (must stay a few ns)"
 assert obs["scrape_load_count"] > 0, \
     "no /metrics scrapes landed during the loaded run"
+for workload in ("ucc/UCC-20", "jw/CH4"):
+    for k in (1, 10, 22):
+        name = f"schedule/{workload}/k={k}"
+        assert name in rows, f"no scheduler row {name}"
+        assert rows[name]["blocks"] > 0, f"{name} scheduled no blocks"
 print("smoke OK: warm microbench did zero recompiles "
       f"({warm['disk_hits']} disk hit(s), "
       f"{warm['mmap_loads']} mmap load(s)); pure-hit sweeps "
       "lock-free; packed Pauli kernels >=5x at 64+ qubits; "
-      f"disarmed event log {obs['event_log_disabled_ns']:.2f} ns/op")
+      f"disarmed event log {obs['event_log_disabled_ns']:.2f} ns/op; "
+      "6 scheduler rows")
 EOF
 echo "smoke OK: perf microbench passed"
+
+# compile_cli takes a lookahead K in [1, 2^20] and prints its usage
+# (exit 2) for anything else, in place of compiling with a wrong K.
+for bad in x -1 0 1048577; do
+  set +e
+  (cd build && ./compile_cli --workload LiH --lookahead "$bad") \
+    > /dev/null 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "smoke FAIL: compile_cli --lookahead $bad exited $rc" >&2
+    exit 1
+  fi
+done
+echo "smoke OK: compile_cli refused out-of-range lookahead values"
 
 # ---- semantic verification sweep ----------------------------------
 # Every result of a multi-pipeline molecule sweep (and every QAOA
