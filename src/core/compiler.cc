@@ -124,54 +124,45 @@ compileTetris(const std::vector<PauliBlock> &blocks,
         // the top-K pick the one with the cheapest root clustering
         // under the live layout. Each step scores every remaining
         // block once, from signatures built once with the IR, and
-        // sorts only the K best of those scores. The order (score
-        // descending, then block index) is total, so the top K and
-        // the pick do not depend on the order of `remaining`, and the
-        // chosen block leaves it by swap-remove. Both working sets
-        // live in a per-job arena: allocated once, recycled when the
-        // job ends.
+        // sorts only the K best. The order (score descending, then
+        // block index) is total, so the top K and the pick do not
+        // depend on the order of `remaining`, and the chosen block
+        // leaves it by swap-remove. The working set lives in a
+        // per-job arena: allocated once, recycled when the job ends.
         const LeafSignatures signatures(ir);
+        struct Scored
+        {
+            double score;
+            size_t block;
+        };
         Arena arena;
-        const ArenaAllocator<size_t> alloc(arena);
-        std::vector<size_t, ArenaAllocator<size_t>> remaining(ir.size(),
-                                                             0, alloc);
-        std::iota(remaining.begin(), remaining.end(), 0);
-        auto take_out = [&](size_t slot) {
-            const size_t idx = remaining[slot];
-            remaining[slot] = remaining.back();
+        std::vector<Scored, ArenaAllocator<Scored>> remaining(
+            (ArenaAllocator<Scored>(arena)));
+        remaining.reserve(ir.size());
+        for (size_t i = 0; i < ir.size(); ++i)
+            remaining.push_back({0.0, i});
+        auto take_out = [&](size_t pos) {
+            const size_t idx = remaining[pos].block;
+            remaining[pos] = remaining.back();
             remaining.pop_back();
             return idx;
         };
 
         size_t first = 0;
-        for (size_t i = 1; i < remaining.size(); ++i) {
-            if (ir[remaining[i]].activeLength() >
-                ir[remaining[first]].activeLength()) {
+        for (size_t i = 1; i < ir.size(); ++i) {
+            if (ir[i].activeLength() > ir[first].activeLength())
                 first = i;
-            }
         }
         size_t last_block = take_out(first);
         synthesize(last_block);
 
-        struct Scored
-        {
-            double score;
-            size_t block;
-            size_t slot; ///< Position of `block` in `remaining`.
-        };
         const size_t k = static_cast<size_t>(std::max(1, opts.lookaheadK));
-        std::vector<Scored, ArenaAllocator<Scored>> scored(alloc);
-        scored.reserve(ir.size());
         while (!remaining.empty()) {
-            scored.clear();
-            for (size_t slot = 0; slot < remaining.size(); ++slot) {
-                const size_t idx = remaining[slot];
-                scored.push_back(
-                    {signatures.similarity(last_block, idx), idx, slot});
-            }
-            const size_t take = std::min(k, scored.size());
-            std::partial_sort(scored.begin(), scored.begin() + take,
-                              scored.end(),
+            for (Scored &r : remaining)
+                r.score = signatures.similarity(last_block, r.block);
+            const size_t take = std::min(k, remaining.size());
+            std::partial_sort(remaining.begin(), remaining.begin() + take,
+                              remaining.end(),
                               [](const Scored &a, const Scored &b) {
                                   if (a.score != b.score)
                                       return a.score > b.score;
@@ -179,18 +170,18 @@ compileTetris(const std::vector<PauliBlock> &blocks,
                               });
 
             size_t chosen = 0;
-            long best_cost =
-                synth.estimateRootClusterCost(ir[scored[0].block], layout);
+            long best_cost = synth.estimateRootClusterCost(
+                ir[remaining[0].block], layout);
             for (size_t i = 1; i < take; ++i) {
                 long cost = synth.estimateRootClusterCost(
-                    ir[scored[i].block], layout);
+                    ir[remaining[i].block], layout);
                 if (cost < best_cost) {
                     best_cost = cost;
                     chosen = i;
                 }
             }
 
-            last_block = take_out(scored[chosen].slot);
+            last_block = take_out(chosen);
             synthesize(last_block);
         }
     }

@@ -77,11 +77,6 @@ TetrisBlock::toText() const
 
 LeafSignatures::LeafSignatures(const std::vector<TetrisBlock> &ir)
 {
-    if (!ir.empty()) {
-        records_.reserve(ir.size() *
-                         (1 + 5 * ir.front().block().strings().front()
-                                      .numWords()));
-    }
     for (const TetrisBlock &tb : ir)
         append(tb);
 }
@@ -113,8 +108,6 @@ LeafSignatures::similarity(size_t a, size_t b) const
     const size_t w = words_;
     const uint64_t *ra = &records_[a * (1 + 5 * w)];
     const uint64_t *rb = &records_[b * (1 + 5 * w)];
-    // Record layout: leaf count, then leaf, head X, head Z, tail X,
-    // tail Z planes of w words each.
     const uint64_t *leaf_a = ra + 1, *head_xa = leaf_a + w,
                    *head_za = head_xa + w, *tail_xa = head_za + w,
                    *tail_za = tail_xa + w;

@@ -65,10 +65,11 @@ class TetrisBlock
 /**
  * The Eq. 1 operands of a block list, built once and stored flat so
  * the scheduler's inner loop is popcounts over adjacent words. One
- * record per block holds its leaf count, then words() 64-qubit
- * words each of the leaf-occupancy mask, the head string's X and Z
- * planes and the tail string's X and Z planes. On a leaf qubit every
- * string carries the leaf operator, so the head planes encode it.
+ * record per block holds its leaf count, then one 64-qubit word per
+ * 64 qubits of width for each of the leaf-occupancy mask, the head
+ * string's X and Z planes and the tail string's X and Z planes. On a
+ * leaf qubit every string carries the leaf operator, so the head
+ * planes encode it.
  */
 class LeafSignatures
 {
