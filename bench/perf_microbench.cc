@@ -23,9 +23,10 @@
  *  4. An engine-level cold/warm sweep against a private store: the
  *     warm run must recompile nothing and serve every hit from the
  *     store, or the binary exits 1.
- *  5. The ns/op of each metrics primitive and of the obs plane
- *     (disarmed event log, /metrics scrape under load and idle).
- *  6. The Sec. V-B lookahead scheduler: CompileStats::scheduleSeconds
+ *  5. The ns/op of each metrics primitive.
+ *  6. The obs plane: disarmed event log, /metrics scrape under load
+ *     and idle.
+ *  7. The Sec. V-B lookahead scheduler: CompileStats::scheduleSeconds
  *     per scheduled block for UCC-20 and CH4/JW on the heavy-hex
  *     device at K in {1, 10, 22}.
  *
@@ -378,7 +379,7 @@ struct EngineRun
     uint64_t lockWaitNs = 0;
 };
 
-// ---- 6. lookahead scheduler ----------------------------------------
+// ---- 7. lookahead scheduler ----------------------------------------
 
 struct ScheduleRow
 {
@@ -391,9 +392,9 @@ struct ScheduleRow
 
 /**
  * Compile each (workload, K) pair with the Tetris pipeline and read
- * the schedule stage's time (ranking and cost estimation, without
- * synthesis) from CompileStats. Peephole runs after the schedule and
- * is not part of its time, so it is off here.
+ * the schedule stage's time (IR build, ranking and cost estimation;
+ * synthesis excluded) from CompileStats. Peephole runs after the
+ * schedule and is not part of its time, so it is off here.
  */
 std::vector<ScheduleRow>
 runScheduler(bool quick)
@@ -706,7 +707,7 @@ main()
 
     fs::remove_all(store_root, ec);
 
-    // ---- 6. lookahead scheduler ------------------------------------
+    // ---- 7. lookahead scheduler ------------------------------------
     std::printf("\nlookahead scheduler (schedule time per block):\n");
     const std::vector<ScheduleRow> schedules = runScheduler(quick);
     for (const ScheduleRow &row : schedules) {
