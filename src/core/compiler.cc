@@ -6,7 +6,6 @@
 
 #include "chem/uccsd.hh"
 #include "circuit/peephole.hh"
-#include "common/arena.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -127,17 +126,14 @@ compileTetris(const std::vector<PauliBlock> &blocks,
         // sorts only the K best. The order (score descending, then
         // block index) is total, so the top K and the pick do not
         // depend on the order of `remaining`, and the chosen block
-        // leaves it by swap-remove. The working set lives in a
-        // per-job arena: allocated once, recycled when the job ends.
+        // leaves it by swap-remove.
         const LeafSignatures signatures(ir);
         struct Scored
         {
             double score;
             size_t block;
         };
-        Arena arena;
-        std::vector<Scored, ArenaAllocator<Scored>> remaining(
-            (ArenaAllocator<Scored>(arena)));
+        std::vector<Scored> remaining;
         remaining.reserve(ir.size());
         for (size_t i = 0; i < ir.size(); ++i)
             remaining.push_back({0.0, i});

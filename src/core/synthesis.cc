@@ -11,25 +11,20 @@ namespace tetris
 namespace
 {
 
-// Arena-backed scratch containers. BFS queues are plain vectors
-// drained by a moving head index (nothing is ever popped), so the
-// deque's node allocations disappear entirely.
-using ScratchInts = std::vector<int, ArenaAllocator<int>>;
-using ScratchMarks = std::vector<char, ArenaAllocator<char>>;
+// BFS queues are plain vectors drained by a moving head index
+// (nothing is ever popped).
 
 /** Connected components of the induced subgraph on `positions`. */
 std::vector<std::vector<int>>
-inducedComponents(const CouplingGraph &hw, const ScratchInts &positions,
-                  Arena &arena)
+inducedComponents(const CouplingGraph &hw,
+                  const std::vector<int> &positions)
 {
-    Arena::Frame frame(arena);
-    const ArenaAllocator<int> ints(arena);
-    ScratchMarks member(hw.numQubits(), 0, ArenaAllocator<char>(arena));
+    std::vector<char> member(hw.numQubits(), 0);
     for (int p : positions)
         member[p] = 1;
 
-    ScratchMarks seen(hw.numQubits(), 0, ArenaAllocator<char>(arena));
-    ScratchInts queue(ints);
+    std::vector<char> seen(hw.numQubits(), 0);
+    std::vector<int> queue;
     queue.reserve(positions.size());
     std::vector<std::vector<int>> comps;
     for (int p : positions) {
@@ -60,7 +55,7 @@ inducedComponents(const CouplingGraph &hw, const ScratchInts &positions,
  */
 std::vector<int>
 pathToClusterFrontier(const CouplingGraph &hw, int start,
-                      const ScratchMarks &cluster_mark, Arena &arena)
+                      const std::vector<char> &cluster_mark)
 {
     auto adjacent_to_cluster = [&](int v) {
         for (int u : hw.neighbors(v)) {
@@ -70,10 +65,8 @@ pathToClusterFrontier(const CouplingGraph &hw, int start,
         return false;
     };
 
-    Arena::Frame frame(arena);
-    const ArenaAllocator<int> ints(arena);
-    ScratchInts parent(hw.numQubits(), -2, ints);
-    ScratchInts queue(ints);
+    std::vector<int> parent(hw.numQubits(), -2);
+    std::vector<int> queue;
     queue.reserve(hw.numQubits());
     queue.push_back(start);
     parent[start] = -1;
@@ -122,10 +115,7 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
 {
     TETRIS_ASSERT(!logicals.empty());
 
-    Arena::Frame frame(arena_);
-    const ArenaAllocator<int> ints(arena_);
-    ScratchMarks cluster_mark(hw_.numQubits(), 0,
-                              ArenaAllocator<char>(arena_));
+    std::vector<char> cluster_mark(hw_.numQubits(), 0);
     std::vector<int> cluster;
     std::vector<int> pending = logicals;
 
@@ -136,11 +126,11 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
 
     // Already connected? No SWAPs needed regardless of the center.
     {
-        ScratchInts positions(ints);
+        std::vector<int> positions;
         positions.reserve(pending.size());
         for (int q : pending)
             positions.push_back(layout.physOf(q));
-        auto comps = inducedComponents(hw_, positions, arena_);
+        auto comps = inducedComponents(hw_, positions);
         if (comps.size() == 1)
             return comps.front();
     }
@@ -162,11 +152,11 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
         add_to_cluster(center);
     } else {
         // Seed with the largest already-connected component.
-        ScratchInts positions(ints);
+        std::vector<int> positions;
         positions.reserve(pending.size());
         for (int q : pending)
             positions.push_back(layout.physOf(q));
-        auto comps = inducedComponents(hw_, positions, arena_);
+        auto comps = inducedComponents(hw_, positions);
         size_t largest = 0;
         for (size_t i = 1; i < comps.size(); ++i) {
             if (comps[i].size() > comps[largest].size())
@@ -189,7 +179,7 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
         std::vector<int> best_path;
         for (size_t i = 0; i < pending.size(); ++i) {
             std::vector<int> path = pathToClusterFrontier(
-                hw_, layout.physOf(pending[i]), cluster_mark, arena_);
+                hw_, layout.physOf(pending[i]), cluster_mark);
             if (path.empty())
                 continue;
             if (best_idx == pending.size() ||
@@ -213,16 +203,15 @@ BlockSynthesizer::buildBfsTree(const std::vector<int> &positions,
                                int root_pos, std::vector<int> &bfs_order,
                                std::vector<int> &parent) const
 {
-    Arena::Frame frame(arena_);
-    ScratchMarks member(hw_.numQubits(), 0, ArenaAllocator<char>(arena_));
+    std::vector<char> member(hw_.numQubits(), 0);
     for (int p : positions)
         member[p] = 1;
     TETRIS_ASSERT(member[root_pos]);
 
     parent.assign(hw_.numQubits(), -1);
     bfs_order.clear();
-    ScratchMarks seen(hw_.numQubits(), 0, ArenaAllocator<char>(arena_));
-    ScratchInts queue{ArenaAllocator<int>(arena_)};
+    std::vector<char> seen(hw_.numQubits(), 0);
+    std::vector<int> queue;
     queue.reserve(positions.size());
     queue.push_back(root_pos);
     seen[root_pos] = 1;
@@ -309,11 +298,9 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
     const double w = opts_.swapWeight;
     const double num_ps = static_cast<double>(tb.numStrings());
 
-    Arena::Frame frame(arena_);
-    ScratchMarks blocked(hw_.numQubits(), 0,
-                         ArenaAllocator<char>(arena_));
-    ScratchMarks is_root_pos(hw_.numQubits(), 0,
-                             ArenaAllocator<char>(arena_));
+    const size_t n = hw_.numQubits();
+    std::vector<char> blocked(n, 0);
+    std::vector<char> is_root_pos(n, 0);
     for (int p : root_positions) {
         blocked[p] = 1;
         is_root_pos[p] = 1;
@@ -325,6 +312,10 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
     // (the bridge hops are internal leaf edges, canceled between
     // strings), versus 3 CNOTs per SWAP weighted by w in the score.
     const double bridge_hop_cost = 2.0;
+
+    // BFS working set, sized once and reset by every scan.
+    std::vector<int> parent(n), dist(n), queue;
+    queue.reserve(n);
 
     while (!pending.empty()) {
         struct Choice
@@ -342,12 +333,9 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
         // target yields a candidate attachment.
         auto scan = [&](size_t i, bool free_only) {
             int start = layout.physOf(pending[i]);
-            Arena::Frame scan_frame(arena_);
-            const ArenaAllocator<int> ints(arena_);
-            ScratchInts parent(hw_.numQubits(), -2, ints);
-            ScratchInts dist(hw_.numQubits(), -1, ints);
-            ScratchInts queue(ints);
-            queue.reserve(hw_.numQubits());
+            parent.assign(n, -2);
+            dist.assign(n, -1);
+            queue.clear();
             queue.push_back(start);
             parent[start] = -1;
             dist[start] = 0;

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
-#include "common/arena.hh"
 #include "core/tetris_ir.hh"
 #include "hardware/coupling_graph.hh"
 #include "hardware/layout.hh"
@@ -144,13 +143,6 @@ class BlockSynthesizer
 
     const CouplingGraph &hw_;
     SynthesisOptions opts_;
-    /**
-     * Per-job scratch arena for the BFS working sets (parent and
-     * distance arrays, visit marks, queues). Every helper opens an
-     * Arena::Frame, so the footprint stays at one call tree's
-     * high-water mark. Mutable: const helpers still need scratch.
-     */
-    mutable Arena arena_;
 };
 
 } // namespace tetris
