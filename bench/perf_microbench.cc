@@ -7,19 +7,18 @@
  *
  *  1. In-memory compile-cache hit throughput and lock-wait time
  *     across thread counts (1-64) and shard counts ({1, default,
- *     64}), on a hit-heavy workload — the access pattern of a warm
- *     sweep. This is the measurement behind the sharded-cache
- *     design: shards > 1 must beat the single-mutex configuration
- *     once >= 8 threads hammer the table.
+ *     64}), on a hit-only workload — the access pattern of a warm
+ *     sweep. This is the measurement behind the shard-count knob:
+ *     every lookup takes its shard's mutex, so shards > 1 must beat
+ *     the single-mutex configuration once >= 8 threads hammer the
+ *     table. A miss in any sweep exits 1.
  *  2. Packed bit-plane Pauli kernels (commutation, in-place product,
  *     tableau conjugation) against the byte-per-qubit reference in
  *     pauli_ref, at 16/64/256 qubits — the speedup claim behind the
  *     data-oriented PauliString representation, reported as a
  *     kernel rows bench_diff.py trends.
  *  3. Persistent-store artifact load latency: cold (first load per
- *     key) vs warm (repeat loads) through the zero-copy mmap path,
- *     plus the buffered fallback (TETRIS_DISK_MMAP=0) for
- *     comparison.
+ *     key) vs warm (repeat loads). A miss in either exits 1.
  *  4. An engine-level cold/warm sweep against a private store: the
  *     warm run must recompile nothing and serve every hit from the
  *     store, or the binary exits 1.
@@ -42,7 +41,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -64,7 +62,6 @@
 #include "obs/event_log.hh"
 #include "obs/obs_server.hh"
 #include "pauli/pauli_ref.hh"
-#include "serialize/mmap_file.hh"
 #include "verify/pauli_frame.hh"
 
 namespace fs = std::filesystem;
@@ -101,14 +98,16 @@ struct SweepRow
     double seconds = 0.0;
     double opsPerSec = 0.0;
     uint64_t lockWaitNs = 0;
+    /** Lookups that missed; any is a failure (every key is published). */
+    uint64_t misses = 0;
 };
 
 /**
  * Hammer one CompileCache configuration with a pure-hit workload:
- * every key is pre-published, so each operation is one lock-free
- * probe of the shard's published read view — the path a warm sweep's
- * deduplicated submissions take. No mutex is ever touched, so
- * lock_wait_ns must report exactly zero (smoke.sh asserts this).
+ * every key is pre-published, so each operation is one lookup under
+ * its key's shard mutex — the path a warm sweep's deduplicated
+ * submissions take. lock_wait_ns sums the time threads spent blocked
+ * on a shard another thread held.
  */
 SweepRow
 runCacheSweep(int shards, int threads, uint64_t ops_per_thread)
@@ -152,11 +151,6 @@ runCacheSweep(int shards, int threads, uint64_t ops_per_thread)
         w.join();
     double elapsed = secondsSince(t0);
 
-    if (misses.load() != 0)
-        std::fprintf(stderr,
-                     "warn: hit-only sweep observed %llu misses\n",
-                     static_cast<unsigned long long>(misses.load()));
-
     SweepRow row;
     row.shards = cache.shardCount();
     row.threads = threads;
@@ -165,6 +159,7 @@ runCacheSweep(int shards, int threads, uint64_t ops_per_thread)
     row.opsPerSec =
         elapsed > 0.0 ? static_cast<double>(row.ops) / elapsed : 0.0;
     row.lockWaitNs = cache.lockWaitNs();
+    row.misses = misses.load();
     return row;
 }
 
@@ -334,9 +329,8 @@ struct LoadStats
 {
     uint64_t loads = 0;
     double avgNs = 0.0;
-    /** Loads served by the mmap path / the buffered fallback. */
-    uint64_t mmapLoads = 0;
-    uint64_t bufferedLoads = 0;
+    /** Loads that missed; any is a failure (every key is stored). */
+    uint64_t misses = 0;
 };
 
 LoadStats
@@ -344,24 +338,17 @@ timeLoads(const DiskCache &store, const std::vector<uint64_t> &keys,
           int rounds)
 {
     LoadStats s;
-    const uint64_t mmap0 = store.mmapLoads();
-    const uint64_t buffered0 = store.bufferedLoads();
     auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < rounds; ++r) {
         for (uint64_t key : keys) {
-            auto result = store.load(key);
-            if (result == nullptr)
-                std::fprintf(stderr,
-                             "warn: unexpected miss for key %llx\n",
-                             static_cast<unsigned long long>(key));
+            if (store.load(key) == nullptr)
+                ++s.misses;
             ++s.loads;
         }
     }
     double elapsed = secondsSince(t0);
     s.avgNs = s.loads > 0 ? elapsed * 1e9 / static_cast<double>(s.loads)
                           : 0.0;
-    s.mmapLoads = store.mmapLoads() - mmap0;
-    s.bufferedLoads = store.bufferedLoads() - buffered0;
     return s;
 }
 
@@ -373,8 +360,6 @@ struct EngineRun
     uint64_t completed = 0;
     uint64_t diskHits = 0;
     uint64_t writes = 0;
-    uint64_t mmapLoads = 0;
-    uint64_t bufferedLoads = 0;
     uint64_t shardCount = 0;
     uint64_t lockWaitNs = 0;
 };
@@ -484,11 +469,11 @@ main()
     std::error_code ec;
     fs::remove_all(store_root, ec);
 
-    // ---- 3. artifact load latency: cold / warm / buffered ----------
+    // ---- 3. artifact load latency: cold / warm ---------------------
     const int entries = quick ? 8 : 32;
     uint64_t bytes_total = 0;
-    std::pair<const char *, LoadStats> loads[3] = {
-        {"load/cold", {}}, {"load/warm", {}}, {"load/buffered", {}}};
+    std::pair<const char *, LoadStats> loads[2] = {{"load/cold", {}},
+                                                   {"load/warm", {}}};
     {
         auto store = DiskCache::open(store_root.string());
         if (store == nullptr) {
@@ -510,20 +495,11 @@ main()
         loads[0].second = timeLoads(*store, keys, 1);
         loads[1].second = timeLoads(*store, keys, warm_rounds);
 
-        // Buffered fallback for comparison: the env toggle is read
-        // per load(), so flipping it mid-process is supported.
-        ::setenv("TETRIS_DISK_MMAP", "0", 1);
-        loads[2].second = timeLoads(*store, keys, warm_rounds);
-        ::unsetenv("TETRIS_DISK_MMAP");
-
-        std::printf(
-            "\nartifact load (%d entries, %llu bytes):\n"
-            "  cold     %9.0f ns/load\n"
-            "  warm     %9.0f ns/load (mmap)\n"
-            "  buffered %9.0f ns/load (fallback)\n",
-            entries, static_cast<unsigned long long>(bytes_total),
-            loads[0].second.avgNs, loads[1].second.avgNs,
-            loads[2].second.avgNs);
+        std::printf("\nartifact load (%d entries, %llu bytes):\n"
+                    "  cold     %9.0f ns/load\n"
+                    "  warm     %9.0f ns/load\n",
+                    entries, static_cast<unsigned long long>(bytes_total),
+                    loads[0].second.avgNs, loads[1].second.avgNs);
         store->clear();
     }
 
@@ -559,16 +535,12 @@ main()
             run.completed = engine.metrics().count("jobs.completed");
             run.diskHits = engine.metrics().count("jobs.disk_hits");
             run.writes = opts.diskCache->writes();
-            run.mmapLoads = opts.diskCache->mmapLoads();
-            run.bufferedLoads = opts.diskCache->bufferedLoads();
             run.shardCount = engine.metrics().count("cache.shard_count");
             run.lockWaitNs = engine.metrics().count("cache.lock_wait_ns");
-            std::printf("  %-12s %6.3f s  completed=%llu disk_hits=%llu "
-                        "mmap_loads=%llu\n",
+            std::printf("  %-12s %6.3f s  completed=%llu disk_hits=%llu\n",
                         name, run.seconds,
                         static_cast<unsigned long long>(run.completed),
-                        static_cast<unsigned long long>(run.diskHits),
-                        static_cast<unsigned long long>(run.mmapLoads));
+                        static_cast<unsigned long long>(run.diskHits));
             return run;
         };
 
@@ -724,8 +696,6 @@ main()
                 std::thread::hardware_concurrency()));
         w.key("default_shard_count")
             .value(static_cast<uint64_t>(default_shards));
-        w.key("mmap_enabled")
-            .value(serialize::MappedFile::mmapEnabled());
     };
     auto rows = [&](JsonWriter &w) {
         for (const SweepRow &row : sweeps) {
@@ -758,8 +728,6 @@ main()
             w.key("bytes_total").value(bytes_total);
             w.key("loads").value(load.loads);
             w.key("avg_ns").value(load.avgNs);
-            w.key("mmap_loads").value(load.mmapLoads);
-            w.key("buffered_loads").value(load.bufferedLoads);
             w.endObject();
         }
         for (const EngineRun &run : engine_runs) {
@@ -769,8 +737,6 @@ main()
             w.key("completed").value(run.completed);
             w.key("disk_hits").value(run.diskHits);
             w.key("writes").value(run.writes);
-            w.key("mmap_loads").value(run.mmapLoads);
-            w.key("buffered_loads").value(run.bufferedLoads);
             w.key("shard_count").value(run.shardCount);
             w.key("lock_wait_ns").value(run.lockWaitNs);
             w.endObject();
@@ -804,6 +770,27 @@ main()
     if (writeBenchFile("perf", config, rows, nullptr).empty())
         return 1;
 
+    int status = 0;
+    for (const SweepRow &row : sweeps) {
+        if (row.misses != 0) {
+            std::fprintf(stderr,
+                         "perf_microbench: FAIL: hit-only sweep %s saw "
+                         "%llu miss(es)\n",
+                         row.name.c_str(),
+                         static_cast<unsigned long long>(row.misses));
+            status = 1;
+        }
+    }
+    for (const auto &[name, load] : loads) {
+        if (load.misses != 0) {
+            std::fprintf(stderr,
+                         "perf_microbench: FAIL: %s missed on %llu of "
+                         "%llu load(s) of stored artifacts\n",
+                         name, static_cast<unsigned long long>(load.misses),
+                         static_cast<unsigned long long>(load.loads));
+            status = 1;
+        }
+    }
     if (warm.completed != 0 || warm.diskHits == 0) {
         std::fprintf(stderr,
                      "perf_microbench: FAIL: warm engine run recompiled "
@@ -811,7 +798,7 @@ main()
                      "entirely from the store)\n",
                      static_cast<unsigned long long>(warm.completed),
                      static_cast<unsigned long long>(warm.diskHits));
-        return 1;
+        status = 1;
     }
-    return 0;
+    return status;
 }

@@ -10,15 +10,9 @@
  * published (shared_ptr<const CompileResult>).
  *
  * The table is striped across N independently-locked shards (key
- * modulo shard count — jobKey output is already well mixed). On top
- * of each shard's authoritative map sits a lock-free read view: an
- * open-addressed slot array published through an atomic pointer.
- * A hit on a published key never touches the shard mutex — readers
- * acquire-load the view pointer, linear-probe with acquire loads of
- * the slot states, and copy out the entry. Mutexes are retained only
- * for the miss/insert/in-flight-dedup path and for erase/clear, so a
- * pure-hit workload performs no lock acquisitions at all and
- * lockWaitNs() stays exactly zero.
+ * modulo shard count — jobKey output is already well mixed). Every
+ * acquire() takes its key's shard mutex and does one lookup-or-insert
+ * on the shard's map; erase() and clear() take the same mutex.
  *
  * All dedup guarantees hold per key, and a key always maps to exactly
  * one shard, so sharding never changes observable semantics: exactly
@@ -39,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "common/histogram.hh"
 #include "core/compiler.hh"
@@ -100,7 +93,6 @@ class CompileCache
      * concurrency.
      */
     explicit CompileCache(int num_shards = 0);
-    ~CompileCache();
 
     CompileCache(const CompileCache &) = delete;
     CompileCache &operator=(const CompileCache &) = delete;
@@ -109,8 +101,7 @@ class CompileCache
      * Look up `key`, inserting an unpublished Entry if absent.
      * `is_new` tells the caller whether it must compute and publish
      * (miss) or merely wait on the returned entry (hit — including
-     * hits on entries still being computed). Hits on published keys
-     * are lock-free.
+     * hits on entries still being computed).
      */
     std::shared_ptr<Entry> acquire(uint64_t key, bool &is_new);
 
@@ -120,7 +111,8 @@ class CompileCache
 
     /**
      * Forget one key (e.g. a cancelled compilation) so the next
-     * acquire recomputes. Waiters already holding the entry keep it.
+     * acquire recomputes. The cache drops its reference at once;
+     * waiters already holding the entry keep it.
      */
     void erase(uint64_t key);
 
@@ -154,47 +146,10 @@ class CompileCache
     static int resolveShardCount(int requested);
 
   private:
-    /**
-     * One slot of a shard's lock-free read view. The writer fills
-     * key/entry and then release-stores the state; readers that
-     * acquire-load a non-empty state may touch the other fields.
-     * After that a slot is immutable except for the kDead tombstone,
-     * so a concurrent reader can always safely copy `entry`.
-     */
-    struct Slot
-    {
-        std::atomic<uint8_t> state{0}; // kEmpty / kFull / kDead
-        uint64_t key = 0;
-        std::shared_ptr<Entry> entry;
-    };
-
-    /**
-     * An open-addressed, power-of-two-sized probe array. Published
-     * views only ever gain kFull slots or see kFull become kDead;
-     * superseded views are retired (kept allocated, never mutated)
-     * until the cache dies, so readers holding a stale pointer stay
-     * safe without reference counting on the hot path.
-     */
-    struct View
-    {
-        explicit View(size_t capacity)
-            : mask(capacity - 1), slots(capacity)
-        {
-        }
-
-        size_t mask;
-        std::vector<Slot> slots;
-        /** kFull + kDead slots; writer-side only (under the mutex). */
-        size_t used = 0;
-    };
-
     struct alignas(64) Shard
     {
         mutable std::mutex mutex;
         std::unordered_map<uint64_t, std::shared_ptr<Entry>> entries;
-        std::atomic<View *> view{nullptr};
-        /** Views superseded by rehash/clear; freed by ~CompileCache. */
-        std::vector<std::unique_ptr<View>> retired;
         /** Striped counters (summed by hits()/misses()). */
         std::atomic<size_t> hits{0};
         std::atomic<size_t> misses{0};
@@ -207,22 +162,6 @@ class CompileCache
 
     /** Lock a shard, accumulating blocked time into lockWaitNs_. */
     std::unique_lock<std::mutex> lockShard(const Shard &shard) const;
-
-    /** Lock-free probe of the published view. Null on miss. */
-    static std::shared_ptr<Entry> findInView(const Shard &shard,
-                                             uint64_t key);
-
-    /** Writer-side (shard locked): add key to the live view,
-     *  rehashing first if the load factor would exceed 3/4. */
-    static void publishToView(Shard &shard, uint64_t key,
-                              std::shared_ptr<Entry> entry);
-
-    /** Writer-side (shard locked): tombstone key in the live view. */
-    static void tombstoneInView(Shard &shard, uint64_t key);
-
-    /** Writer-side (shard locked): swap in a fresh view rebuilt from
-     *  the authoritative map, retiring the old one. */
-    static void rebuildView(Shard &shard, size_t capacity);
 
     int numShards_;
     std::unique_ptr<Shard[]> shards_;

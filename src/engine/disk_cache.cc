@@ -1,10 +1,13 @@
 #include "engine/disk_cache.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/env.hh"
@@ -12,7 +15,6 @@
 #include "common/logging.hh"
 #include "obs/event_log.hh"
 #include "serialize/artifact.hh"
-#include "serialize/mmap_file.hh"
 
 namespace fs = std::filesystem;
 
@@ -33,6 +35,37 @@ keyHex(uint64_t key)
         key >>= 4;
     }
     return s;
+}
+
+/**
+ * Read the regular file at `path` whole: open, fstat, then read
+ * exactly st_size bytes, retrying on EINTR. False on any failure, on
+ * anything that is not a regular file, and on a short read.
+ */
+bool
+readRegularFile(const std::string &path, std::string &bytes)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    if (ok) {
+        bytes.resize(static_cast<size_t>(st.st_size));
+        size_t got = 0;
+        while (got < bytes.size()) {
+            const ssize_t n =
+                ::read(fd, bytes.data() + got, bytes.size() - got);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            got += static_cast<size_t>(n);
+        }
+        ok = got == bytes.size();
+    }
+    ::close(fd);
+    return ok;
 }
 
 /** The artifact files of one store, cheap metadata included. */
@@ -129,17 +162,14 @@ DiskCache::pathFor(uint64_t key) const
 std::shared_ptr<const CompileResult>
 DiskCache::load(uint64_t key) const
 {
-    fs::path path = pathFor(key);
-    // Zero-copy read: the artifact's bytes are decoded directly out
-    // of the mapped file (or the fallback buffer), never staged
-    // through an intermediate string.
-    serialize::MappedFile file = serialize::MappedFile::open(path.string());
-    if (!file.valid()) {
+    const std::string path = pathFor(key);
+    std::string bytes;
+    if (!readRegularFile(path, bytes)) {
         misses_.fetch_add(1);
         return nullptr;
     }
     auto result = std::make_shared<CompileResult>();
-    if (!serialize::decodeArtifact(file.span(), key, *result)) {
+    if (!serialize::decodeArtifact(bytes, key, *result)) {
         // Corruption of any kind is a miss: the caller recompiles and
         // the subsequent store() overwrites the bad file. Worth an
         // event and a warn — one corrupt artifact is bit rot, many
@@ -150,14 +180,13 @@ DiskCache::load(uint64_t key) const
             events.record(
                 "disk.corrupt_miss",
                 {EventLog::Field::u64("key", key),
-                 EventLog::Field::str("path", path.string())});
+                 EventLog::Field::str("path", path)});
         }
-        logWarn("disk cache: corrupt artifact ", path.string(),
+        logWarn("disk cache: corrupt artifact ", path,
                 " (treating as miss)");
         return nullptr;
     }
     hits_.fetch_add(1);
-    (file.isMapped() ? mmapLoads_ : bufferedLoads_).fetch_add(1);
     std::error_code ec;
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
     return result;

@@ -10,20 +10,16 @@
  *
  *   $TETRIS_CACHE_DIR/<key[0:2]>/<key-16-hex>.tca
  *
- * Reads are zero-copy: load() mmaps the artifact
- * (serialize/mmap_file.hh) and decodes straight out of the page
- * cache; a platform or filesystem without mmap — or TETRIS_DISK_MMAP=0
- * — falls back to a buffered read. mmapLoads()/bufferedLoads() count
- * which path served each hit.
+ * load() reads the whole artifact with one sized read of the
+ * regular file at that path and decodes it from that buffer.
  *
  * Durability rules:
  *  - writes are crash-safe: temp file in the final directory, then
- *    atomic rename — readers never observe a partial artifact (and a
- *    replaced artifact's old inode stays alive under any still-open
- *    mapping; artifacts are never truncated in place);
+ *    atomic rename — readers never observe a partial artifact;
  *  - any unreadable, truncated, corrupted, version-skewed, or
- *    foreign file is a miss, never an error (the compilation simply
- *    reruns and overwrites it);
+ *    foreign file — or anything at the path that is not a regular
+ *    file — is a miss, never an error: the compilation simply reruns,
+ *    and its store replaces a bad file;
  *  - a load hit refreshes the file's mtime, so trim(maxBytes) —
  *    oldest-mtime-first eviction — approximates LRU;
  *  - concurrent engines (threads or processes) may share one
@@ -105,11 +101,6 @@ class DiskCache
     size_t misses() const { return misses_.load(); }
     size_t writes() const { return writes_.load(); }
 
-    /** Hits decoded zero-copy out of an mmap'ed artifact. */
-    size_t mmapLoads() const { return mmapLoads_.load(); }
-    /** Hits served through the buffered-read fallback. */
-    size_t bufferedLoads() const { return bufferedLoads_.load(); }
-
     /** Final artifact path for a key (shard dir included). */
     std::string pathFor(uint64_t key) const;
 
@@ -124,8 +115,6 @@ class DiskCache
     mutable std::atomic<size_t> hits_{0};
     mutable std::atomic<size_t> misses_{0};
     mutable std::atomic<size_t> writes_{0};
-    mutable std::atomic<size_t> mmapLoads_{0};
-    mutable std::atomic<size_t> bufferedLoads_{0};
 };
 
 } // namespace tetris

@@ -420,7 +420,7 @@ Engine::submitScoped(CompileJob job)
     } else {
         // No dedup: every submission gets a private slot. Transient
         // jobs take this path too — a consume-once result must not
-        // be pinned by the cache's read views (see CompileJob).
+        // stay in the cache (see CompileJob).
         entry = std::make_shared<CompileCache::Entry>();
     }
 
@@ -475,10 +475,6 @@ Engine::syncCacheMetrics()
     if (opts_.diskCache) {
         metrics_.setCount("cache.disk.misses", opts_.diskCache->misses());
         metrics_.setCount("cache.disk.writes", opts_.diskCache->writes());
-        metrics_.setCount("cache.disk.mmap_loads",
-                          opts_.diskCache->mmapLoads());
-        metrics_.setCount("cache.disk.buffered_loads",
-                          opts_.diskCache->bufferedLoads());
     }
 }
 

@@ -78,9 +78,7 @@ struct CompileJob
      * entry, nothing retained after the caller drops its handle).
      * For streaming drivers whose chunk keys are unique and whose
      * results are read exactly once, caching would grow resident
-     * memory with every chunk compiled — the cache's lock-free read
-     * views deliberately pin erased entries until the cache dies, so
-     * erase-after-use is not a fix. The persistent disk tier (if
+     * memory with every chunk compiled. The persistent disk tier (if
      * configured) still serves and stores transient jobs.
      */
     bool transient = false;
@@ -325,10 +323,10 @@ class Engine
      * Publish the cache's gauge-style counters into the metrics
      * registry: cache.shard_count, cache.lock_wait_ns, cache.hits,
      * cache.misses, and — when a disk tier is attached —
-     * cache.disk.misses / writes / mmap_loads / buffered_loads (disk
-     * hits are jobs.disk_hits). Called automatically at the end of
-     * compileAll(); call it directly before reading metrics() after
-     * bare submit()/wait() traffic.
+     * cache.disk.misses / writes (disk hits are jobs.disk_hits).
+     * Called automatically at the end of compileAll(); call it
+     * directly before reading metrics() after bare submit()/wait()
+     * traffic.
      */
     void syncCacheMetrics();
     /** The persistent tier, or null when disabled. */

@@ -61,8 +61,7 @@ std::string encodeArtifact(uint64_t job_key, const CompileResult &result);
  * stored job key (a renamed/aliased file never serves the wrong
  * compilation). Returns false — never throws, never aborts — unless
  * every check (magic, version, key, length, checksum, payload
- * structure) passes. The bytes are only borrowed (zero-copy): they
- * may live in an mmap'ed file (serialize/mmap_file.hh) and are never
+ * structure) passes. The bytes are only borrowed, never copied or
  * written to.
  */
 bool decodeArtifact(ByteSpan bytes, uint64_t expected_key,

@@ -11,9 +11,7 @@
  * input degrades to "decode failed", never to UB or an abort.
  *
  * The reader decodes over a borrowed ByteSpan and never copies the
- * underlying buffer, so it works equally over an in-memory string
- * and over an mmap'ed artifact (serialize/mmap_file.hh): the bytes
- * of a .tca file are decoded straight out of the page cache.
+ * underlying buffer.
  */
 
 #ifndef TETRIS_SERIALIZE_BINARY_HH
@@ -29,7 +27,7 @@ namespace tetris::serialize
 /**
  * A borrowed, non-owning view of raw bytes. Decoders taking a
  * ByteSpan promise zero-copy access: the caller keeps the backing
- * storage (string, mapped file) alive for the duration of the call.
+ * storage alive for the duration of the call.
  */
 using ByteSpan = std::string_view;
 

@@ -5,9 +5,9 @@
  * The daemon shape the ROADMAP's "millions of users" directions
  * assume: the thread pool, both cache tiers, and the obs plane stay
  * alive across requests, so a client's second submission of a known
- * program is a lock-free memory-cache hit instead of a process
- * launch. Concurrent clients connect over TCP and/or a Unix socket
- * and speak the frame protocol of serve/frame.hh:
+ * program is a memory-cache hit instead of a process launch.
+ * Concurrent clients connect over TCP and/or a Unix socket and speak
+ * the frame protocol of serve/frame.hh:
  *
  *   client                      server
  *     Submit(program, device) ->

@@ -3,13 +3,13 @@
  * DiskCache tests: store/load round-trips through the sharded .tca
  * layout, the hardened directory handling (creation, empty paths,
  * unwritable roots degrade to disabled), environment configuration,
- * corruption-as-miss semantics, the zero-copy mmap read path (warm
- * hits metric-asserted through mmap, TETRIS_DISK_MMAP=0 exercising
- * the buffered fallback), verify-before-store (a miscompile never
- * lands on disk; verify.blocked_write accounting), LRU-by-mtime
- * trim, engine integration (warm runs skip compilation entirely,
- * teardown applies the eviction budget), and two engines hammering
- * one shared store concurrently.
+ * corruption-as-miss semantics (bit flips, truncation, foreign bytes,
+ * an empty file, a directory at the artifact's path),
+ * verify-before-store (a miscompile never lands on disk;
+ * verify.blocked_write accounting), LRU-by-mtime trim, engine
+ * integration (warm runs skip compilation entirely, teardown applies
+ * the eviction budget), and two engines hammering one shared store
+ * concurrently.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
 #include "hardware/topologies.hh"
-#include "serialize/mmap_file.hh"
 
 namespace fs = std::filesystem;
 
@@ -81,9 +80,6 @@ TEST_F(DiskCacheTest, StoreLoadRoundTripThroughShardedLayout)
     auto loaded = cache->load(key);
     ASSERT_NE(loaded, nullptr);
     EXPECT_EQ(cache->hits(), 1u);
-    // POSIX test hosts serve hits zero-copy through the mmap path.
-    EXPECT_EQ(cache->mmapLoads(),
-              serialize::MappedFile::mmapEnabled() ? 1u : 0u);
     EXPECT_EQ(loaded->stats.cnotCount, result.stats.cnotCount);
     EXPECT_EQ(loaded->stats.depth, result.stats.depth);
     EXPECT_EQ(loaded->circuit.totalGateCount(),
@@ -170,6 +166,21 @@ TEST_F(DiskCacheTest, CorruptedAndTruncatedFilesReadAsMiss)
     // Entirely foreign bytes.
     std::ofstream(path, std::ios::trunc) << "deliberately corrupted";
     EXPECT_EQ(cache->load(key), nullptr);
+    EXPECT_EQ(cache->misses(), 3u);
+
+    // An empty file.
+    std::ofstream(path, std::ios::trunc).close();
+    ASSERT_EQ(fs::file_size(path), 0u);
+    EXPECT_EQ(cache->load(key), nullptr);
+    EXPECT_EQ(cache->misses(), 4u);
+
+    // A directory where the artifact should be.
+    fs::remove(path);
+    fs::create_directory(path);
+    EXPECT_EQ(cache->load(key), nullptr);
+    EXPECT_EQ(cache->misses(), 5u);
+    EXPECT_EQ(cache->hits(), 0u);
+    fs::remove(path);
 
     // A rewrite heals the entry.
     ASSERT_TRUE(cache->store(key, result));
@@ -272,48 +283,6 @@ TEST_F(DiskCacheTest, EngineWarmRunSkipsCompilationEntirely)
         EXPECT_EQ(warm[i]->finalLayout, cold[i]->finalLayout);
         EXPECT_EQ(warm[i]->blockOrder, cold[i]->blockOrder);
     }
-
-    // Every warm hit went through the zero-copy mmap path, and the
-    // engine published that into its metrics registry.
-    if (serialize::MappedFile::mmapEnabled()) {
-        EXPECT_EQ(opts.diskCache->mmapLoads(), 3u);
-        EXPECT_EQ(opts.diskCache->bufferedLoads(), 0u);
-        EXPECT_EQ(engine.metrics().count("cache.disk.mmap_loads"), 3u);
-    }
-}
-
-TEST_F(DiskCacheTest, BufferedFallbackServesWarmRunWhenMmapDisabled)
-{
-    auto hw = std::make_shared<const CouplingGraph>(lineTopology(10));
-    CompileJob job;
-    job.name = "fallback";
-    job.blocks = buildSyntheticUcc(6, 77);
-    job.hw = hw;
-
-    {
-        EngineOptions opts;
-        opts.numThreads = 2;
-        opts.diskCache = DiskCache::open(root_.string());
-        ASSERT_NE(opts.diskCache, nullptr);
-        Engine engine(opts);
-        engine.wait(engine.submit(job));
-    }
-
-    // TETRIS_DISK_MMAP=0: same store, same artifacts, but every hit
-    // must be served by the buffered-read fallback.
-    ::setenv("TETRIS_DISK_MMAP", "0", 1);
-    EngineOptions opts;
-    opts.numThreads = 2;
-    opts.diskCache = DiskCache::open(root_.string());
-    Engine engine(opts);
-    auto warm = engine.wait(engine.submit(job));
-    ::unsetenv("TETRIS_DISK_MMAP");
-
-    ASSERT_NE(warm, nullptr);
-    EXPECT_EQ(engine.metrics().count("jobs.completed"), 0u);
-    EXPECT_EQ(engine.metrics().count("jobs.disk_hits"), 1u);
-    EXPECT_EQ(opts.diskCache->mmapLoads(), 0u);
-    EXPECT_EQ(opts.diskCache->bufferedLoads(), 1u);
 }
 
 /**

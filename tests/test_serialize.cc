@@ -6,25 +6,18 @@
  * round-trips against a real compilation, and the decode-rejection
  * matrix — truncation, bit flips, version skew, wrong key, foreign
  * bytes — that the disk cache relies on to treat corruption as a
- * plain miss. Plus the MappedFile zero-copy read path: mapping,
- * fallback-on-request (TETRIS_DISK_MMAP=0), empty/missing files,
- * move semantics, and decoding an artifact straight from the map.
+ * plain miss.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <utility>
 
 #include "chem/uccsd.hh"
 #include "core/compiler.hh"
 #include "hardware/topologies.hh"
 #include "serialize/artifact.hh"
 #include "serialize/binary.hh"
-#include "serialize/mmap_file.hh"
 
 namespace tetris
 {
@@ -369,121 +362,6 @@ TEST(Serialize, CancelledResultRoundTrips)
     ASSERT_TRUE(serialize::decodeArtifact(image, 1, decoded));
     EXPECT_TRUE(decoded.cancelled);
     EXPECT_TRUE(decoded.circuit.empty());
-}
-
-/** Scratch file helpers for the MappedFile tests. */
-class MappedFileTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        dir_ = std::filesystem::path(::testing::TempDir()) /
-               ("tetris_mmap_" +
-                std::string(::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->name()));
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-        ::unsetenv("TETRIS_DISK_MMAP");
-    }
-
-    void
-    TearDown() override
-    {
-        ::unsetenv("TETRIS_DISK_MMAP");
-        std::filesystem::remove_all(dir_);
-    }
-
-    std::string
-    writeFile(const char *name, const std::string &content)
-    {
-        std::filesystem::path p = dir_ / name;
-        std::ofstream(p, std::ios::binary) << content;
-        return p.string();
-    }
-
-    std::filesystem::path dir_;
-};
-
-TEST_F(MappedFileTest, MapsFileBytesZeroCopy)
-{
-    const std::string content = "hello mapped \0 bytes" +
-                                std::string(1, '\0') + "tail";
-    std::string path = writeFile("plain.bin", content);
-
-    serialize::MappedFile f = serialize::MappedFile::open(path);
-    ASSERT_TRUE(f.valid());
-    EXPECT_EQ(f.span(), serialize::ByteSpan(content));
-    // On POSIX builds (the only place tests run) the default path is
-    // the real mapping, not the fallback buffer.
-    EXPECT_EQ(f.isMapped(), serialize::MappedFile::mmapEnabled());
-}
-
-TEST_F(MappedFileTest, MissingFileIsInvalid)
-{
-    serialize::MappedFile f =
-        serialize::MappedFile::open((dir_ / "nope.bin").string());
-    EXPECT_FALSE(f.valid());
-    EXPECT_TRUE(f.span().empty());
-}
-
-TEST_F(MappedFileTest, EmptyFileIsValidAndEmpty)
-{
-    std::string path = writeFile("empty.bin", "");
-    serialize::MappedFile f = serialize::MappedFile::open(path);
-    EXPECT_TRUE(f.valid());
-    EXPECT_TRUE(f.span().empty());
-    EXPECT_FALSE(f.isMapped()); // nothing to map
-}
-
-TEST_F(MappedFileTest, EnvDisablesMappingButNotReading)
-{
-    std::string path = writeFile("fallback.bin", "buffered bytes");
-    ::setenv("TETRIS_DISK_MMAP", "0", 1);
-    EXPECT_FALSE(serialize::MappedFile::mmapEnabled());
-    serialize::MappedFile f = serialize::MappedFile::open(path);
-    ASSERT_TRUE(f.valid());
-    EXPECT_FALSE(f.isMapped());
-    EXPECT_EQ(f.span(), serialize::ByteSpan("buffered bytes"));
-}
-
-TEST_F(MappedFileTest, MoveTransfersOwnership)
-{
-    std::string path = writeFile("move.bin", "movable");
-    serialize::MappedFile a = serialize::MappedFile::open(path);
-    ASSERT_TRUE(a.valid());
-    serialize::MappedFile b = std::move(a);
-    EXPECT_TRUE(b.valid());
-    EXPECT_EQ(b.span(), serialize::ByteSpan("movable"));
-    EXPECT_FALSE(a.valid()); // NOLINT: inspecting moved-from state
-    EXPECT_TRUE(a.span().empty());
-}
-
-TEST_F(MappedFileTest, ArtifactDecodesStraightFromMapping)
-{
-    // The end-to-end zero-copy contract: encode an artifact, map the
-    // file, decode from the mapped span with no intermediate string.
-    CompileResult result =
-        compileTetris(buildSyntheticUcc(6, 5), lineTopology(8));
-    const uint64_t key = 0xabcdef;
-    std::string path =
-        writeFile("artifact.tca", serialize::encodeArtifact(key, result));
-
-    serialize::MappedFile f = serialize::MappedFile::open(path);
-    ASSERT_TRUE(f.valid());
-    CompileResult decoded;
-    ASSERT_TRUE(serialize::decodeArtifact(f.span(), key, decoded));
-    expectSameCircuit(result.circuit, decoded.circuit);
-
-    // A truncated mapped artifact must decode as a clean failure.
-    std::string truncated =
-        serialize::encodeArtifact(key, result).substr(0, 40);
-    std::string bad_path = writeFile("truncated.tca", truncated);
-    serialize::MappedFile g = serialize::MappedFile::open(bad_path);
-    ASSERT_TRUE(g.valid());
-    CompileResult ignored;
-    EXPECT_FALSE(serialize::decodeArtifact(g.span(), key, ignored));
 }
 
 } // namespace

@@ -339,9 +339,8 @@ const char *const kCompiledRecord =
 const std::set<std::string> kMemoryCountNames = {
     "cache.hits", "cache.lock_wait_ns", "cache.misses",
     "cache.shard_count", "jobs.deduplicated", "jobs.submitted"};
-const std::set<std::string> kDiskCountNames = {
-    "cache.disk.buffered_loads", "cache.disk.misses",
-    "cache.disk.mmap_loads", "cache.disk.writes"};
+const std::set<std::string> kDiskCountNames = {"cache.disk.misses",
+                                               "cache.disk.writes"};
 const std::set<std::string> kCompiledCountNames = {
     "gates.cnot", "gates.oneq", "gates.swap", "jobs.completed",
     "verify.pass"};
