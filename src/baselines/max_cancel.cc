@@ -107,7 +107,7 @@ routeLogicalPipeline(const std::vector<PauliBlock> &blocks,
 
     Circuit logical = synthesizeMaxCancelLogical(blocks);
     if (logical_peephole)
-        logical = peepholeOptimize(logical);
+        logical = peepholeOptimize(std::move(logical));
 
     CompileResult result;
     SynthStats synth;
@@ -117,7 +117,7 @@ routeLogicalPipeline(const std::vector<PauliBlock> &blocks,
         RouteResult routed = routeCircuit(logical, hw, router);
         synth.insertedSwaps = routed.insertedSwaps;
         result.finalLayout = routed.finalLayout;
-        result.circuit = peepholeOptimize(routed.physical);
+        result.circuit = peepholeOptimize(std::move(routed.physical));
     } else {
         result.circuit = std::move(logical);
     }

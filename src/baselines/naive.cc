@@ -77,12 +77,12 @@ compileTketProxy(const std::vector<PauliBlock> &blocks,
     auto t0 = std::chrono::steady_clock::now();
 
     Circuit logical = synthesizeNaiveLogical(blocks);
-    logical = peepholeOptimize(logical);
+    logical = peepholeOptimize(std::move(logical));
 
     RouterKind router = flavor == TketFlavor::O2 ? RouterKind::SabreLite
                                                  : RouterKind::Greedy;
     RouteResult routed = routeCircuit(logical, hw, router);
-    Circuit physical = peepholeOptimize(routed.physical);
+    Circuit physical = peepholeOptimize(std::move(routed.physical));
 
     auto t1 = std::chrono::steady_clock::now();
 

@@ -41,7 +41,7 @@ compilePaulihedral(const std::vector<PauliBlock> &blocks,
 
     auto t_synth = std::chrono::steady_clock::now();
     if (opts.runPeephole)
-        circ = peepholeOptimize(circ);
+        circ = peepholeOptimize(std::move(circ));
 
     auto t1 = std::chrono::steady_clock::now();
 

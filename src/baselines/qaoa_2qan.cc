@@ -172,7 +172,7 @@ compile2qanProxy(const std::vector<PauliBlock> &blocks,
         layout.applySwap(best_swap.first, best_swap.second);
     }
 
-    circ = peepholeOptimize(circ);
+    circ = peepholeOptimize(std::move(circ));
 
     auto t1 = std::chrono::steady_clock::now();
 

@@ -13,6 +13,7 @@
 #define TETRIS_CIRCUIT_CIRCUIT_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/gate.hh"
@@ -57,8 +58,21 @@ class Circuit
     Circuit() = default;
     explicit Circuit(int num_qubits) : numQubits_(num_qubits) {}
 
+    /**
+     * Adopt a gate vector without copying it. Every gate must already
+     * satisfy add()'s checks, as the gates of another circuit on the
+     * same register do.
+     */
+    Circuit(int num_qubits, std::vector<Gate> gates)
+        : numQubits_(num_qubits), gates_(std::move(gates))
+    {
+    }
+
     int numQubits() const { return numQubits_; }
     const std::vector<Gate> &gates() const { return gates_; }
+
+    /** Hand the gate vector over; the circuit is left empty. */
+    std::vector<Gate> takeGates() && { return std::exchange(gates_, {}); }
     size_t size() const { return gates_.size(); }
     bool empty() const { return gates_.empty(); }
 

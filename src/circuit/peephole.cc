@@ -1,7 +1,10 @@
 #include "circuit/peephole.hh"
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -14,16 +17,16 @@ namespace
 
 constexpr int kNone = -1;
 
-/** Doubly linked per-wire gate list over a frozen gate vector. */
+/** Doubly linked per-wire gate list over the input's gate vector. */
 class WireGraph
 {
   public:
-    explicit WireGraph(const Circuit &c)
-        : gates_(c.gates()), alive_(gates_.size(), true),
+    WireGraph(int num_qubits, std::vector<Gate> gates)
+        : gates_(std::move(gates)), alive_(gates_.size(), true),
           next_(gates_.size(), {kNone, kNone}),
           prev_(gates_.size(), {kNone, kNone})
     {
-        std::vector<int> last(c.numQubits(), kNone);
+        std::vector<int> last(num_qubits, kNone);
         for (size_t i = 0; i < gates_.size(); ++i) {
             const Gate &g = gates_[i];
             linkWire(static_cast<int>(i), 0, g.q0, last);
@@ -34,7 +37,6 @@ class WireGraph
 
     const Gate &gate(int i) const { return gates_[i]; }
     Gate &gate(int i) { return gates_[i]; }
-    bool alive(int i) const { return alive_[i]; }
     size_t size() const { return gates_.size(); }
 
     /** Which wire slot (0/1) of gate i carries qubit q. */
@@ -54,6 +56,12 @@ class WireGraph
         return next_[i][slotOf(i, q)];
     }
 
+    int
+    prevOn(int i, int q) const
+    {
+        return prev_[i][slotOf(i, q)];
+    }
+
     /** Unlink gate i from all of its wires and mark it dead. */
     void
     remove(int i)
@@ -64,6 +72,23 @@ class WireGraph
         if (g.isTwoQubit())
             unlinkWire(i, 1);
         alive_[i] = false;
+    }
+
+    /**
+     * Move the surviving gates, in order, to the front of the gate
+     * vector, trim it to exact capacity and hand it over.
+     */
+    std::vector<Gate>
+    takeSurvivors() &&
+    {
+        size_t kept = 0;
+        for (size_t i = 0; i < gates_.size(); ++i) {
+            if (alive_[i])
+                gates_[kept++] = gates_[i];
+        }
+        gates_.resize(kept);
+        gates_.shrink_to_fit();
+        return std::move(gates_);
     }
 
   private:
@@ -94,33 +119,74 @@ class WireGraph
     std::vector<bool> alive_;
     std::vector<std::array<int, 2>> next_;
     std::vector<std::array<int, 2>> prev_;
-
-  public:
-    /** Rebuild a circuit from the surviving gates. */
-    Circuit
-    toCircuit(int num_qubits) const
-    {
-        Circuit out(num_qubits);
-        for (size_t i = 0; i < gates_.size(); ++i) {
-            if (alive_[i])
-                out.add(gates_[i]);
-        }
-        return out;
-    }
 };
 
-/** Diagonal single-qubit gates commute with each other and CX controls. */
-bool
-isDiagonal1q(GateKind k)
+/** One bit per gate index; starts with every bit set. */
+class DirtySet
 {
-    return k == GateKind::RZ || k == GateKind::S || k == GateKind::Sdg;
-}
+  public:
+    explicit DirtySet(size_t n)
+        : size_(n), words_((n + 63) / 64, ~uint64_t{0})
+    {
+        if (n % 64 != 0)
+            words_.back() = (uint64_t{1} << (n % 64)) - 1;
+    }
 
-/** X-basis single-qubit gates commute with CX targets. */
-bool
-isXBasis1q(GateKind k)
+    void set(size_t i) { words_[i / 64] |= uint64_t{1} << (i % 64); }
+    void reset(size_t i) { words_[i / 64] &= ~(uint64_t{1} << (i % 64)); }
+
+    /** The lowest set index at or above `from`, or n if none is. */
+    size_t
+    next(size_t from) const
+    {
+        size_t w = from / 64;
+        if (w >= words_.size())
+            return size_;
+        uint64_t bits = words_[w] & (~uint64_t{0} << (from % 64));
+        while (bits == 0) {
+            if (++w == words_.size())
+                return size_;
+            bits = words_[w];
+        }
+        return w * 64 + static_cast<size_t>(std::countr_zero(bits));
+    }
+
+  private:
+    size_t size_;
+    std::vector<uint64_t> words_;
+};
+
+/**
+ * The commuting class of a gate on one of its wires. Diagonal gates
+ * (RZ, S, Sdg, a CX controlled on the wire) commute with each other,
+ * and so do X-basis gates (X, RX, a CX targeting the wire). A partner
+ * scan from a gate hops only over gates of the gate's own class; H,
+ * SWAP, MEASURE and RESET belong to neither, so their scans stop at
+ * the first gate.
+ */
+enum class WireClass : uint8_t
 {
-    return k == GateKind::X || k == GateKind::RX;
+    None,
+    Diagonal,
+    XBasis,
+};
+
+WireClass
+wireClass(const Gate &g, int q)
+{
+    switch (g.kind) {
+      case GateKind::RZ:
+      case GateKind::S:
+      case GateKind::Sdg:
+        return WireClass::Diagonal;
+      case GateKind::X:
+      case GateKind::RX:
+        return WireClass::XBasis;
+      case GateKind::CX:
+        return g.q0 == q ? WireClass::Diagonal : WireClass::XBasis;
+      default:
+        return WireClass::None;
+    }
 }
 
 /** True if kinds a then b on the same wire cancel to identity. */
@@ -138,47 +204,6 @@ isInversePair1q(GateKind a, GateKind b)
     return false;
 }
 
-/**
- * Can the scan for a partner of `moving` (a 1q gate kind on wire q)
- * hop over gate j?
- */
-bool
-canHop1q(GateKind moving, const Gate &j, int q)
-{
-    if (j.kind == GateKind::MEASURE || j.kind == GateKind::RESET)
-        return false;
-    if (isDiagonal1q(moving)) {
-        if (j.isOneQubit())
-            return isDiagonal1q(j.kind);
-        return j.kind == GateKind::CX && j.q0 == q;
-    }
-    if (isXBasis1q(moving)) {
-        if (j.isOneQubit())
-            return isXBasis1q(j.kind);
-        return j.kind == GateKind::CX && j.q1 == q;
-    }
-    return false; // H and others: adjacency only.
-}
-
-/**
- * Does gate j, acting on wire q, commute with a CX whose control (if
- * role_control) or target (otherwise) is q?
- */
-bool
-commutesWithCxOnWire(const Gate &j, int q, bool role_control)
-{
-    if (j.kind == GateKind::MEASURE || j.kind == GateKind::RESET)
-        return false;
-    if (role_control) {
-        if (j.isOneQubit())
-            return isDiagonal1q(j.kind);
-        return j.kind == GateKind::CX && j.q0 == q;
-    }
-    if (j.isOneQubit())
-        return isXBasis1q(j.kind);
-    return j.kind == GateKind::CX && j.q1 == q;
-}
-
 double
 normalizeAngle(double a)
 {
@@ -194,33 +219,84 @@ normalizeAngle(double a)
 class Peephole
 {
   public:
-    Peephole(const Circuit &in, const PeepholeOptions &opts)
-        : graph_(in), opts_(opts), numQubits_(in.numQubits())
+    Peephole(Circuit in, const PeepholeOptions &opts)
+        : numQubits_(in.numQubits()),
+          graph_(numQubits_, std::move(in).takeGates()),
+          dirty_(graph_.size()), opts_(opts)
     {
     }
 
     Circuit
-    run(PeepholeStats *stats)
+    run(PeepholeStats *stats) &&
     {
+        const size_t n = graph_.size();
         bool changed = true;
         int pass = 0;
         while (changed && pass < opts_.maxPasses) {
             changed = false;
             ++pass;
-            for (int i = 0; i < static_cast<int>(graph_.size()); ++i) {
-                if (!graph_.alive(i))
-                    continue;
-                if (tryReduce(i))
+            // A bit set above i during the visit is reached in this
+            // pass; one set below it waits for the next.
+            for (size_t i = dirty_.next(0); i < n; i = dirty_.next(i + 1)) {
+                dirty_.reset(i);
+                if (tryReduce(static_cast<int>(i)))
                     changed = true;
             }
         }
         stats_.passes = pass;
         if (stats)
             *stats = stats_;
-        return graph_.toCircuit(numQubits_);
+        return Circuit(numQubits_, std::move(graph_).takeSurvivors());
     }
 
   private:
+    /**
+     * Unlink gate i, first marking every gate whose partner scan
+     * could reach it. A scan depends only on the gate and the live
+     * gates its window covers, so an unmarked gate would fail again.
+     * Only live gates are ever marked.
+     */
+    void
+    remove(int i)
+    {
+        const Gate &g = graph_.gate(i);
+        markScanners(graph_.prevOn(i, g.q0), g.q0);
+        if (g.isTwoQubit())
+            markScanners(graph_.prevOn(i, g.q1), g.q1);
+        graph_.remove(i);
+        dirty_.reset(i);
+    }
+
+    /**
+     * Mark p, the gate before a removed one on wire q, and then the
+     * gates before p whose scan along q hops over every gate up to
+     * the removed position: those of p's class, within scanWindow.
+     */
+    void
+    markScanners(int p, int q)
+    {
+        if (p == kNone)
+            return;
+        dirty_.set(p);
+        const WireClass cls = wireClass(graph_.gate(p), q);
+        if (!opts_.commutationAware || cls == WireClass::None)
+            return;
+        for (int hops = 1; hops < opts_.scanWindow; ++hops) {
+            p = graph_.prevOn(p, q);
+            if (p == kNone || wireClass(graph_.gate(p), q) != cls)
+                return;
+            dirty_.set(p);
+        }
+    }
+
+    /** Can a scan from a gate of class `cls` on wire q hop over j? */
+    bool
+    canHop(WireClass cls, const Gate &j, int q) const
+    {
+        return opts_.commutationAware && cls != WireClass::None &&
+               wireClass(j, q) == cls;
+    }
+
     bool
     tryReduce(int i)
     {
@@ -248,17 +324,18 @@ class Peephole
     {
         const Gate &g = graph_.gate(i);
         int q = g.q0;
+        const WireClass cls = wireClass(g, q);
         int j = graph_.nextOn(i, q);
         int hops = 0;
         while (j != kNone && hops < opts_.scanWindow) {
             const Gate &gj = graph_.gate(j);
             if (gj.isOneQubit() && isInversePair1q(g.kind, gj.kind)) {
-                graph_.remove(j);
-                graph_.remove(i);
+                remove(j);
+                remove(i);
                 stats_.removedOneQubit += 2;
                 return true;
             }
-            if (!opts_.commutationAware || !canHop1q(g.kind, gj, q))
+            if (!canHop(cls, gj, q))
                 return false;
             j = graph_.nextOn(j, q);
             ++hops;
@@ -271,26 +348,29 @@ class Peephole
     {
         const Gate &g = graph_.gate(i);
         if (normalizeAngle(g.angle) == 0.0) {
-            graph_.remove(i);
+            remove(i);
             stats_.removedOneQubit += 1;
             return true;
         }
         int q = g.q0;
+        const WireClass cls = wireClass(g, q);
         int j = graph_.nextOn(i, q);
         int hops = 0;
         while (j != kNone && hops < opts_.scanWindow) {
             Gate &gj = graph_.gate(j);
             if (gj.kind == g.kind && gj.q0 == q) {
                 gj.angle = normalizeAngle(gj.angle + g.angle);
-                graph_.remove(i);
+                remove(i);
                 ++stats_.mergedRotations;
                 if (gj.angle == 0.0) {
-                    graph_.remove(j);
+                    remove(j);
                     stats_.removedOneQubit += 1;
+                } else {
+                    dirty_.set(j);
                 }
                 return true;
             }
-            if (!opts_.commutationAware || !canHop1q(g.kind, gj, q))
+            if (!canHop(cls, gj, q))
                 return false;
             j = graph_.nextOn(j, q);
             ++hops;
@@ -310,17 +390,15 @@ class Peephole
             const Gate &gj = graph_.gate(j);
             if (gj.kind == GateKind::CX && gj.q0 == c && gj.q1 == t) {
                 if (targetWireClear(i, j, t)) {
-                    graph_.remove(j);
-                    graph_.remove(i);
+                    remove(j);
+                    remove(i);
                     stats_.removedCx += 2;
                     return true;
                 }
                 return false;
             }
-            if (!opts_.commutationAware ||
-                !commutesWithCxOnWire(gj, c, true)) {
+            if (!canHop(WireClass::Diagonal, gj, c))
                 return false;
-            }
             j = graph_.nextOn(j, c);
             ++hops;
         }
@@ -339,10 +417,8 @@ class Peephole
         while (k != kNone && hops < opts_.scanWindow) {
             if (k == j)
                 return true;
-            if (!opts_.commutationAware ||
-                !commutesWithCxOnWire(graph_.gate(k), t, false)) {
+            if (!canHop(WireClass::XBasis, graph_.gate(k), t))
                 return false;
-            }
             k = graph_.nextOn(k, t);
             ++hops;
         }
@@ -364,25 +440,27 @@ class Peephole
                          (gj.q0 == g.q1 && gj.q1 == g.q0);
         if (!same_pair)
             return false;
-        graph_.remove(j0);
-        graph_.remove(i);
+        remove(j0);
+        remove(i);
         stats_.removedSwap += 2;
         return true;
     }
 
-    WireGraph graph_;
-    PeepholeOptions opts_;
     int numQubits_;
+    WireGraph graph_;
+    /** Gates whose scan may have changed since their last visit. */
+    DirtySet dirty_;
+    PeepholeOptions opts_;
     PeepholeStats stats_;
 };
 
 } // namespace
 
 Circuit
-peepholeOptimize(const Circuit &in, PeepholeStats *stats,
+peepholeOptimize(Circuit in, PeepholeStats *stats,
                  const PeepholeOptions &opts)
 {
-    return Peephole(in, opts).run(stats);
+    return Peephole(std::move(in), opts).run(stats);
 }
 
 } // namespace tetris

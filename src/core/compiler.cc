@@ -184,7 +184,7 @@ compileTetris(const std::vector<PauliBlock> &blocks,
 
     auto t_sched = std::chrono::steady_clock::now();
     if (opts.runPeephole)
-        circ = peepholeOptimize(circ);
+        circ = peepholeOptimize(std::move(circ));
 
     auto t1 = std::chrono::steady_clock::now();
     double seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -226,7 +226,7 @@ compileQaoaTetris(const std::vector<PauliBlock> &blocks,
     }
 
     if (opts.runPeephole)
-        circ = peepholeOptimize(circ);
+        circ = peepholeOptimize(std::move(circ));
 
     auto t1 = std::chrono::steady_clock::now();
 
