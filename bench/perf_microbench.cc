@@ -28,12 +28,15 @@
  *  7. The Sec. V-B lookahead scheduler: CompileStats::scheduleSeconds
  *     per scheduled block for UCC-20 and CH4/JW on the heavy-hex
  *     device at K in {1, 10, 22}.
+ *  8. The peephole pass alone, per input gate, on the Paulihedral and
+ *     Tetris circuits of the same two workloads compiled without it,
+ *     with its input and output gate counts and fixpoint passes.
  *
  * TETRIS_BENCH_QUICK=1 shrinks every dimension for CI. BENCH_perf.json
  * uses bench_util.hh's shared layout: one row per cache sweep (the
  * default shard count is always swept, as `shards=default`), kernel,
- * load phase, engine phase, overhead section and scheduler
- * (workload, K) pair.
+ * load phase, engine phase, overhead section, scheduler
+ * (workload, K) pair and peephole (workload, compiler) pair.
  * scripts/bench_diff.py warns when two runs' timings drift apart.
  */
 
@@ -49,8 +52,10 @@
 
 #include <unistd.h>
 
+#include "baselines/paulihedral.hh"
 #include "bench_util.hh"
 #include "circuit/gate.hh"
+#include "circuit/peephole.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/rng.hh"
@@ -364,6 +369,16 @@ struct EngineRun
     uint64_t lockWaitNs = 0;
 };
 
+/** The two workloads sections 7 and 8 compile. */
+std::vector<std::pair<const char *, std::vector<PauliBlock>>>
+compileWorkloads()
+{
+    std::vector<std::pair<const char *, std::vector<PauliBlock>>> out;
+    out.emplace_back("ucc/UCC-20", buildSyntheticUcc(20, 1020));
+    out.emplace_back("jw/CH4", buildMolecule(moleculeByName("CH4"), "jw"));
+    return out;
+}
+
 // ---- 7. lookahead scheduler ----------------------------------------
 
 struct ScheduleRow
@@ -386,12 +401,8 @@ runScheduler(bool quick)
 {
     const uint64_t compiles = quick ? 1 : 3;
     const CouplingGraph hw = ibmIthaca65();
-    const std::pair<const char *, std::vector<PauliBlock>> workloads[] = {
-        {"ucc/UCC-20", buildSyntheticUcc(20, 1020)},
-        {"jw/CH4", buildMolecule(moleculeByName("CH4"), "jw")},
-    };
     std::vector<ScheduleRow> rows;
-    for (const auto &[label, blocks] : workloads) {
+    for (const auto &[label, blocks] : compileWorkloads()) {
         for (int k : {1, 10, 22}) {
             TetrisOptions opts;
             opts.lookaheadK = k;
@@ -407,6 +418,60 @@ runScheduler(bool quick)
             row.compiles = compiles;
             row.avgNs = seconds * 1e9 /
                         static_cast<double>(compiles * blocks.size());
+            rows.push_back(std::move(row));
+        }
+    }
+    return rows;
+}
+
+// ---- 8. peephole ---------------------------------------------------
+
+struct PeepholeRow
+{
+    std::string name;
+    uint64_t gatesIn = 0;
+    uint64_t gatesOut = 0;
+    uint64_t passes = 0;
+    /** Peephole time per input gate, over every run. */
+    double avgNs = 0.0;
+};
+
+/**
+ * Compile each workload with Paulihedral and Tetris, peephole off,
+ * then time peepholeOptimize alone on each circuit. Each run consumes
+ * a copy of the circuit made before its timed region.
+ */
+std::vector<PeepholeRow>
+runPeephole(bool quick)
+{
+    const uint64_t runs = quick ? 1 : 3;
+    const CouplingGraph hw = ibmIthaca65();
+    PaulihedralOptions ph;
+    ph.runPeephole = false;
+    TetrisOptions tetris;
+    tetris.runPeephole = false;
+    std::vector<PeepholeRow> rows;
+    for (const auto &[label, blocks] : compileWorkloads()) {
+        const std::pair<const char *, Circuit> circuits[] = {
+            {"ph", compilePaulihedral(blocks, hw, ph).circuit},
+            {"tetris", compileTetris(blocks, hw, tetris).circuit},
+        };
+        for (const auto &[compiler, circuit] : circuits) {
+            PeepholeRow row;
+            row.name = std::string("peephole/") + label + "/" + compiler;
+            row.gatesIn = circuit.size();
+            double seconds = 0.0;
+            for (uint64_t r = 0; r < runs; ++r) {
+                Circuit input = circuit;
+                PeepholeStats stats;
+                auto t0 = std::chrono::steady_clock::now();
+                Circuit out = peepholeOptimize(std::move(input), &stats);
+                seconds += secondsSince(t0);
+                row.gatesOut = out.size();
+                row.passes = static_cast<uint64_t>(stats.passes);
+            }
+            row.avgNs = seconds * 1e9 /
+                        static_cast<double>(runs * row.gatesIn);
             rows.push_back(std::move(row));
         }
     }
@@ -689,6 +754,19 @@ main()
                     row.avgNs);
     }
 
+    // ---- 8. peephole -----------------------------------------------
+    std::printf("\npeephole (time per input gate):\n");
+    const std::vector<PeepholeRow> peepholes = runPeephole(quick);
+    for (const PeepholeRow &row : peepholes) {
+        std::printf("  %-26s %8llu -> %8llu gates  %2llu passes  "
+                    "%6.1f ns/gate\n",
+                    row.name.c_str(),
+                    static_cast<unsigned long long>(row.gatesIn),
+                    static_cast<unsigned long long>(row.gatesOut),
+                    static_cast<unsigned long long>(row.passes),
+                    row.avgNs);
+    }
+
     auto config = [&](JsonWriter &w) {
         w.key("quick").value(quick);
         w.key("hardware_concurrency")
@@ -763,6 +841,15 @@ main()
             w.key("name").value(row.name);
             w.key("blocks").value(row.blocks);
             w.key("compiles").value(row.compiles);
+            w.key("avg_ns").value(row.avgNs);
+            w.endObject();
+        }
+        for (const PeepholeRow &row : peepholes) {
+            w.beginObject();
+            w.key("name").value(row.name);
+            w.key("gates_in").value(row.gatesIn);
+            w.key("gates_out").value(row.gatesOut);
+            w.key("passes").value(row.passes);
             w.key("avg_ns").value(row.avgNs);
             w.endObject();
         }

@@ -46,6 +46,9 @@ POLICY = {
     "blocks": "exact",
     "chunks": "exact",
     "requests": "exact",
+    "gates_in": "exact",
+    "gates_out": "exact",
+    "passes": "exact",
     # Rates: lower is worse.
     "ops_per_sec": "lower",
     "speedup": "lower",

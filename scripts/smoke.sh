@@ -17,8 +17,9 @@
 # engine sweep must do zero recompiles and its hit-only cache sweeps
 # and artifact loads must see no miss (the binary exits 1
 # otherwise), the packed kernels must hold their >=5x speedup at
-# 64+ qubits, and each scheduler row (UCC-20 and CH4/JW at K in
-# {1, 10, 22}) must have scheduled blocks.
+# 64+ qubits, each scheduler row (UCC-20 and CH4/JW at K in
+# {1, 10, 22}) must have scheduled blocks, and each peephole row
+# (UCC-20 and CH4/JW under Paulihedral and Tetris) must remove gates.
 #
 # Observability: sweep BENCH files must carry latency histograms,
 # and a TETRIS_TRACE run must produce a file that
@@ -241,12 +242,20 @@ for workload in ("ucc/UCC-20", "jw/CH4"):
         name = f"schedule/{workload}/k={k}"
         assert name in rows, f"no scheduler row {name}"
         assert rows[name]["blocks"] > 0, f"{name} scheduled no blocks"
+for workload in ("ucc/UCC-20", "jw/CH4"):
+    for compiler in ("ph", "tetris"):
+        name = f"peephole/{workload}/{compiler}"
+        assert name in rows, f"no peephole row {name}"
+        row = rows[name]
+        assert row["gates_out"] < row["gates_in"], \
+            f"{name} removed nothing ({row['gates_in']} gates in, " \
+            f"{row['gates_out']} out)"
 print("smoke OK: warm microbench did zero recompiles "
       f"({warm['disk_hits']} disk hit(s)); "
       f"{len(sweeps)} cache sweeps; packed Pauli kernels >=5x at 64+ "
       "qubits; "
       f"disarmed event log {obs['event_log_disabled_ns']:.2f} ns/op; "
-      "6 scheduler rows")
+      "6 scheduler rows; 4 peephole rows")
 EOF
 echo "smoke OK: perf microbench passed"
 
