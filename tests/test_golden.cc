@@ -4,7 +4,8 @@
  * table2_main builds with TETRIS_BENCH_QUICK=1), Fig. 23 (the 36
  * QAOA jobs fig23_qaoa builds in the same mode) and Fig. 19 (the
  * lookahead K sweep, plus a program wider than one 64-qubit
- * bit-plane word) pinned job by job.
+ * bit-plane word), and the routed baselines (naive, T|Ket>, PCOAST,
+ * max-cancel) over Table II's quick workloads, pinned job by job.
  *
  * Each row of the data/golden/*_quick.txt files holds
  * one job's CNOT, one-qubit, depth and SWAP counts plus an FNV-1a
@@ -23,6 +24,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chem/uccsd.hh"
@@ -94,29 +96,70 @@ makeJob(std::string name, std::vector<PauliBlock> blocks,
     return job;
 }
 
-/** table2_main's quick set: the first three molecules under both
- *  encoders, then UCC-10 and UCC-15 with their fixed seeds. */
+using Workload = std::pair<std::string, std::vector<PauliBlock>>;
+
+/** table2_main's quick workloads: the first three molecules under
+ *  both encoders, then UCC-10 and UCC-15 with their fixed seeds. */
+std::vector<Workload>
+table2QuickWorkloads()
+{
+    std::vector<Workload> workloads;
+    for (const char *enc : {"jw", "bk"}) {
+        for (size_t i = 0; i < 3; ++i) {
+            const MoleculeSpec &spec = moleculeBenchmarks()[i];
+            workloads.emplace_back(std::string(enc) + "/" + spec.name,
+                                   buildMolecule(spec, enc));
+        }
+    }
+    for (int n : {10, 15}) {
+        workloads.emplace_back("ucc/UCC-" + std::to_string(n),
+                               buildSyntheticUcc(n, 1000 + n));
+    }
+    return workloads;
+}
+
+/** table2_main's quick set: Paulihedral and Tetris per workload. */
 std::vector<CompileJob>
 table2QuickJobs()
 {
     auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
     std::vector<CompileJob> jobs;
-    auto add = [&](const std::string &workload,
-                   const std::vector<PauliBlock> &blocks) {
+    for (const auto &[workload, blocks] : table2QuickWorkloads()) {
         jobs.push_back(makeJob(workload + "/ph", blocks, hw,
                                makePaulihedralPipeline()));
         jobs.push_back(makeJob(workload + "/tetris", blocks, hw,
                                makeTetrisPipeline()));
-    };
-    for (const char *enc : {"jw", "bk"}) {
-        for (size_t i = 0; i < 3; ++i) {
-            const MoleculeSpec &spec = moleculeBenchmarks()[i];
-            add(std::string(enc) + "/" + spec.name,
-                buildMolecule(spec, enc));
-        }
     }
-    for (int n : {10, 15})
-        add("ucc/UCC-" + std::to_string(n), buildSyntheticUcc(n, 1000 + n));
+    return jobs;
+}
+
+/** The routed baselines over the same workloads: naive routed and
+ *  unrouted (Table I), both T|Ket> flavors, PCOAST, max-cancel
+ *  routed, and Fig. 17's unrouted max-cancel bound. */
+std::vector<CompileJob>
+routedQuickJobs()
+{
+    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
+    NaiveOptions unrouted_naive;
+    unrouted_naive.route = false;
+    MaxCancelOptions bound;
+    bound.route = false;
+    bound.logicalPeephole = true;
+    const std::pair<const char *, PipelinePtr> stacks[] = {
+        {"naive", makeNaivePipeline()},
+        {"naive-unrouted", makeNaivePipeline(unrouted_naive)},
+        {"tket-o2", makeTketPipeline(TketFlavor::O2)},
+        {"tket-o3", makeTketPipeline(TketFlavor::QiskitO3)},
+        {"pcoast", makePcoastPipeline()},
+        {"max-cancel", makeMaxCancelPipeline()},
+        {"max-cancel-bound", makeMaxCancelPipeline(bound)},
+    };
+    std::vector<CompileJob> jobs;
+    for (const auto &[workload, blocks] : table2QuickWorkloads()) {
+        for (const auto &[stack, pipeline] : stacks)
+            jobs.push_back(
+                makeJob(workload + "/" + stack, blocks, hw, pipeline));
+    }
     return jobs;
 }
 
@@ -186,6 +229,7 @@ TEST(Golden, QuickSweepsAreUnchanged)
         {TETRIS_TEST_DATA_DIR "/golden/table2_quick.txt", table2QuickJobs},
         {TETRIS_TEST_DATA_DIR "/golden/fig23_quick.txt", fig23QuickJobs},
         {TETRIS_TEST_DATA_DIR "/golden/fig19_quick.txt", fig19QuickJobs},
+        {TETRIS_TEST_DATA_DIR "/golden/routed_quick.txt", routedQuickJobs},
     };
     for (const auto &sweep : sweeps) {
         SCOPED_TRACE(sweep.corpus);
