@@ -9,7 +9,8 @@
  * cancellation. The PCOAST proxy is the same hardware-oblivious
  * logical optimization followed by greedy routing, modeling PCOAST's
  * profile of excellent logical counts but heavy SWAP overhead
- * (Fig. 15b). See DESIGN.md "Substitutions".
+ * (Fig. 15b). Both run on compileRouted() (baselines/naive.hh).
+ * See DESIGN.md "Substitutions".
  */
 
 #ifndef TETRIS_BASELINES_MAX_CANCEL_HH
@@ -28,11 +29,9 @@ namespace tetris
 /**
  * The max-cancel logical circuit: per block, a single leaf chain
  * over the common qubits emitted once at the block boundary, the
- * root chain re-emitted per string. `logical_cx` (optional) receives
- * the emitted CNOT count.
+ * root chain re-emitted per string.
  */
-Circuit synthesizeMaxCancelLogical(const std::vector<PauliBlock> &blocks,
-                                   size_t *logical_cx = nullptr);
+Circuit synthesizeMaxCancelLogical(const std::vector<PauliBlock> &blocks);
 
 /** Knobs of the max-cancel pipeline. */
 struct MaxCancelOptions

@@ -1,11 +1,6 @@
 #include "baselines/naive.hh"
 
-#include <chrono>
-
-#include "chem/uccsd.hh"
 #include "circuit/peephole.hh"
-#include "common/logging.hh"
-#include "router/router.hh"
 
 namespace tetris
 {
@@ -43,58 +38,59 @@ synthesizeNaiveLogical(const std::vector<PauliBlock> &blocks)
 }
 
 CompileResult
+compileRouted(const std::vector<PauliBlock> &blocks,
+              const CouplingGraph &hw, LogicalSynthesis synthesize,
+              bool logical_peephole, std::optional<RouterKind> router,
+              bool routed_peephole)
+{
+    StageClock clock;
+    CompileResult result;
+    CompileStats &stats = result.stats;
+
+    Circuit circ = synthesize(blocks);
+    clock.lap(stats.synthSeconds);
+    if (logical_peephole)
+        circ = peepholeOptimize(std::move(circ));
+    clock.lap(stats.peepholeSeconds);
+
+    // Only routing needs the device (routeCircuit checks it fits);
+    // the unrouted bound is hardware-oblivious.
+    if (router) {
+        RouteResult routed = routeCircuit(circ, hw, *router);
+        stats.synthesis.insertedSwaps = routed.insertedSwaps;
+        result.finalLayout = routed.finalLayout;
+        circ = std::move(routed.physical);
+        clock.lap(stats.synthSeconds);
+        if (routed_peephole)
+            circ = peepholeOptimize(std::move(circ));
+        clock.lap(stats.peepholeSeconds);
+    }
+
+    result.circuit = std::move(circ);
+    finalizeStats(blocks, clock, result);
+    return result;
+}
+
+CompileResult
 compileNaive(const std::vector<PauliBlock> &blocks,
              const CouplingGraph &hw, const NaiveOptions &opts)
 {
-    auto t0 = std::chrono::steady_clock::now();
-
-    Circuit circ = synthesizeNaiveLogical(blocks);
-
-    CompileResult result;
-    SynthStats synth;
-    // Only routing needs the device (routeCircuit checks it fits);
-    // the unrouted bound is hardware-oblivious.
-    if (opts.route) {
-        RouteResult routed = routeCircuit(circ, hw, RouterKind::SabreLite);
-        synth.insertedSwaps = routed.insertedSwaps;
-        result.finalLayout = routed.finalLayout;
-        result.circuit = std::move(routed.physical);
-    } else {
-        result.circuit = std::move(circ);
-    }
-
-    auto t1 = std::chrono::steady_clock::now();
-    finalizeStats(result.circuit, naiveCnotCount(blocks),
-                  std::chrono::duration<double>(t1 - t0).count(), synth,
-                  result.stats);
-    return result;
+    return compileRouted(blocks, hw, synthesizeNaiveLogical,
+                         /*logical_peephole=*/false,
+                         opts.route ? std::optional(RouterKind::SabreLite)
+                                    : std::nullopt,
+                         /*routed_peephole=*/false);
 }
 
 CompileResult
 compileTketProxy(const std::vector<PauliBlock> &blocks,
                  const CouplingGraph &hw, TketFlavor flavor)
 {
-    auto t0 = std::chrono::steady_clock::now();
-
-    Circuit logical = synthesizeNaiveLogical(blocks);
-    logical = peepholeOptimize(std::move(logical));
-
-    RouterKind router = flavor == TketFlavor::O2 ? RouterKind::SabreLite
-                                                 : RouterKind::Greedy;
-    RouteResult routed = routeCircuit(logical, hw, router);
-    Circuit physical = peepholeOptimize(std::move(routed.physical));
-
-    auto t1 = std::chrono::steady_clock::now();
-
-    CompileResult result;
-    result.circuit = std::move(physical);
-    result.finalLayout = routed.finalLayout;
-    SynthStats synth;
-    synth.insertedSwaps = routed.insertedSwaps;
-    finalizeStats(result.circuit, naiveCnotCount(blocks),
-                  std::chrono::duration<double>(t1 - t0).count(), synth,
-                  result.stats);
-    return result;
+    return compileRouted(blocks, hw, synthesizeNaiveLogical,
+                         /*logical_peephole=*/true,
+                         flavor == TketFlavor::O2 ? RouterKind::SabreLite
+                                                  : RouterKind::Greedy,
+                         /*routed_peephole=*/true);
 }
 
 } // namespace tetris

@@ -1,25 +1,32 @@
 /**
  * @file
- * Naive chain synthesis and the T|Ket> proxy baseline.
+ * Naive chain synthesis, the routed-baseline pipeline, and the naive
+ * and T|Ket> proxy baselines on it.
  *
  * The naive logical synthesis lowers each Pauli string independently
  * to a CNOT chain over its active qubits (the "original circuit" of
- * the paper's Table I and gate-cancellation-ratio denominators). The
- * T|Ket> proxy models a general-purpose compiler that is blind to
- * inter-string structure: naive synthesis, peephole, then SABRE-lite
- * (O2 flavor) or greedy (O3 flavor) routing. See DESIGN.md
+ * the paper's Table I and gate-cancellation-ratio denominators).
+ * compileRouted() is the one pipeline of every baseline that
+ * synthesizes hardware-obliviously and transpiles afterwards: the
+ * naive bound, the T|Ket> proxy here, and max-cancel and the PCOAST
+ * proxy (baselines/max_cancel.hh). The T|Ket> proxy models a
+ * general-purpose compiler that is blind to inter-string structure:
+ * naive synthesis, peephole, then SABRE-lite (O2 flavor) or greedy
+ * (O3 flavor) routing and another peephole. See DESIGN.md
  * "Substitutions".
  */
 
 #ifndef TETRIS_BASELINES_NAIVE_HH
 #define TETRIS_BASELINES_NAIVE_HH
 
+#include <optional>
 #include <vector>
 
 #include "circuit/circuit.hh"
 #include "core/compiler.hh"
 #include "hardware/coupling_graph.hh"
 #include "pauli/pauli_block.hh"
+#include "router/router.hh"
 
 namespace tetris
 {
@@ -29,6 +36,25 @@ void emitChainString(Circuit &circ, const PauliString &s, double angle);
 
 /** The naive logical circuit: every string as an independent chain. */
 Circuit synthesizeNaiveLogical(const std::vector<PauliBlock> &blocks);
+
+/** A hardware-oblivious synthesis: blocks to a logical circuit. */
+using LogicalSynthesis = Circuit (*)(const std::vector<PauliBlock> &);
+
+/**
+ * The routed baselines' one pipeline: `synthesize` the logical
+ * circuit and peephole it if `logical_peephole`; then, given a
+ * `router`, map it onto `hw` from the identity layout and peephole
+ * the physical circuit if `routed_peephole`. With no router the
+ * logical circuit is the result, the hardware-oblivious accounting
+ * of Table I and Fig. 17. Routing counts as synthesis in the stage
+ * times.
+ */
+CompileResult compileRouted(const std::vector<PauliBlock> &blocks,
+                            const CouplingGraph &hw,
+                            LogicalSynthesis synthesize,
+                            bool logical_peephole,
+                            std::optional<RouterKind> router,
+                            bool routed_peephole);
 
 /** Knobs of the naive pipeline. */
 struct NaiveOptions

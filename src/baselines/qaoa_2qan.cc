@@ -1,9 +1,7 @@
 #include "baselines/qaoa_2qan.hh"
 
-#include <chrono>
 #include <limits>
 
-#include "chem/uccsd.hh"
 #include "circuit/peephole.hh"
 #include "common/logging.hh"
 
@@ -26,7 +24,9 @@ CompileResult
 compile2qanProxy(const std::vector<PauliBlock> &blocks,
                  const CouplingGraph &hw)
 {
-    auto t0 = std::chrono::steady_clock::now();
+    StageClock clock;
+    CompileResult result;
+    CompileStats &stats = result.stats;
 
     const int num_logical = blocksNumQubits(blocks);
     TETRIS_ASSERT(num_logical <= hw.numQubits());
@@ -49,7 +49,6 @@ compile2qanProxy(const std::vector<PauliBlock> &blocks,
 
     Layout layout(num_logical, hw.numQubits());
     Circuit circ(hw.numQubits());
-    SynthStats synth_stats;
 
     auto gate_distance = [&](const PendingGate &g) {
         if (g.v < 0)
@@ -67,7 +66,7 @@ compile2qanProxy(const std::vector<PauliBlock> &blocks,
         circ.cx(pu, pv);
         circ.rz(pv, g.angle);
         circ.cx(pu, pv);
-        synth_stats.emittedCx += 2;
+        stats.synthesis.emittedCx += 2;
     };
 
     while (!pending.empty()) {
@@ -138,7 +137,7 @@ compile2qanProxy(const std::vector<PauliBlock> &blocks,
             for (size_t k = 1; k + 1 < path.size(); ++k) {
                 circ.swap(path[k - 1], path[k]);
                 layout.applySwap(path[k - 1], path[k]);
-                ++synth_stats.insertedSwaps;
+                ++stats.synthesis.insertedSwaps;
             }
             continue;
         }
@@ -163,25 +162,22 @@ compile2qanProxy(const std::vector<PauliBlock> &blocks,
             circ.rz(b, pending[absorb].angle);
             circ.cx(b, a);
             circ.cx(a, b);
-            synth_stats.emittedCx += 3;
+            stats.synthesis.emittedCx += 3;
             pending.erase(pending.begin() + absorb);
         } else {
             circ.swap(best_swap.first, best_swap.second);
-            ++synth_stats.insertedSwaps;
+            ++stats.synthesis.insertedSwaps;
         }
         layout.applySwap(best_swap.first, best_swap.second);
     }
 
+    clock.lap(stats.synthSeconds);
     circ = peepholeOptimize(std::move(circ));
+    clock.lap(stats.peepholeSeconds);
 
-    auto t1 = std::chrono::steady_clock::now();
-
-    CompileResult result;
     result.circuit = std::move(circ);
     result.finalLayout = layout;
-    finalizeStats(result.circuit, naiveCnotCount(blocks),
-                  std::chrono::duration<double>(t1 - t0).count(),
-                  synth_stats, result.stats);
+    finalizeStats(blocks, clock, result);
     return result;
 }
 

@@ -44,82 +44,41 @@ Circuit::append(const Circuit &other)
     gates_.insert(gates_.end(), other.gates_.begin(), other.gates_.end());
 }
 
-size_t
-Circuit::cnotCount() const
+CircuitMetrics
+Circuit::metrics() const
 {
-    size_t n = 0;
-    for (const auto &g : gates_) {
-        if (g.kind == GateKind::CX)
-            n += 1;
-        else if (g.kind == GateKind::SWAP)
-            n += 3;
-    }
-    return n;
-}
-
-size_t
-Circuit::swapCount() const
-{
-    size_t n = 0;
-    for (const auto &g : gates_) {
-        if (g.kind == GateKind::SWAP)
-            ++n;
-    }
-    return n;
-}
-
-size_t
-Circuit::oneQubitCount() const
-{
-    size_t n = 0;
-    for (const auto &g : gates_) {
-        if (g.isOneQubit())
-            ++n;
-    }
-    return n;
-}
-
-size_t
-Circuit::totalGateCount() const
-{
-    return cnotCount() + oneQubitCount();
-}
-
-size_t
-Circuit::depth() const
-{
+    const DurationModel model;
+    CircuitMetrics m;
+    // Per wire: the layer and the time at which its last gate ends.
     std::vector<size_t> level(numQubits_, 0);
-    size_t max_level = 0;
-    for (const auto &g : gates_) {
-        size_t cost = g.kind == GateKind::SWAP ? 3 : 1;
-        size_t start = level[g.q0];
-        if (g.isTwoQubit())
-            start = std::max(start, level[g.q1]);
-        size_t end = start + cost;
-        level[g.q0] = end;
-        if (g.isTwoQubit())
-            level[g.q1] = end;
-        max_level = std::max(max_level, end);
-    }
-    return max_level;
-}
-
-double
-Circuit::duration(const DurationModel &model) const
-{
     std::vector<double> time(numQubits_, 0.0);
-    double max_time = 0.0;
     for (const auto &g : gates_) {
-        double start = time[g.q0];
-        if (g.isTwoQubit())
-            start = std::max(start, time[g.q1]);
-        double end = start + model.of(g);
-        time[g.q0] = end;
-        if (g.isTwoQubit())
-            time[g.q1] = end;
-        max_time = std::max(max_time, end);
+        if (g.kind == GateKind::CX) {
+            m.cnotCount += 1;
+        } else if (g.kind == GateKind::SWAP) {
+            m.cnotCount += 3;
+            ++m.swapCount;
+        } else if (g.isOneQubit()) {
+            ++m.oneQubitCount;
+        }
+        size_t start = level[g.q0];
+        double start_time = time[g.q0];
+        if (g.isTwoQubit()) {
+            start = std::max(start, level[g.q1]);
+            start_time = std::max(start_time, time[g.q1]);
+        }
+        const size_t end = start + (g.kind == GateKind::SWAP ? 3 : 1);
+        const double end_time = start_time + model.of(g);
+        level[g.q0] = end;
+        time[g.q0] = end_time;
+        if (g.isTwoQubit()) {
+            level[g.q1] = end;
+            time[g.q1] = end_time;
+        }
+        m.depth = std::max(m.depth, end);
+        m.durationDt = std::max(m.durationDt, end_time);
     }
-    return max_time;
+    return m;
 }
 
 Circuit

@@ -2,7 +2,8 @@
  * @file
  * Circuit container plus the metric definitions used by the paper.
  *
- * Metric conventions (Sec. VI-A of the paper):
+ * Metric conventions (Sec. VI-A of the paper), all read by
+ * Circuit::metrics():
  *  - CNOT count: every CX plus 3 per SWAP.
  *  - Depth: critical path length where a SWAP contributes 3 layers.
  *  - Duration: critical path weighted by per-gate dt durations.
@@ -45,6 +46,18 @@ struct DurationModel
           default: return oneQubitDt;
         }
     }
+};
+
+/** The paper's metrics of one circuit (conventions above). */
+struct CircuitMetrics
+{
+    size_t cnotCount = 0;     ///< CX gates plus three per SWAP.
+    size_t swapCount = 0;     ///< SWAP gates (undecomposed).
+    size_t oneQubitCount = 0; ///< Single-qubit gates.
+    size_t depth = 0;         ///< Critical path; SWAP = 3 layers.
+    double durationDt = 0.0;  ///< Critical path under DurationModel().
+
+    bool operator==(const CircuitMetrics &) const = default;
 };
 
 /**
@@ -101,23 +114,8 @@ class Circuit
     /** Append all gates of another circuit (same register width). */
     void append(const Circuit &other);
 
-    /** Number of CX gates plus three per SWAP. */
-    size_t cnotCount() const;
-
-    /** Number of SWAP gates (undecomposed). */
-    size_t swapCount() const;
-
-    /** Number of single-qubit gates. */
-    size_t oneQubitCount() const;
-
-    /** cnotCount() + oneQubitCount(). */
-    size_t totalGateCount() const;
-
-    /** Critical-path depth; SWAP counts as 3 layers. */
-    size_t depth() const;
-
-    /** Critical-path duration in dt under the model. */
-    double duration(const DurationModel &model = DurationModel()) const;
+    /** Every metric of the circuit, from one walk over its gates. */
+    CircuitMetrics metrics() const;
 
     /**
      * The inverse circuit (reversed gate order, inverted gates).

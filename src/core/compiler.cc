@@ -1,7 +1,6 @@
 #include "core/compiler.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "chem/uccsd.hh"
@@ -21,28 +20,28 @@ blocksNumQubits(const std::vector<PauliBlock> &blocks)
 }
 
 void
-finalizeStats(const Circuit &circuit, size_t original_cnots,
-              double compile_seconds, const SynthStats &synth,
-              CompileStats &stats)
+finalizeStats(const std::vector<PauliBlock> &blocks,
+              const StageClock &clock, CompileResult &result)
 {
-    stats.cnotCount = circuit.cnotCount();
-    stats.oneQubitCount = circuit.oneQubitCount();
-    stats.totalGateCount = circuit.totalGateCount();
-    stats.depth = circuit.depth();
-    stats.durationDt = circuit.duration();
-    stats.swapCount = circuit.swapCount();
+    CompileStats &stats = result.stats;
+    stats.compileSeconds = clock.elapsed();
+    const CircuitMetrics m = result.circuit.metrics();
+    stats.cnotCount = m.cnotCount;
+    stats.oneQubitCount = m.oneQubitCount;
+    stats.totalGateCount = m.cnotCount + m.oneQubitCount;
+    stats.depth = m.depth;
+    stats.durationDt = m.durationDt;
+    stats.swapCount = m.swapCount;
     stats.swapCnots = 3 * stats.swapCount;
     stats.logicalCnots = stats.cnotCount - stats.swapCnots;
-    stats.originalCnots = original_cnots;
+    stats.originalCnots = naiveCnotCount(blocks);
     stats.cancelRatio =
-        original_cnots == 0
+        stats.originalCnots == 0
             ? 0.0
-            : static_cast<double>(original_cnots -
-                                  std::min(original_cnots,
+            : static_cast<double>(stats.originalCnots -
+                                  std::min(stats.originalCnots,
                                            stats.logicalCnots)) /
-                  static_cast<double>(original_cnots);
-    stats.compileSeconds = compile_seconds;
-    stats.synthesis = synth;
+                  static_cast<double>(stats.originalCnots);
 }
 
 std::vector<size_t>
@@ -64,7 +63,9 @@ CompileResult
 compileTetris(const std::vector<PauliBlock> &blocks,
               const CouplingGraph &hw, const TetrisOptions &opts)
 {
-    auto t0 = std::chrono::steady_clock::now();
+    StageClock clock;
+    CompileResult result;
+    CompileStats &stats = result.stats;
 
     const int num_logical = blocksNumQubits(blocks);
     TETRIS_ASSERT(num_logical <= hw.numQubits(),
@@ -95,18 +96,13 @@ compileTetris(const std::vector<PauliBlock> &blocks,
     }
     Circuit circ(hw.numQubits());
     BlockSynthesizer synth(hw, opts.synthesis);
-    SynthStats synth_stats;
-
-    CompileResult result;
     result.blockOrder.reserve(blocks.size());
 
-    double synth_seconds = 0.0;
+    // Everything between two syntheses is scheduling.
     auto synthesize = [&](size_t idx) {
-        auto s0 = std::chrono::steady_clock::now();
-        synth.synthesizeBlock(ir[idx], layout, circ, synth_stats);
-        synth_seconds += std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - s0)
-                             .count();
+        clock.lap(stats.scheduleSeconds);
+        synth.synthesizeBlock(ir[idx], layout, circ, stats.synthesis);
+        clock.lap(stats.synthSeconds);
         result.blockOrder.push_back(idx);
     };
 
@@ -182,12 +178,9 @@ compileTetris(const std::vector<PauliBlock> &blocks,
         }
     }
 
-    auto t_sched = std::chrono::steady_clock::now();
     if (opts.runPeephole)
         circ = peepholeOptimize(std::move(circ));
-
-    auto t1 = std::chrono::steady_clock::now();
-    double seconds = std::chrono::duration<double>(t1 - t0).count();
+    clock.lap(stats.peepholeSeconds);
 
     result.circuit = std::move(circ);
     if (seeded) {
@@ -196,14 +189,7 @@ compileTetris(const std::vector<PauliBlock> &blocks,
         result.initialLayout = *from;
     }
     result.finalLayout = layout;
-    finalizeStats(result.circuit, naiveCnotCount(blocks), seconds,
-                  synth_stats, result.stats);
-    result.stats.synthSeconds = synth_seconds;
-    result.stats.peepholeSeconds =
-        std::chrono::duration<double>(t1 - t_sched).count();
-    result.stats.scheduleSeconds =
-        std::max(0.0, std::chrono::duration<double>(t_sched - t0).count() -
-                          synth_seconds);
+    finalizeStats(blocks, clock, result);
     return result;
 }
 

@@ -14,6 +14,7 @@
 #ifndef TETRIS_CORE_COMPILER_HH
 #define TETRIS_CORE_COMPILER_HH
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -85,11 +86,48 @@ struct CompileStats
     double compileSeconds = 0.0;
     /** Scheduler time: ranking + cost estimation (not synthesis). */
     double scheduleSeconds = 0.0;
-    /** Time inside per-block synthesis. */
+    /**
+     * Time building the circuit: per-block synthesis, which places
+     * its own SWAPs and bridges. For the routed baselines, logical
+     * synthesis plus routing; for the QAOA passes, the combined
+     * gate-selection and routing loop.
+     */
     double synthSeconds = 0.0;
-    /** Time inside the peephole ("O3") pass. */
+    /** Time inside the peephole ("O3") passes. */
     double peepholeSeconds = 0.0;
     SynthStats synthesis;
+};
+
+/**
+ * Splits one compile's wall time into CompileStats' stages: each
+ * lap(stage) adds the time since the previous lap (or since the
+ * clock started) to that stage's field, and finalizeStats() reads
+ * the whole compile time from it.
+ */
+class StageClock
+{
+  public:
+    void
+    lap(double &stage_seconds)
+    {
+        const auto now = std::chrono::steady_clock::now();
+        stage_seconds += std::chrono::duration<double>(now - last_).count();
+        last_ = now;
+    }
+
+    /** Seconds since the clock started. */
+    double
+    elapsed() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start_)
+            .count();
+    }
+
+  private:
+    std::chrono::steady_clock::time_point start_ =
+        std::chrono::steady_clock::now();
+    std::chrono::steady_clock::time_point last_ = start_;
 };
 
 /** Output of a compilation. */
@@ -130,10 +168,14 @@ std::vector<size_t> lexicographicOrder(const std::vector<PauliBlock> &blocks);
 /** Number of logical qubits a block list is defined over. */
 int blocksNumQubits(const std::vector<PauliBlock> &blocks);
 
-/** Fill the derived metric fields of `stats` from a final circuit. */
-void finalizeStats(const Circuit &circuit, size_t original_cnots,
-                   double compile_seconds, const SynthStats &synth,
-                   CompileStats &stats);
+/**
+ * Finish a compile of `blocks`: fill result.stats' counts from one
+ * walk over result.circuit, its naive chain count and cancel ratio,
+ * and compileSeconds from `clock`. The stage times and
+ * stats.synthesis are the pipeline's own.
+ */
+void finalizeStats(const std::vector<PauliBlock> &blocks,
+                   const StageClock &clock, CompileResult &result);
 
 /**
  * FNV-1a hash over every compiler knob (scheduler, lookahead K,

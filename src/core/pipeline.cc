@@ -1,5 +1,6 @@
 #include "core/pipeline.hh"
 
+#include <functional>
 #include <utility>
 
 #include "common/hash.hh"
@@ -196,47 +197,28 @@ PipelineRegistry::instance()
     return registry;
 }
 
-void
-PipelineRegistry::add(const std::string &id, Factory factory)
-{
-    TETRIS_ASSERT(factory != nullptr, "null pipeline factory");
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!factories_.emplace(id, std::move(factory)).second)
-        fatal("pipeline '", id, "' is already registered");
-}
-
 bool
 PipelineRegistry::contains(const std::string &id) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     return factories_.count(id) > 0;
 }
 
 PipelinePtr
 PipelineRegistry::create(const std::string &id) const
 {
-    Factory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = factories_.find(id);
-        if (it == factories_.end()) {
-            std::string known;
-            for (const auto &[known_id, f] : factories_)
-                known += (known.empty() ? "" : ", ") + known_id;
-            fatal("unknown pipeline '", id, "' (known: ", known, ")");
-        }
-        factory = it->second;
+    auto it = factories_.find(id);
+    if (it == factories_.end()) {
+        std::string known;
+        for (const auto &[known_id, f] : factories_)
+            known += (known.empty() ? "" : ", ") + known_id;
+        fatal("unknown pipeline '", id, "' (known: ", known, ")");
     }
-    PipelinePtr pipeline = factory();
-    TETRIS_ASSERT(pipeline != nullptr, "factory for '", id,
-                  "' returned null");
-    return pipeline;
+    return it->second();
 }
 
 std::vector<std::string>
 PipelineRegistry::ids() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> out;
     out.reserve(factories_.size());
     for (const auto &[id, factory] : factories_)

@@ -12,10 +12,11 @@
  * (name, optionsHash, blocks, device), so jobs for different
  * compilers over identical inputs can never alias.
  *
- * PipelineRegistry maps string ids to factories producing
+ * PipelineRegistry maps the built-in ids to factories producing
  * default-configured instances; the make*Pipeline() helpers in
- * core/pipeline_adapters.hh build configured ones. Registering a new
- * compiler takes one factory registration -- no engine or
+ * core/pipeline_adapters.hh build configured ones. A compiler from
+ * outside this repo needs no registration: implement Pipeline and
+ * set CompileJob::pipeline to an instance -- no engine or
  * bench-harness changes (see the README "Pipeline registry"
  * section). This header is deliberately free of baselines/
  * dependencies so the engine layer stays decoupled from the
@@ -25,10 +26,8 @@
 #ifndef TETRIS_CORE_PIPELINE_HH
 #define TETRIS_CORE_PIPELINE_HH
 
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -68,19 +67,13 @@ class Pipeline
 using PipelinePtr = std::shared_ptr<const Pipeline>;
 
 /**
- * Process-wide map from pipeline id to factory. The built-in
- * pipelines are registered on first access; add() plugs in new ones
- * (e.g. from downstream code) under fresh ids.
+ * Process-wide map from each built-in pipeline id to its factory,
+ * built on first access and only read after that.
  */
 class PipelineRegistry
 {
   public:
-    using Factory = std::function<PipelinePtr()>;
-
     static PipelineRegistry &instance();
-
-    /** Register a factory under `id` (fatal on duplicates). */
-    void add(const std::string &id, Factory factory);
 
     bool contains(const std::string &id) const;
 
@@ -91,9 +84,10 @@ class PipelineRegistry
     std::vector<std::string> ids() const;
 
   private:
-    PipelineRegistry(); // registers the built-ins below
+    using Factory = PipelinePtr (*)();
 
-    mutable std::mutex mutex_;
+    PipelineRegistry(); // registers the built-ins
+
     std::map<std::string, Factory> factories_;
 };
 

@@ -1,10 +1,8 @@
 #include "core/qaoa_pass.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
-#include "chem/uccsd.hh"
 #include "circuit/peephole.hh"
 #include "common/logging.hh"
 
@@ -28,7 +26,9 @@ CompileResult
 compileQaoaTetris(const std::vector<PauliBlock> &blocks,
                   const CouplingGraph &hw, const QaoaPassOptions &opts)
 {
-    auto t0 = std::chrono::steady_clock::now();
+    StageClock clock;
+    CompileResult result;
+    CompileStats &stats = result.stats;
 
     const int num_logical = blocksNumQubits(blocks);
     TETRIS_ASSERT(num_logical <= hw.numQubits());
@@ -61,7 +61,6 @@ compileQaoaTetris(const std::vector<PauliBlock> &blocks,
 
     Layout layout(num_logical, hw.numQubits());
     Circuit circ(hw.numQubits());
-    SynthStats synth_stats;
     std::vector<bool> retired(num_logical, false);
 
     auto retire_if_done = [&](int logical) {
@@ -89,7 +88,7 @@ compileQaoaTetris(const std::vector<PauliBlock> &blocks,
         circ.cx(pu, pv);
         circ.rz(pv, g.angle);
         circ.cx(pu, pv);
-        synth_stats.emittedCx += 2;
+        stats.synthesis.emittedCx += 2;
         --gates_left[g.u];
         --gates_left[g.v];
         retire_if_done(g.u);
@@ -101,14 +100,14 @@ compileQaoaTetris(const std::vector<PauliBlock> &blocks,
         // Chain rooted at the far endpoint: forward CNOTs, RZ, mirror.
         for (size_t k = 0; k + 1 < path.size(); ++k) {
             circ.cx(path[k], path[k + 1]);
-            ++synth_stats.emittedCx;
+            ++stats.synthesis.emittedCx;
         }
         circ.rz(path.back(), g.angle);
         for (size_t k = path.size() - 1; k >= 1; --k) {
             circ.cx(path[k - 1], path[k]);
-            ++synth_stats.emittedCx;
+            ++stats.synthesis.emittedCx;
         }
-        synth_stats.bridgeNodes += path.size() - 2;
+        stats.synthesis.bridgeNodes += path.size() - 2;
         --gates_left[g.u];
         --gates_left[g.v];
         retire_if_done(g.u);
@@ -204,7 +203,7 @@ compileQaoaTetris(const std::vector<PauliBlock> &blocks,
         if (best_swap.first >= 0 && best_benefit > 0) {
             circ.swap(best_swap.first, best_swap.second);
             layout.applySwap(best_swap.first, best_swap.second);
-            ++synth_stats.insertedSwaps;
+            ++stats.synthesis.insertedSwaps;
             continue;
         }
 
@@ -221,21 +220,18 @@ compileQaoaTetris(const std::vector<PauliBlock> &blocks,
         for (size_t k = 1; k + 1 < path.size(); ++k) {
             circ.swap(path[k - 1], path[k]);
             layout.applySwap(path[k - 1], path[k]);
-            ++synth_stats.insertedSwaps;
+            ++stats.synthesis.insertedSwaps;
         }
     }
 
+    clock.lap(stats.synthSeconds);
     if (opts.runPeephole)
         circ = peepholeOptimize(std::move(circ));
+    clock.lap(stats.peepholeSeconds);
 
-    auto t1 = std::chrono::steady_clock::now();
-
-    CompileResult result;
     result.circuit = std::move(circ);
     result.finalLayout = layout;
-    finalizeStats(result.circuit, naiveCnotCount(blocks),
-                  std::chrono::duration<double>(t1 - t0).count(),
-                  synth_stats, result.stats);
+    finalizeStats(blocks, clock, result);
     return result;
 }
 

@@ -9,10 +9,10 @@ double
 estimatedSuccessProbability(const Circuit &c, const NoiseModel &noise)
 {
     // log-domain product for numerical stability on large circuits.
+    const CircuitMetrics m = c.metrics();
     double log_p = 0.0;
-    log_p += std::log1p(-noise.p2) * static_cast<double>(c.cnotCount());
-    log_p += std::log1p(-noise.p1) *
-             static_cast<double>(c.oneQubitCount());
+    log_p += std::log1p(-noise.p2) * static_cast<double>(m.cnotCount);
+    log_p += std::log1p(-noise.p1) * static_cast<double>(m.oneQubitCount);
     return std::exp(log_p);
 }
 

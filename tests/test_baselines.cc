@@ -95,8 +95,9 @@ TEST(MaxCancel, AchievesClosedFormCancellation)
     JordanWignerEncoding enc(10);
     PauliBlock b = makeDoubleExcitation(enc, 0, 5, 6, 9, 0.3);
     std::vector<PauliBlock> blocks{b};
-    size_t cx = 0;
-    synthesizeMaxCancelLogical(blocks, &cx);
+    // The logical circuit has no SWAPs, so its CNOT count is the
+    // number of CX gates emitted.
+    size_t cx = synthesizeMaxCancelLogical(blocks).metrics().cnotCount;
     size_t L = b.commonQubits().size();
     ASSERT_EQ(L, 6u);
     EXPECT_EQ(cx, naiveCnotCount(blocks) - 2 * (L - 1) * (8 - 1));
@@ -153,8 +154,7 @@ TEST(Baselines, CancellationOrderingHolds)
 
     CompileResult ph = compilePaulihedral(blocks, hw);
     CompileResult tet = compileTetris(blocks, hw);
-    size_t max_cx = 0;
-    synthesizeMaxCancelLogical(blocks, &max_cx);
+    size_t max_cx = synthesizeMaxCancelLogical(blocks).metrics().cnotCount;
 
     // max-cancel logical CNOTs <= Tetris logical CNOTs is the upper
     // bound on cancellation; PH should cancel no more than Tetris.
@@ -186,7 +186,7 @@ TEST(Naive, LogicalCircuitMatchesTableOneAccounting)
 {
     auto blocks = smallWorkload(6, 4, 45);
     Circuit logical = synthesizeNaiveLogical(blocks);
-    EXPECT_EQ(logical.cnotCount(), naiveCnotCount(blocks));
+    EXPECT_EQ(logical.metrics().cnotCount, naiveCnotCount(blocks));
     // Emitted 1Q gates: 2 per X (H...H), 4 per Y (Sdg H ... H S),
     // one RZ per string. Table I's #1Q merges the Y basis change
     // into one u-gate per side, hence naiveOneQubitCount differs.
@@ -202,7 +202,7 @@ TEST(Naive, LogicalCircuitMatchesTableOneAccounting)
             }
         }
     }
-    EXPECT_EQ(logical.oneQubitCount(), expect);
+    EXPECT_EQ(logical.metrics().oneQubitCount, expect);
 }
 
 } // namespace

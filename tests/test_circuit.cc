@@ -22,21 +22,21 @@ TEST(Circuit, CountsFollowPaperConventions)
     c.rz(1, 0.5);
     c.cx(0, 1);
     c.swap(1, 2);
-    EXPECT_EQ(c.cnotCount(), 4u); // 1 CX + 3 per SWAP
-    EXPECT_EQ(c.swapCount(), 1u);
-    EXPECT_EQ(c.oneQubitCount(), 2u);
-    EXPECT_EQ(c.totalGateCount(), 6u);
+    const CircuitMetrics m = c.metrics();
+    EXPECT_EQ(m.cnotCount, 4u); // 1 CX + 3 per SWAP
+    EXPECT_EQ(m.swapCount, 1u);
+    EXPECT_EQ(m.oneQubitCount, 2u);
 }
 
 TEST(Circuit, DepthCountsSwapAsThreeLayers)
 {
     Circuit c(2);
     c.swap(0, 1);
-    EXPECT_EQ(c.depth(), 3u);
+    EXPECT_EQ(c.metrics().depth, 3u);
     Circuit d(2);
     d.cx(0, 1);
     d.cx(0, 1);
-    EXPECT_EQ(d.depth(), 2u);
+    EXPECT_EQ(d.metrics().depth, 2u);
 }
 
 TEST(Circuit, DepthUsesCriticalPath)
@@ -46,7 +46,7 @@ TEST(Circuit, DepthUsesCriticalPath)
     c.h(1);
     c.h(2); // parallel layer
     c.cx(0, 1);
-    EXPECT_EQ(c.depth(), 2u);
+    EXPECT_EQ(c.metrics().depth, 2u);
 }
 
 TEST(Circuit, DurationWeighsGatesByModel)
@@ -55,13 +55,13 @@ TEST(Circuit, DurationWeighsGatesByModel)
     Circuit c(2);
     c.h(0);
     c.cx(0, 1);
-    EXPECT_DOUBLE_EQ(c.duration(m), m.oneQubitDt + m.cnotDt);
+    EXPECT_DOUBLE_EQ(c.metrics().durationDt, m.oneQubitDt + m.cnotDt);
 
     Circuit d(2);
     d.h(0);
     d.h(1); // parallel: only one 1Q layer on the critical path
     d.cx(0, 1);
-    EXPECT_DOUBLE_EQ(d.duration(m), m.oneQubitDt + m.cnotDt);
+    EXPECT_DOUBLE_EQ(d.metrics().durationDt, m.oneQubitDt + m.cnotDt);
 }
 
 TEST(Circuit, InverseUndoesTheCircuit)
@@ -97,8 +97,9 @@ TEST(Circuit, SwapDecompositionPreservesUnitary)
     a.applyCircuit(c);
     b.applyCircuit(c.withSwapsDecomposed());
     EXPECT_NEAR(a.overlapWith(b), 1.0, 1e-9);
-    EXPECT_EQ(c.withSwapsDecomposed().swapCount(), 0u);
-    EXPECT_EQ(c.withSwapsDecomposed().cnotCount(), c.cnotCount());
+    const CircuitMetrics decomposed = c.withSwapsDecomposed().metrics();
+    EXPECT_EQ(decomposed.swapCount, 0u);
+    EXPECT_EQ(decomposed.cnotCount, c.metrics().cnotCount);
 }
 
 TEST(Circuit, AppendConcatenates)

@@ -82,8 +82,7 @@ TEST_F(DiskCacheTest, StoreLoadRoundTripThroughShardedLayout)
     EXPECT_EQ(cache->hits(), 1u);
     EXPECT_EQ(loaded->stats.cnotCount, result.stats.cnotCount);
     EXPECT_EQ(loaded->stats.depth, result.stats.depth);
-    EXPECT_EQ(loaded->circuit.totalGateCount(),
-              result.circuit.totalGateCount());
+    EXPECT_EQ(loaded->circuit.metrics(), result.circuit.metrics());
     EXPECT_EQ(loaded->finalLayout, result.finalLayout);
     EXPECT_EQ(loaded->blockOrder, result.blockOrder);
 
@@ -278,8 +277,7 @@ TEST_F(DiskCacheTest, EngineWarmRunSkipsCompilationEntirely)
         ASSERT_NE(warm[i], nullptr);
         EXPECT_EQ(warm[i]->stats.cnotCount, cold[i]->stats.cnotCount);
         EXPECT_EQ(warm[i]->stats.depth, cold[i]->stats.depth);
-        EXPECT_EQ(warm[i]->circuit.totalGateCount(),
-                  cold[i]->circuit.totalGateCount());
+        EXPECT_EQ(warm[i]->circuit.metrics(), cold[i]->circuit.metrics());
         EXPECT_EQ(warm[i]->finalLayout, cold[i]->finalLayout);
         EXPECT_EQ(warm[i]->blockOrder, cold[i]->blockOrder);
     }

@@ -92,7 +92,7 @@ expectSameResult(const CompileResult &a, const CompileResult &b)
     EXPECT_EQ(a.stats.synthesis.emittedCx, b.stats.synthesis.emittedCx);
     EXPECT_EQ(a.blockOrder, b.blockOrder);
     EXPECT_EQ(a.finalLayout, b.finalLayout);
-    EXPECT_EQ(a.circuit.totalGateCount(), b.circuit.totalGateCount());
+    EXPECT_EQ(a.circuit.metrics(), b.circuit.metrics());
 }
 
 TEST(ThreadPool, StressManyTasks)
@@ -490,49 +490,6 @@ TEST(PipelineRegistry, AllBuiltinsRegistered)
     EXPECT_GE(reg.ids().size(), 9u);
 }
 
-/** A downstream-registered pipeline: engine needs no changes. */
-class EchoNaivePipeline final : public Pipeline
-{
-  public:
-    const std::string &name() const override
-    {
-        static const std::string id = "test-echo-naive";
-        return id;
-    }
-
-    CompileResult
-    run(const std::vector<PauliBlock> &blocks,
-        const CouplingGraph &hw) const override
-    {
-        return compileNaive(blocks, hw);
-    }
-
-    uint64_t optionsHash() const override { return 1234567; }
-};
-
-TEST(PipelineRegistry, CustomPipelinePlugsIn)
-{
-    auto &reg = PipelineRegistry::instance();
-    if (!reg.contains("test-echo-naive")) {
-        reg.add("test-echo-naive",
-                [] { return std::make_shared<EchoNaivePipeline>(); });
-    }
-
-    auto hw = std::make_shared<const CouplingGraph>(lineTopology(8));
-    CompileJob job;
-    job.name = "custom";
-    job.blocks = buildSyntheticUcc(6, 5);
-    job.hw = hw;
-    job.pipeline = reg.create("test-echo-naive");
-
-    Engine engine(EngineOptions{.numThreads = 2});
-    auto result = engine.wait(engine.submit(job));
-    ASSERT_NE(result, nullptr);
-    CompileResult ref = compileNaive(job.blocks, *hw);
-    EXPECT_EQ(result->stats.cnotCount, ref.stats.cnotCount);
-    EXPECT_EQ(result->stats.depth, ref.stats.depth);
-}
-
 TEST(PipelineDispatch, MatchesDirectEntryPoints)
 {
     CouplingGraph hw = heavyHexTopology(2, 5);
@@ -562,6 +519,33 @@ TEST(PipelineDispatch, MatchesDirectEntryPoints)
                      compile2qanProxy(qaoa_blocks, hw));
     expectSameResult(reg.create("qaoa-bridge")->run(qaoa_blocks, hw),
                      compileQaoaTetris(qaoa_blocks, hw));
+}
+
+TEST(PipelineDispatch, EveryPipelineTimesItsStages)
+{
+    // Each registered pipeline splits its compile time into the three
+    // stages: none is negative, together they cover at least 90% of
+    // compileSeconds and never exceed it, and building the circuit
+    // (synthesis, routing included) takes measurable time.
+    CouplingGraph hw = ibmIthaca65();
+    const auto ucc = buildSyntheticUcc(20, 1020);
+    const QaoaBenchmarkSpec &spec = qaoaBenchmarks()[2]; // Rand-20
+    const auto qaoa = buildQaoaCostBlocks(buildQaoaGraph(spec, 100), 0.35);
+    auto &reg = PipelineRegistry::instance();
+    for (const std::string &id : reg.ids()) {
+        SCOPED_TRACE(id);
+        const bool is_qaoa = id.rfind("qaoa-", 0) == 0;
+        const CompileStats s =
+            reg.create(id)->run(is_qaoa ? qaoa : ucc, hw).stats;
+        EXPECT_GE(s.scheduleSeconds, 0.0);
+        EXPECT_GE(s.synthSeconds, 0.0);
+        EXPECT_GE(s.peepholeSeconds, 0.0);
+        const double stages =
+            s.scheduleSeconds + s.synthSeconds + s.peepholeSeconds;
+        EXPECT_LE(stages, s.compileSeconds);
+        EXPECT_GE(stages, 0.9 * s.compileSeconds);
+        EXPECT_GT(s.synthSeconds, 0.0);
+    }
 }
 
 TEST(PipelineDispatch, UnroutedNaiveReproducesTableOneCounts)

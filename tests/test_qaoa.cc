@@ -83,8 +83,8 @@ TEST(Qaoa, LayersHaveTableOneAccounting)
     Graph g = Graph::randomWithEdges(16, 25, 11);
     Circuit init = qaoaInitialLayer(16, 16);
     Circuit mixer = qaoaMixerLayer(16, 16, 0.2);
-    EXPECT_EQ(init.oneQubitCount() + mixer.oneQubitCount() +
-                  g.numEdges(),
+    EXPECT_EQ(init.metrics().oneQubitCount +
+                  mixer.metrics().oneQubitCount + g.numEdges(),
               57u);
 }
 

@@ -105,7 +105,7 @@ TEST(Router, NoSwapsWhenAlreadyCompliant)
     logical.cx(1, 2);
     RouteResult routed = routeCircuit(logical, lineTopology(3));
     EXPECT_EQ(routed.insertedSwaps, 0u);
-    EXPECT_EQ(routed.physical.cnotCount(), 2u);
+    EXPECT_EQ(routed.physical.metrics().cnotCount, 2u);
 }
 
 TEST(Router, DistantGateGetsSwaps)

@@ -139,8 +139,7 @@ TEST(Serialize, ThousandGateStressRoundTrip)
     Circuit decoded;
     ASSERT_TRUE(serialize::read(r, decoded));
     expectSameCircuit(c, decoded);
-    EXPECT_EQ(c.depth(), decoded.depth());
-    EXPECT_EQ(c.cnotCount(), decoded.cnotCount());
+    EXPECT_EQ(c.metrics(), decoded.metrics());
 }
 
 TEST(Serialize, CircuitRejectsOutOfRangeQubits)
