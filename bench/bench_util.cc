@@ -188,7 +188,7 @@ writeBenchFile(const std::string &artifact,
     return path;
 }
 
-std::string
+int
 writeBenchJson(const std::string &artifact,
                const std::vector<BenchRecord> &records, Engine &engine)
 {
@@ -214,7 +214,21 @@ writeBenchJson(const std::string &artifact,
             w.endObject();
         }
     };
-    return writeBenchFile(artifact, config, rows, &engine);
+    writeBenchFile(artifact, config, rows, &engine);
+
+    if (!engine.verifyEnabled())
+        return 0;
+    const uint64_t failed = engine.metrics().count("verify.fail");
+    if (failed > 0) {
+        std::fprintf(stderr, "FAIL: %llu job(s) failed verification\n",
+                     static_cast<unsigned long long>(failed));
+        return 1;
+    }
+    if (engine.metrics().count("verify.pass") == 0) {
+        std::fprintf(stderr, "FAIL: verification passed no job\n");
+        return 1;
+    }
+    return 0;
 }
 
 } // namespace tetris::bench

@@ -24,7 +24,8 @@
  * TETRIS_VERIFY=1 turns on the semantic equivalence verifier
  * (verify/verify.hh) for every result -- fresh compilations and
  * deserialized artifacts alike -- counted as verify.pass / fail /
- * skipped in the engine section.
+ * skipped in the engine section. A sweep then exits 1 when any job
+ * failed verification or none passed (see writeBenchJson()).
  *
  * Ctrl-C during a sweep cancels every job still queued
  * (Engine::cancelPending) instead of killing the process: the binary
@@ -120,10 +121,13 @@ std::string writeBenchFile(const std::string &artifact,
  * writeBenchFile() for a table/fig sweep: one row per job (its
  * `cancelled` flag and CompileStats) and the engine's metrics,
  * published after drain() so write-behind persists are counted.
+ * Returns the sweep's exit status, once the file is written: 1 when
+ * the verifier is on and any job failed it or none passed (said on
+ * stderr), else 0.
  */
-std::string writeBenchJson(const std::string &artifact,
-                           const std::vector<BenchRecord> &records,
-                           Engine &engine);
+int writeBenchJson(const std::string &artifact,
+                   const std::vector<BenchRecord> &records,
+                   Engine &engine);
 
 } // namespace tetris::bench
 

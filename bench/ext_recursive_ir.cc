@@ -63,6 +63,5 @@ main()
         }
     }
     table.print();
-    writeBenchJson("ext_recursive", records, engine);
-    return 0;
+    return writeBenchJson("ext_recursive", records, engine);
 }

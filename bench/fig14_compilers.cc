@@ -68,6 +68,5 @@ main()
                       formatCount(r[4].second->stats.cnotCount)});
     }
     table.print();
-    writeBenchJson("fig14", records, engine);
-    return 0;
+    return writeBenchJson("fig14", records, engine);
 }

@@ -71,6 +71,5 @@ main()
                   formatCount(r[4].second->stats.swapCnots)});
     }
     b.print();
-    writeBenchJson("fig15", records, engine);
-    return 0;
+    return writeBenchJson("fig15", records, engine);
 }

@@ -64,6 +64,5 @@ main()
                       formatCount(r[3].second->stats.depth)});
     }
     table.print();
-    writeBenchJson("fig16", records, engine);
-    return 0;
+    return writeBenchJson("fig16", records, engine);
 }

@@ -62,6 +62,5 @@ main()
         }
     }
     table.print();
-    writeBenchJson("fig17", records, engine);
-    return 0;
+    return writeBenchJson("fig17", records, engine);
 }

@@ -79,6 +79,5 @@ main()
         });
     }
     table.print();
-    writeBenchJson("fig18", records, engine);
-    return 0;
+    return writeBenchJson("fig18", records, engine);
 }

@@ -58,6 +58,5 @@ main()
         table.addRow(depth_row);
     }
     table.print();
-    writeBenchJson("fig19", records, engine);
-    return 0;
+    return writeBenchJson("fig19", records, engine);
 }

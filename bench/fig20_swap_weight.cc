@@ -70,6 +70,5 @@ main()
         }
     }
     table.print();
-    writeBenchJson("fig20", records, engine);
-    return 0;
+    return writeBenchJson("fig20", records, engine);
 }

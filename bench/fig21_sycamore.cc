@@ -56,6 +56,5 @@ main()
         });
     }
     table.print();
-    writeBenchJson("fig21", records, engine);
-    return 0;
+    return writeBenchJson("fig21", records, engine);
 }

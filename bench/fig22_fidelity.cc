@@ -118,6 +118,5 @@ main()
         }
     }
     table.print();
-    writeBenchJson("fig22", records, engine);
-    return 0;
+    return writeBenchJson("fig22", records, engine);
 }

@@ -69,6 +69,5 @@ main()
                       formatDouble(td / seeds)});
     }
     table.print();
-    writeBenchJson("fig23", records, engine);
-    return 0;
+    return writeBenchJson("fig23", records, engine);
 }

@@ -76,6 +76,5 @@ main()
                 m.seconds("compile.schedule"),
                 m.seconds("compile.synthesis"),
                 m.seconds("compile.peephole"));
-    writeBenchJson("fig24", records, engine);
-    return 0;
+    return writeBenchJson("fig24", records, engine);
 }

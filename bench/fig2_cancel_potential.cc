@@ -56,6 +56,5 @@ main()
         }
     }
     table.print();
-    writeBenchJson("fig2", records, engine);
-    return 0;
+    return writeBenchJson("fig2", records, engine);
 }

@@ -133,6 +133,5 @@ main()
                       withPaper(rows[i].one_q, rows[i].paper.one_q)});
     }
     table.print();
-    writeBenchJson("table1", records, engine);
-    return 0;
+    return writeBenchJson("table1", records, engine);
 }

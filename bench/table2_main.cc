@@ -105,6 +105,5 @@ main()
                          records[2 * i + 1].second->stats);
     }
     table.print();
-    writeBenchJson("table2", records, engine);
-    return 0;
+    return writeBenchJson("table2", records, engine);
 }
