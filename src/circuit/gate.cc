@@ -29,7 +29,7 @@ Gate::toString() const
     char buf[64];
     if (isTwoQubit()) {
         std::snprintf(buf, sizeof(buf), "%s %d %d", gateName(kind), q0, q1);
-    } else if (kind == GateKind::RZ || kind == GateKind::RX) {
+    } else if (takesAngle(kind)) {
         std::snprintf(buf, sizeof(buf), "%s %d (%g)", gateName(kind), q0,
                       angle);
     } else {

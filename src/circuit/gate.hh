@@ -56,6 +56,13 @@ isTwoQubit(GateKind k)
     return k == GateKind::CX || k == GateKind::SWAP;
 }
 
+/** True for the rotations, the gate kinds whose angle matters. */
+inline bool
+takesAngle(GateKind k)
+{
+    return k == GateKind::RZ || k == GateKind::RX;
+}
+
 /** Human-readable gate name. */
 const char *gateName(GateKind k);
 

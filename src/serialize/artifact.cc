@@ -1,6 +1,9 @@
 #include "serialize/artifact.hh"
 
+#include <limits>
+
 #include "common/hash.hh"
+#include "common/logging.hh"
 
 namespace tetris::serialize
 {
@@ -28,6 +31,37 @@ countOk(BinaryReader &r, uint64_t n)
     return true;
 }
 
+/** magic + version + jobKey + payloadSize. */
+constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
+
+/** write(CompileStats): 19 fixed-width fields. */
+constexpr size_t kStatsBytes = 19 * 8;
+
+size_t
+layoutBytes(const Layout &l)
+{
+    return 4 + 8 + 4 * static_cast<size_t>(l.numLogical());
+}
+
+/** Exact size of encodeArtifact's payload, so it reserves once. */
+size_t
+payloadBytes(const CompileResult &r)
+{
+    size_t n = 4 + 8;
+    for (const Gate &g : r.circuit.gates()) {
+        n += 1 + varintSize(static_cast<uint32_t>(g.q0));
+        if (g.isTwoQubit())
+            n += varintSize(static_cast<uint32_t>(g.q1));
+        if (takesAngle(g.kind))
+            n += 8;
+    }
+    n += kStatsBytes + layoutBytes(r.initialLayout) +
+         layoutBytes(r.finalLayout) + 8;
+    for (size_t idx : r.blockOrder)
+        n += varintSize(idx);
+    return n + 1;
+}
+
 } // namespace
 
 void
@@ -37,43 +71,53 @@ write(BinaryWriter &w, const Circuit &c)
     w.u64(c.size());
     for (const Gate &g : c.gates()) {
         w.u8(static_cast<uint8_t>(g.kind));
-        w.i32(g.q0);
-        w.i32(g.q1);
-        w.f64(g.angle);
+        w.varint(static_cast<uint32_t>(g.q0));
+        if (g.isTwoQubit())
+            w.varint(static_cast<uint32_t>(g.q1));
+        if (takesAngle(g.kind))
+            w.f64(g.angle);
     }
 }
 
 bool
 read(BinaryReader &r, Circuit &c)
 {
-    int nq = r.i32();
-    uint64_t count = r.u64();
-    if (!r.ok() || nq < 0 || !countOk(r, count))
+    const int nq = r.i32();
+    const uint64_t count = r.u64();
+    // Every record takes at least 2 bytes (kind and q0), so a count
+    // past remaining() / 2 cannot be real; rejecting it first bounds
+    // the reserve below by the input's own size. With no qubits, no
+    // gate can be real.
+    if (!r.ok() || nq < 0 || count > r.remaining() / 2 ||
+        (nq == 0 && count != 0)) {
+        r.fail();
         return false;
-    c = Circuit(nq);
-    for (uint64_t i = 0; i < count; ++i) {
-        Gate g;
-        uint8_t kind = r.u8();
-        g.q0 = r.i32();
-        g.q1 = r.i32();
-        g.angle = r.f64();
-        if (!r.ok() || kind > static_cast<uint8_t>(GateKind::RESET)) {
-            r.fail();
-            return false;
-        }
-        g.kind = static_cast<GateKind>(kind);
-        // Circuit::add asserts qubit ranges; validate here instead so
-        // corrupt bytes surface as a decode failure, not an abort.
-        bool q0_ok = g.q0 >= 0 && g.q0 < nq;
-        bool q1_ok = g.isTwoQubit() ? (g.q1 >= 0 && g.q1 < nq &&
-                                       g.q1 != g.q0)
-                                    : g.q1 < 0;
-        if (!q0_ok || !q1_ok) {
-            r.fail();
-            return false;
-        }
-        c.add(g);
     }
+    const uint64_t max_qubit = static_cast<uint64_t>(nq) - 1;
+    std::vector<Gate> gates;
+    gates.reserve(static_cast<size_t>(count));
+    for (uint64_t i = 0; i < count; ++i) {
+        const uint8_t kind = r.u8();
+        if (kind > static_cast<uint8_t>(GateKind::RESET)) {
+            r.fail();
+            return false;
+        }
+        Gate g{static_cast<GateKind>(kind), 0, -1, 0.0};
+        g.q0 = static_cast<int>(r.varint(max_qubit));
+        if (g.isTwoQubit()) {
+            g.q1 = static_cast<int>(r.varint(max_qubit));
+            if (g.q1 == g.q0)
+                r.fail();
+        }
+        if (takesAngle(g.kind))
+            g.angle = r.f64();
+        if (!r.ok())
+            return false;
+        gates.push_back(g);
+    }
+    // Every gate passed Circuit::add's checks above, so corrupt bytes
+    // surface as a decode failure, never an assertion.
+    c = Circuit(nq, std::move(gates));
     return true;
 }
 
@@ -166,25 +210,25 @@ read(BinaryReader &r, Layout &l)
 std::string
 encodeArtifact(uint64_t job_key, const CompileResult &result)
 {
-    BinaryWriter payload;
-    write(payload, result.circuit);
-    write(payload, result.stats);
-    write(payload, result.initialLayout);
-    write(payload, result.finalLayout);
-    payload.u64(result.blockOrder.size());
+    const size_t payload_size = payloadBytes(result);
+    BinaryWriter w;
+    w.reserve(kHeaderBytes + payload_size + 8);
+    w.u32(kMagic);
+    w.u32(kArtifactVersion);
+    w.u64(job_key);
+    w.u64(payload_size);
+    write(w, result.circuit);
+    write(w, result.stats);
+    write(w, result.initialLayout);
+    write(w, result.finalLayout);
+    w.u64(result.blockOrder.size());
     for (size_t idx : result.blockOrder)
-        payload.u64(idx);
-    payload.u8(result.cancelled ? 1 : 0);
-
-    BinaryWriter file;
-    file.u32(kMagic);
-    file.u32(kArtifactVersion);
-    file.u64(job_key);
-    file.u64(payload.size());
-    file.bytes(payload.data().data(), payload.size());
-    file.u64(fnvMixBytes(kFnvOffset, payload.data().data(),
-                         payload.size()));
-    return file.data();
+        w.varint(idx);
+    w.u8(result.cancelled ? 1 : 0);
+    TETRIS_ASSERT(w.size() == kHeaderBytes + payload_size,
+                  "payloadBytes disagrees with the encoder");
+    w.u64(checksum64(w.data().data() + kHeaderBytes, payload_size));
+    return std::move(w).take();
 }
 
 bool
@@ -203,8 +247,7 @@ decodeArtifact(ByteSpan bytes, uint64_t expected_key,
     std::string_view payload = file.view(payload_size);
     uint64_t checksum = file.u64();
     if (!file.ok() || !file.atEnd() ||
-        checksum !=
-            fnvMixBytes(kFnvOffset, payload.data(), payload.size())) {
+        checksum != checksum64(payload.data(), payload.size())) {
         return false;
     }
 
@@ -220,7 +263,8 @@ decodeArtifact(ByteSpan bytes, uint64_t expected_key,
         return false;
     decoded.blockOrder.resize(static_cast<size_t>(order_count));
     for (auto &idx : decoded.blockOrder)
-        idx = static_cast<size_t>(r.u64());
+        idx = static_cast<size_t>(
+            r.varint(std::numeric_limits<size_t>::max()));
     decoded.cancelled = r.u8() != 0;
     if (!r.ok() || !r.atEnd())
         return false;

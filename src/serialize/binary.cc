@@ -6,24 +6,32 @@
 namespace tetris::serialize
 {
 
-void
-BinaryWriter::u8(uint8_t v)
+namespace
 {
-    out_.push_back(static_cast<char>(v));
+
+/** Append v's little-endian bytes in one call. */
+template <typename T>
+void
+appendLe(std::string &out, T v)
+{
+    char buf[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i)
+        buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    out.append(buf, sizeof(T));
 }
+
+} // namespace
 
 void
 BinaryWriter::u32(uint32_t v)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        out_.push_back(static_cast<char>((v >> shift) & 0xff));
+    appendLe(out_, v);
 }
 
 void
 BinaryWriter::u64(uint64_t v)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        out_.push_back(static_cast<char>((v >> shift) & 0xff));
+    appendLe(out_, v);
 }
 
 void
@@ -36,6 +44,17 @@ void
 BinaryWriter::f64(double v)
 {
     u64(std::bit_cast<uint64_t>(v));
+}
+
+void
+BinaryWriter::varintLong(uint64_t v)
+{
+    char buf[10];
+    size_t n = 0;
+    for (; v >= 0x80; v >>= 7)
+        buf[n++] = static_cast<char>((v & 0x7f) | 0x80);
+    buf[n++] = static_cast<char>(v);
+    out_.append(buf, n);
 }
 
 void
@@ -61,15 +80,6 @@ BinaryReader::take(size_t n, const char *&p)
     p = data_.data() + pos_;
     pos_ += n;
     return true;
-}
-
-uint8_t
-BinaryReader::u8()
-{
-    const char *p = nullptr;
-    if (!take(1, p))
-        return 0;
-    return static_cast<uint8_t>(*p);
 }
 
 uint32_t
@@ -106,6 +116,31 @@ double
 BinaryReader::f64()
 {
     return std::bit_cast<double>(u64());
+}
+
+uint64_t
+BinaryReader::varintLong(uint64_t max_value)
+{
+    uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+        const char *p = nullptr;
+        if (!take(1, p))
+            return 0;
+        const auto byte = static_cast<uint8_t>(*p);
+        const uint64_t bits = byte & 0x7f;
+        // The tenth byte holds bit 63 alone; a final zero byte after
+        // the first would make a second encoding of a shorter value.
+        if ((shift == 63 && bits > 1) || (shift > 0 && byte == 0))
+            break;
+        v |= bits << shift;
+        if ((byte & 0x80) == 0) {
+            if (v > max_value)
+                break;
+            return v;
+        }
+    }
+    ok_ = false;
+    return 0;
 }
 
 std::string

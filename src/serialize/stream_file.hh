@@ -14,7 +14,7 @@
  *          u64  chunkIndex    0-based, must equal the record ordinal
  *          u64  artifactSize
  *          ...  artifact      a complete .tca image (artifact.hh),
- *                             self-checksummed
+ *                             self-checksummed by checksum64
  *
  * The writer appends and flushes record-at-a-time; the reader holds
  * one record in memory at a time, so both sides stay O(record) for
@@ -36,8 +36,13 @@
 namespace tetris::serialize
 {
 
-/** Bump on any .tcs wire-format change; readers reject others. */
-inline constexpr uint32_t kStreamVersion = 1;
+/**
+ * Bump on any .tcs wire-format change, including a kArtifactVersion
+ * bump of the images it holds; readers reject others. v2 holds v3
+ * (compact) images, so a file of v2 images fails at its header, not
+ * at record 0.
+ */
+inline constexpr uint32_t kStreamVersion = 2;
 
 /** Append-only .tcs producer; one instance per output file. */
 class StreamArtifactWriter

@@ -82,17 +82,18 @@ decodeFrameHeader(ByteSpan bytes, FrameHeader &out)
 uint64_t
 frameChecksum(ByteSpan payload)
 {
-    return fnvMixBytes(kFnvOffset, payload.data(), payload.size());
+    return checksum64(payload.data(), payload.size());
 }
 
 std::string
 encodeFrame(FrameType type, ByteSpan payload)
 {
     BinaryWriter w;
+    w.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
     encodeFrameHeader(w, type, payload.size());
     w.bytes(payload.data(), payload.size());
     w.u64(frameChecksum(payload));
-    return w.data();
+    return std::move(w).take();
 }
 
 // ---- submit payload ------------------------------------------------
@@ -299,11 +300,12 @@ std::string
 encodeResult(const ResultFrame &r)
 {
     BinaryWriter w;
+    w.reserve(8 + 1 + 8 + 8 + r.artifact.size());
     w.u64(r.jobKey);
     w.u8(static_cast<uint8_t>(r.verify));
     w.f64(r.serverMs);
     w.str(r.artifact);
-    return w.data();
+    return std::move(w).take();
 }
 
 bool

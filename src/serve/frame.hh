@@ -9,13 +9,16 @@
  *   u32  type        FrameType
  *   u64  payloadLen  bytes of payload that follow
  *   ...  payload     type-specific, serialize/binary.hh encoding
- *   u64  checksum    FNV-1a over the payload bytes
+ *   u64  checksum    checksum64 (common/hash.hh) over the payload
  *
  * The payloads reuse the serialize/ layer end to end: submit bodies
  * are BinaryWriter records, and a Result frame's artifact field *is*
  * a complete `.tca` file image (serialize/artifact.hh) — the same
  * bytes the disk cache stores, so a client can persist the response
  * directly and the server never invents a second result encoding.
+ * The server encodes that image once per cached result
+ * (CompileCache::Entry::image), so a warm hit encodes nothing; the
+ * client checks both the frame trailer and the image's own checksum.
  *
  * Decoding is total, exactly like the artifact codec: truncation,
  * bit flips, version skew, oversize length prefixes, and malformed
@@ -50,15 +53,17 @@ inline constexpr uint32_t kFrameMagic = 0x31505354u;
 
 /**
  * Bump on any frame-layout change; receivers reject other versions.
- * v2 added the Submit initialLayout field (streamed chunk chaining);
- * v1 peers get version_skew, never a misparse.
+ * v2 added the Submit initialLayout field (streamed chunk chaining).
+ * v3 moved the trailer from FNV-1a to checksum64 and carries v3
+ * (compact) .tca images. Older peers get version_skew, never a
+ * misparse.
  */
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /** magic + version + type + payloadLen. */
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 4 + 8;
 
-/** Trailing FNV-1a checksum over the payload. */
+/** Trailing checksum64 over the payload. */
 inline constexpr size_t kFrameTrailerBytes = 8;
 
 /** Default per-frame payload budget (TETRIS_SERVE_MAX_FRAME_MB). */
@@ -96,7 +101,7 @@ void encodeFrameHeader(serialize::BinaryWriter &w, FrameType type,
  */
 bool decodeFrameHeader(serialize::ByteSpan bytes, FrameHeader &out);
 
-/** FNV-1a over a payload, the frame trailer value. */
+/** checksum64 over a payload, the frame trailer value. */
 uint64_t frameChecksum(serialize::ByteSpan payload);
 
 /** One complete frame image: header + payload + checksum. */
@@ -183,7 +188,11 @@ struct ResultFrame
 {
     uint64_t jobKey = 0;
     WireVerify verify = WireVerify::NotRun;
-    /** Submit-to-respond wall time on the server, milliseconds. */
+    /**
+     * Server wall time, milliseconds: from a read Submit frame to
+     * the encoded image in hand, so it includes any encode. What it
+     * leaves out of the client's round trip is frames and sockets.
+     */
     double serverMs = 0.0;
     /** Complete .tca image; decode with serialize::decodeArtifact. */
     std::string artifact;

@@ -14,10 +14,15 @@
  * totals. On a mismatch the test prints every actual row of that file
  * in its format; updating the corpus means checking that the new
  * output is intended and pasting those rows into the file.
+ *
+ * Every result of the four corpora also round-trips through the .tca
+ * codec (serialize/artifact.hh) and must come back bit for bit, and
+ * every gate must be in the form its compact record assumes.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -33,6 +38,7 @@
 #include "engine/engine.hh"
 #include "hardware/topologies.hh"
 #include "qaoa/qaoa.hh"
+#include "serialize/artifact.hh"
 
 namespace tetris
 {
@@ -64,6 +70,67 @@ formatRow(const std::string &job, const CompileResult &r)
                   r.stats.oneQubitCount, r.stats.depth,
                   r.stats.swapCount, circuitHash(r));
     return buf;
+}
+
+uint64_t
+bits(double d)
+{
+    return std::bit_cast<uint64_t>(d);
+}
+
+/**
+ * Round-trip one result through the .tca codec and compare every
+ * field bit for bit. Each gate must also be in the form the compact
+ * records assume: a one-qubit gate has q1 = -1 and a kind without an
+ * angle has angle 0.0, since those are what a decode gives back.
+ */
+void
+expectCodecRoundTrip(const std::string &job, const CompileResult &r)
+{
+    SCOPED_TRACE(job);
+    CompileResult back;
+    ASSERT_TRUE(serialize::decodeArtifact(serialize::encodeArtifact(1, r),
+                                          1, back));
+    ASSERT_EQ(back.circuit.numQubits(), r.circuit.numQubits());
+    ASSERT_EQ(back.circuit.size(), r.circuit.size());
+    for (size_t i = 0; i < r.circuit.size(); ++i) {
+        const Gate &a = r.circuit.gates()[i];
+        const Gate &b = back.circuit.gates()[i];
+        ASSERT_TRUE(a.isTwoQubit() || a.q1 == -1) << "gate " << i;
+        ASSERT_TRUE(takesAngle(a.kind) || bits(a.angle) == 0)
+            << "gate " << i;
+        ASSERT_TRUE(a.kind == b.kind && a.q0 == b.q0 && a.q1 == b.q1 &&
+                    bits(a.angle) == bits(b.angle))
+            << "gate " << i << ": " << a.toString() << " came back as "
+            << b.toString();
+    }
+    EXPECT_EQ(back.initialLayout, r.initialLayout);
+    EXPECT_EQ(back.finalLayout, r.finalLayout);
+    EXPECT_EQ(back.blockOrder, r.blockOrder);
+    EXPECT_EQ(back.cancelled, r.cancelled);
+
+    const CompileStats &s = r.stats;
+    const CompileStats &t = back.stats;
+    EXPECT_EQ(t.cnotCount, s.cnotCount);
+    EXPECT_EQ(t.oneQubitCount, s.oneQubitCount);
+    EXPECT_EQ(t.totalGateCount, s.totalGateCount);
+    EXPECT_EQ(t.depth, s.depth);
+    EXPECT_EQ(bits(t.durationDt), bits(s.durationDt));
+    EXPECT_EQ(t.swapCount, s.swapCount);
+    EXPECT_EQ(t.swapCnots, s.swapCnots);
+    EXPECT_EQ(t.logicalCnots, s.logicalCnots);
+    EXPECT_EQ(t.originalCnots, s.originalCnots);
+    EXPECT_EQ(bits(t.cancelRatio), bits(s.cancelRatio));
+    EXPECT_EQ(bits(t.compileSeconds), bits(s.compileSeconds));
+    EXPECT_EQ(bits(t.scheduleSeconds), bits(s.scheduleSeconds));
+    EXPECT_EQ(bits(t.synthSeconds), bits(s.synthSeconds));
+    EXPECT_EQ(bits(t.peepholeSeconds), bits(s.peepholeSeconds));
+    EXPECT_EQ(t.synthesis.insertedSwaps, s.synthesis.insertedSwaps);
+    EXPECT_EQ(t.synthesis.emittedCx, s.synthesis.emittedCx);
+    EXPECT_EQ(t.synthesis.bridgeNodes, s.synthesis.bridgeNodes);
+    EXPECT_EQ(t.synthesis.blocksWithCancellation,
+              s.synthesis.blocksWithCancellation);
+    EXPECT_EQ(t.synthesis.blocksFallback, s.synthesis.blocksFallback);
 }
 
 /** Corpus rows keyed by job name; '#' lines are comments. */
@@ -255,6 +322,7 @@ TEST(Golden, QuickSweepsAreUnchanged)
                 it == expected.end() ? "(missing)" : it->second;
             EXPECT_EQ(row, want) << names[i];
             all_match = all_match && row == want;
+            expectCodecRoundTrip(names[i], *results[i]);
         }
         if (!all_match)
             std::printf("actual rows of %s:\n%s", sweep.corpus,

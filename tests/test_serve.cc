@@ -395,17 +395,22 @@ TEST(ServeRobustness, VersionSkewAnswersTyped)
 {
     ServeFixture fx;
     ASSERT_NE(fx.server, nullptr);
-    auto client = fx.connect();
-    ASSERT_NE(client, nullptr);
 
-    serialize::BinaryWriter w;
-    w.u32(serve::kFrameMagic);
-    w.u32(serve::kProtocolVersion + 7);
-    w.u32(static_cast<uint32_t>(FrameType::Ping));
-    w.u64(0);
-    ASSERT_TRUE(
-        net::sendAll(client->fd(), w.data().data(), w.data().size()));
-    expectErrorFrame(client->fd(), "version_skew");
+    // Version 2 is the previous layout (FNV-1a trailers, 17-byte gate
+    // records): a peer still speaking it gets the typed answer.
+    for (uint32_t version : {2u, serve::kProtocolVersion + 7}) {
+        SCOPED_TRACE(version);
+        auto client = fx.connect();
+        ASSERT_NE(client, nullptr);
+        serialize::BinaryWriter w;
+        w.u32(serve::kFrameMagic);
+        w.u32(version);
+        w.u32(static_cast<uint32_t>(FrameType::Ping));
+        w.u64(0);
+        ASSERT_TRUE(net::sendAll(client->fd(), w.data().data(),
+                                 w.data().size()));
+        expectErrorFrame(client->fd(), "version_skew");
+    }
 }
 
 TEST(ServeRobustness, CorruptChecksumAnswersTyped)
