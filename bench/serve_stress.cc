@@ -14,21 +14,28 @@
  *
  * BENCH_serve.json (bench_util.hh's shared layout) holds a `cold`
  * and a `warm` row -- p50/p90/p99/max/avg client-observed latency,
- * throughput, and the phase's compile/dedup/verify counts -- plus a
- * `server` row, and the engine's metrics. Diff two runs with
- * `scripts/bench_diff.py old new`.
+ * its split into server time (`server_ms`, the serverMs each Result
+ * frame carries: decode, compile or cache hit, image encode) and
+ * wire time (`wire_ms`, the rest of the round trip: frames, sockets,
+ * the client's decode) as p50/p99, throughput, and the phase's
+ * compile/dedup/verify counts -- plus a `server` row, and the
+ * engine's metrics. Diff two runs with `scripts/bench_diff.py old
+ * new`.
  *
  *   serve_stress [--clients N] [--jobs M] [--programs P] [--qubits Q]
  *
  * Defaults: 8 clients x 50 jobs over 16 distinct 8-qubit programs
- * (TETRIS_BENCH_QUICK=1: 4 x 10 over 6). TETRIS_CACHE_DIR adds the
- * disk tier under the stress, TETRIS_VERIFY=0 disables the verifier.
- * Exit status 1 on any rejected request, transport error, verify
- * failure, bad frame, or warm-phase recompile.
+ * (TETRIS_BENCH_QUICK=1: 4 x 10 over 6). --clients takes [1, 256],
+ * --qubits [1, 4096] (the wire's cap), --jobs and --programs
+ * [1, 2^20]; any other value prints the usage and exits 2 before a
+ * thread starts. TETRIS_CACHE_DIR adds the disk tier under the
+ * stress, TETRIS_VERIFY=0 disables the verifier. Exit status 1 on
+ * any rejected request, transport error, verify failure, bad frame,
+ * or warm-phase recompile.
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 #include "common/net.hh"
 
@@ -39,8 +46,10 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -61,7 +70,11 @@ using Clock = std::chrono::steady_clock;
 
 struct PhaseStats
 {
-    std::vector<double> latencyMs; // one entry per completed request
+    // One entry per completed request: the client's round trip, the
+    // server's share of it (Response::serverMs), and the rest.
+    std::vector<double> latencyMs;
+    std::vector<double> serverMs;
+    std::vector<double> wireMs;
     uint64_t ok = 0;
     uint64_t rejected = 0;
     uint64_t transportErrors = 0;
@@ -151,6 +164,8 @@ runPhase(const Engine &engine, int port, int clients, int jobs,
                 }
                 local.ok++;
                 local.latencyMs.push_back(ms);
+                local.serverMs.push_back(resp.serverMs);
+                local.wireMs.push_back(ms - resp.serverMs);
                 if (resp.verify == serve::WireVerify::Fail)
                     local.verifyFail++;
             }
@@ -159,9 +174,11 @@ runPhase(const Engine &engine, int port, int clients, int jobs,
             stats.rejected += local.rejected;
             stats.transportErrors += local.transportErrors;
             stats.verifyFail += local.verifyFail;
-            stats.latencyMs.insert(stats.latencyMs.end(),
-                                   local.latencyMs.begin(),
-                                   local.latencyMs.end());
+            for (auto [all, mine] :
+                 {std::pair{&stats.latencyMs, &local.latencyMs},
+                  std::pair{&stats.serverMs, &local.serverMs},
+                  std::pair{&stats.wireMs, &local.wireMs}})
+                all->insert(all->end(), mine->begin(), mine->end());
         });
     }
     for (auto &t : threads)
@@ -177,9 +194,10 @@ runPhase(const Engine &engine, int port, int clients, int jobs,
     stats.deduped =
         engine.metrics().count("jobs.deduplicated") - dedup0;
 
-    std::sort(stats.latencyMs.begin(), stats.latencyMs.end());
+    for (auto *samples : {&stats.latencyMs, &stats.serverMs, &stats.wireMs})
+        std::sort(samples->begin(), samples->end());
     std::printf("%-5s %5llu ok  %3llu rejected  %3llu transport  "
-                "p50 %.2fms  p99 %.2fms  %.2fs wall  "
+                "p50 %.2fms (server %.2fms)  p99 %.2fms  %.2fs wall  "
                 "%llu compiles  %llu dedup\n",
                 phase_name,
                 static_cast<unsigned long long>(stats.ok),
@@ -187,6 +205,7 @@ runPhase(const Engine &engine, int port, int clients, int jobs,
                 static_cast<unsigned long long>(
                     stats.transportErrors),
                 percentile(stats.latencyMs, 0.50),
+                percentile(stats.serverMs, 0.50),
                 percentile(stats.latencyMs, 0.99), stats.wallSeconds,
                 static_cast<unsigned long long>(stats.compiles),
                 static_cast<unsigned long long>(stats.deduped));
@@ -217,6 +236,13 @@ writePhaseJson(JsonWriter &w, const char *name, PhaseStats &s)
                                            : s.latencyMs.back());
     w.key("avg").value(average(s.latencyMs));
     w.endObject();
+    for (auto [key, samples] : {std::pair{"server_ms", &s.serverMs},
+                                std::pair{"wire_ms", &s.wireMs}}) {
+        w.key(key).beginObject();
+        w.key("p50").value(percentile(*samples, 0.50));
+        w.key("p99").value(percentile(*samples, 0.99));
+        w.endObject();
+    }
     w.key("compiles").value(s.compiles);
     w.key("disk_hits").value(s.diskHits);
     w.key("deduplicated").value(s.deduped);
@@ -234,31 +260,34 @@ main(int argc, char **argv)
     int programs = quick ? 6 : 16;
     int qubits = 8;
 
+    // Every flag is checked here, before a thread starts or a socket
+    // binds: a client count is a thread count.
+    const struct
+    {
+        const char *flag;
+        int *value;
+        int64_t max;
+    } flags[] = {
+        {"--clients", &clients, 256},
+        {"--jobs", &jobs, 1 << 20},
+        {"--programs", &programs, 1 << 20},
+        {"--qubits", &qubits, 4096},
+    };
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (arg == "--clients" && (v = next()))
-            clients = std::atoi(v);
-        else if (arg == "--jobs" && (v = next()))
-            jobs = std::atoi(v);
-        else if (arg == "--programs" && (v = next()))
-            programs = std::atoi(v);
-        else if (arg == "--qubits" && (v = next()))
-            qubits = std::atoi(v);
-        else {
+        const auto *f = std::find_if(
+            std::begin(flags), std::end(flags),
+            [&](const auto &c) { return std::strcmp(argv[i], c.flag) == 0; });
+        const auto n = f != std::end(flags) && i + 1 < argc
+                           ? parseBoundedInt(argv[++i], 1, f->max)
+                           : std::nullopt;
+        if (!n) {
             std::fprintf(stderr,
                          "usage: %s [--clients N] [--jobs M] "
                          "[--programs P] [--qubits Q]\n",
                          argv[0]);
             return 2;
         }
-    }
-    if (clients < 1 || jobs < 1 || programs < 1 || qubits < 1) {
-        std::fprintf(stderr, "serve_stress: bad arguments\n");
-        return 2;
+        *f->value = static_cast<int>(*n);
     }
 
     // Verify every served result by default (the acceptance bar is

@@ -32,12 +32,16 @@
  *   --window N     blocks per chunk (default: TETRIS_STREAM_WINDOW
  *                  or 256)
  *
+ * Integer flags are strict: --port takes [1, 65535], --qubits
+ * [1, 4096] (the wire's cap), --seed [0, 2^63), and --jobs,
+ * --distinct and --window [1, 2^20]. Any other value prints the usage
+ * and exits 2 before a connection is made.
+ *
  * Exit status: 0 when every submission returned a Result with
  * verify != fail, 1 otherwise.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/net.hh"
@@ -45,19 +49,25 @@
 #if TETRIS_HAVE_SOCKETS
 
 #include <chrono>
-#include <memory>
-#include <vector>
-
 #include <fstream>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <type_traits>
+#include <vector>
 
 #include "bench_util.hh"
 #include "chem/uccsd.hh"
+#include "common/env.hh"
 #include "frontend/stream_compiler.hh"
 #include "hardware/topologies.hh"
 #include "serve/client.hh"
 
 namespace
 {
+
+/** Upper bound of the count flags (--jobs, --distinct, --window). */
+constexpr int64_t kMaxCount = int64_t{1} << 20;
 
 int
 usage(const char *argv0)
@@ -112,35 +122,46 @@ main(int argc, char **argv)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
+        // The flag's value in [lo, hi]; false (the usage) otherwise.
+        auto bounded = [&](auto &out, int64_t lo, int64_t hi) {
+            const char *v = next();
+            const auto n = v ? parseBoundedInt(v, lo, hi) : std::nullopt;
+            if (n)
+                out = static_cast<std::remove_reference_t<decltype(out)>>(*n);
+            return n.has_value();
+        };
         const char *v = nullptr;
-        if (arg == "--port" && (v = next()))
-            port = std::atoi(v);
+        bool ok = true;
+        if (arg == "--port")
+            ok = bounded(port, 1, 65535);
         else if (arg == "--unix" && (v = next()))
             unix_path = v;
-        else if (arg == "--jobs" && (v = next()))
-            jobs = std::atoi(v);
-        else if (arg == "--qubits" && (v = next()))
-            qubits = std::atoi(v);
-        else if (arg == "--seed" && (v = next()))
-            seed = std::strtoull(v, nullptr, 10);
-        else if (arg == "--distinct" && (v = next()))
-            distinct = std::atoi(v);
+        else if (arg == "--jobs")
+            ok = bounded(jobs, 1, kMaxCount);
+        else if (arg == "--qubits")
+            ok = bounded(qubits, 1, 4096);
+        else if (arg == "--seed")
+            ok = bounded(seed, 0, std::numeric_limits<int64_t>::max());
+        else if (arg == "--distinct")
+            ok = bounded(distinct, 1, kMaxCount);
         else if (arg == "--pipeline" && (v = next()))
             pipeline_id = v;
         else if (arg == "--name" && (v = next()))
             name_prefix = v;
         else if (arg == "--file" && (v = next()))
             file_path = v;
-        else if (arg == "--window" && (v = next()))
-            window = std::atoi(v);
+        else if (arg == "--window")
+            ok = bounded(window, 1, kMaxCount);
         else if (arg == "--ping")
             ping_only = true;
         else if (arg == "--stats")
             stats_only = true;
         else
+            ok = false;
+        if (!ok)
             return usage(argv[0]);
     }
-    if ((port < 0 && unix_path.empty()) || jobs < 1 || qubits < 1)
+    if (port < 0 && unix_path.empty())
         return usage(argv[0]);
     if (distinct < 1)
         distinct = jobs;

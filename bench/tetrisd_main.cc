@@ -12,7 +12,7 @@
  *   tetrisd [--port N] [--host H] [--unix PATH] [--port-file PATH]
  *           [--no-verify] [--cancel-queued-on-signal]
  *
- *   --port N       TCP listen port (default 0 = ephemeral; -1 = off)
+ *   --port N       TCP listen port in [0, 65535] (default 0 = ephemeral)
  *   --host H       TCP bind host (default 127.0.0.1)
  *   --unix PATH    also listen on a Unix-domain socket
  *   --port-file P  write the bound TCP port to P (scripts discover
@@ -23,6 +23,9 @@
  *                  (clients get `compile_cancelled` error frames)
  *                  instead of compiling out the backlog
  *
+ * A malformed or out-of-range --port prints the usage and exits 2
+ * before anything binds.
+ *
  * Environment: TETRIS_SERVE_MAX_CLIENTS / TETRIS_SERVE_QUEUE /
  * TETRIS_SERVE_MAX_FRAME_MB (admission control), TETRIS_CACHE_DIR
  * (persistent artifact store), TETRIS_OBS_ADDR (/metrics + /healthz),
@@ -30,8 +33,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/net.hh"
@@ -41,6 +44,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
 #include "serve/server.hh"
@@ -91,9 +95,10 @@ main(int argc, char **argv)
         };
         if (arg == "--port") {
             const char *v = next();
-            if (!v)
+            const auto port = v ? parseBoundedInt(v, 0, 65535) : std::nullopt;
+            if (!port)
                 return usage(argv[0]);
-            opts.tcpPort = std::atoi(v);
+            opts.tcpPort = static_cast<int>(*port);
         } else if (arg == "--host") {
             const char *v = next();
             if (!v)

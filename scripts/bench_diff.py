@@ -49,6 +49,7 @@ POLICY = {
     "gates_in": "exact",
     "gates_out": "exact",
     "passes": "exact",
+    "bytes_total": "exact",
     # Rates: lower is worse.
     "ops_per_sec": "lower",
     "speedup": "lower",

@@ -16,7 +16,8 @@
 # loads, packed Pauli kernels) then runs its quick preset: its warm
 # engine sweep must do zero recompiles and its hit-only cache sweeps
 # and artifact loads must see no miss (the binary exits 1
-# otherwise), the packed kernels must hold their >=5x speedup at
+# otherwise), stored artifacts must average under 40 KB (compact
+# gate records), the packed kernels must hold their >=5x speedup at
 # 64+ qubits, each scheduler row (UCC-20 and CH4/JW at K in
 # {1, 10, 22}) must have scheduled blocks, and each peephole row
 # (UCC-20 and CH4/JW under Paulihedral and Tetris) must remove gates.
@@ -31,9 +32,11 @@
 # job lifecycle. The disarmed event log must cost a few ns/op at
 # most (obs_overhead section of BENCH_perf.json).
 #
-# Serving: the multi-client stress bench must pass (warm phase all
-# cache hits) and write BENCH_serve.json (every BENCH file is then
-# checked for the shared bench-v3 layout), then a real tetrisd
+# Serving: the serve CLIs must refuse every malformed or out-of-range
+# integer flag with exit 2 at parse time; the multi-client stress
+# bench must pass (warm phase all cache hits) and write
+# BENCH_serve.json with server and wire time split out (every BENCH
+# file is then checked for the shared bench-v3 layout), then a real tetrisd
 # round-trips compilations over TCP + unix socket via tetris_client
 # — including a streamed program file ingested in windowed chunks
 # with server-side verification on — and is SIGTERMed mid-batch; the
@@ -231,6 +234,12 @@ slow = [r for r in kernels
         and r["kernel"] in ("commute", "product")
         and r["speedup"] < 5.0]
 assert not slow, f"packed Pauli kernels below 5x at >=64 qubits: {slow}"
+# Compact .tca gate records: about 23 KB per stored artifact (the
+# 17-bytes-per-gate layout took about 125 KB).
+for name in ("load/cold", "load/warm"):
+    per_artifact = rows[name]["bytes_total"] / rows[name]["entries"]
+    assert per_artifact < 40_000, \
+        f"{name}: {per_artifact:.0f} bytes per artifact (want < 40 KB)"
 obs = rows["obs_overhead"]
 assert obs["event_log_disabled_ns"] < 50.0, \
     "disarmed event log costs " \
@@ -252,6 +261,8 @@ for workload in ("ucc/UCC-20", "jw/CH4"):
             f"{row['gates_out']} out)"
 print("smoke OK: warm microbench did zero recompiles "
       f"({warm['disk_hits']} disk hit(s)); "
+      f"{rows['load/warm']['bytes_total'] // rows['load/warm']['entries']}"
+      " bytes per stored artifact; "
       f"{len(sweeps)} cache sweeps; packed Pauli kernels >=5x at 64+ "
       "qubits; "
       f"disarmed event log {obs['event_log_disabled_ns']:.2f} ns/op; "
@@ -395,12 +406,57 @@ print(f"smoke OK: 1M+-instruction streams held peak RSS at "
 EOF
 
 # ---- resident serve plane: tetrisd + wire protocol ----------------
+# Every integer flag of the serve CLIs is parsed strictly: a
+# non-number, -1 and the first value above its range each print the
+# usage and exit 2 before any socket binds or thread starts. (The
+# client gets a valid --port so only the flag under test is bad.)
+expect_usage() { # command...
+  set +e
+  (cd build && "$@") > /dev/null 2>&1
+  local rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "smoke FAIL: '$*' exited $rc (want 2)" >&2
+    exit 1
+  fi
+}
+for bad in x -1 65536; do
+  expect_usage ./tetrisd_main --port "$bad"
+  expect_usage ./tetris_client --port "$bad" --ping
+done
+# Each flag:first-value-above-its-range.
+for flag_above in jobs:1048577 qubits:4097 distinct:1048577 \
+    window:1048577 seed:9223372036854775808; do
+  for bad in x -1 "${flag_above#*:}"; do
+    expect_usage ./tetris_client --port 1 "--${flag_above%%:*}" "$bad"
+  done
+done
+for flag_above in clients:257 jobs:1048577 programs:1048577 qubits:4097; do
+  for bad in x -1 "${flag_above#*:}"; do
+    expect_usage ./serve_stress "--${flag_above%%:*}" "$bad"
+  done
+done
+echo "smoke OK: tetrisd_main, tetris_client and serve_stress refused" \
+  "every malformed or out-of-range integer flag"
+
 # The multi-client stress bench runs the full frame protocol against
 # an in-process server: the warm phase must be pure cache hits (the
 # binary itself exits 1 on any recompile, rejection, verify failure,
-# or bad frame).
+# or bad frame). Each phase row splits the round trip into server
+# time (the serverMs of each Result frame) and wire time.
 (cd build && ./serve_stress)
 test -s build/BENCH_serve.json
+python3 - build/BENCH_serve.json <<'EOF'
+import json, sys
+rows = {row["name"]: row for row in json.load(open(sys.argv[1]))["rows"]}
+warm = rows["warm"]
+for part in ("server_ms", "wire_ms"):
+    assert set(warm.get(part, {})) == {"p50", "p99"}, \
+        f"warm row has no {part} p50/p99: {warm.get(part)}"
+print(f"smoke OK: serve_stress warm p50 {warm['latency_ms']['p50']:.2f} ms;"
+      f" server p50 {warm['server_ms']['p50']:.2f} ms,"
+      f" wire p50 {warm['wire_ms']['p50']:.2f} ms")
+EOF
 
 # Every BENCH file written above shares one layout: exactly schema,
 # artifact, config and named rows, plus engine where one engine ran.
