@@ -5,7 +5,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "serialize/artifact.hh"
 
 namespace tetris
 {
@@ -35,15 +34,6 @@ CompileCache::Entry::get() const
         return ready_.load(std::memory_order_relaxed);
     });
     return result_;
-}
-
-const std::string &
-CompileCache::Entry::image(uint64_t key) const
-{
-    std::call_once(imageOnce_, [&] {
-        image_ = serialize::encodeArtifact(key, *get());
-    });
-    return image_;
 }
 
 namespace

@@ -7,8 +7,7 @@
  * deduplicates in-flight work: the first submitter of a key computes
  * the result while concurrent submitters of the same key block on the
  * shared Entry instead of recompiling. Results are immutable once
- * published (shared_ptr<const CompileResult>), and so is the .tca
- * image an entry encodes of its result on first request (image()).
+ * published (shared_ptr<const CompileResult>).
  *
  * The table is striped across N independently-locked shards (key
  * modulo shard count — jobKey output is already well mixed). Every
@@ -33,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "common/histogram.hh"
@@ -80,17 +78,6 @@ class CompileCache
             return verify_.load(std::memory_order_acquire);
         }
 
-        /**
-         * The published result as a .tca image under `key` (the
-         * entry's own key), blocking until published. The first call
-         * encodes it, once for all threads; the entry keeps the bytes,
-         * so later calls return the same string and encode nothing.
-         * tetrisd answers every request for the entry with it. Sweeps,
-         * disk writes and .tcs appends never call this, so their
-         * entries keep no image.
-         */
-        const std::string &image(uint64_t key) const;
-
       private:
         mutable std::mutex mutex_;
         mutable std::condition_variable published_;
@@ -98,9 +85,6 @@ class CompileCache
         std::atomic<bool> ready_{false};
         /** 0 = verify not run, else 1 + VerifyStatus. */
         std::atomic<uint8_t> verify_{0};
-        mutable std::once_flag imageOnce_;
-        /** Written once under imageOnce_, then only read. */
-        mutable std::string image_;
     };
 
     /**

@@ -16,9 +16,8 @@
  * a complete `.tca` file image (serialize/artifact.hh) — the same
  * bytes the disk cache stores, so a client can persist the response
  * directly and the server never invents a second result encoding.
- * The server encodes that image once per cached result
- * (CompileCache::Entry::image), so a warm hit encodes nothing; the
- * client checks both the frame trailer and the image's own checksum.
+ * The client checks both the frame trailer and the image's own
+ * checksum.
  *
  * Decoding is total, exactly like the artifact codec: truncation,
  * bit flips, version skew, oversize length prefixes, and malformed

@@ -17,6 +17,7 @@
 #include "engine/engine.hh"
 #include "engine/stats.hh"
 #include "engine/trace.hh"
+#include "serialize/artifact.hh"
 #include "serve/frame.hh"
 
 namespace tetris::serve
@@ -400,16 +401,14 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
         return;
     }
 
-    // The entry encodes its image on the first request and keeps it,
-    // so a warm hit encodes nothing. Server time stops once the image
-    // is in hand: a cold request's encode is server work, not wire.
-    const std::string &image = entry->image(key);
     ResultFrame rf;
     rf.jobKey = key;
     rf.verify = static_cast<WireVerify>(entry->verifyStatus());
+    rf.artifact = serialize::encodeArtifact(key, *result);
+    // Server time stops once the image is in hand: the encode is
+    // server work, not wire.
     rf.serverMs =
         static_cast<double>(steadyNowNs() - t0) / 1e6;
-    rf.artifact = image;
     // Count before sending: a client may read the counter as soon as
     // it holds the frame.
     engine_.metrics().addCount("serve.results");

@@ -5,8 +5,7 @@
  * accounting, in-flight dedup and cross-pipeline key separation,
  * the sharded cache (TETRIS_CACHE_SHARDS resolution, multi-thread
  * contention stress across shard counts {1, 4, 64}, dedup
- * invariance under sharding, erase releasing its entry, one .tca
- * image encoded per entry for every thread that asks), progress
+ * invariance under sharding, erase releasing its entry), progress
  * reporting, thread-pool stress, the single-thread fallback, the
  * hardened TETRIS_ENGINE_THREADS knob, JSON serialization of stats
  * and metrics, and cancellation of pending jobs. (The persistent
@@ -37,7 +36,6 @@
 #include "engine/thread_pool.hh"
 #include "hardware/topologies.hh"
 #include "qaoa/qaoa.hh"
-#include "serialize/artifact.hh"
 
 namespace tetris
 {
@@ -277,48 +275,6 @@ TEST(CompileCache, EraseReleasesTheEntry)
     cache.erase(key);
     EXPECT_TRUE(weak.expired());
     EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(CompileCache, ImageIsEncodedOnceForEveryThread)
-{
-    // Eight threads ask one entry for its image, most of them before
-    // the result is published. All must get the bytes a direct encode
-    // gives, from the one string the entry keeps: a second encode
-    // would swap that string's buffer under the threads that returned
-    // before it (and race under TSan, which runs this suite).
-    CompileCache cache(1);
-    const uint64_t key = 0x5151ull;
-    bool is_new = false;
-    auto entry = cache.acquire(key, is_new);
-    ASSERT_TRUE(is_new);
-    auto result = std::make_shared<const CompileResult>(
-        compileTetris(buildSyntheticUcc(6, 11), lineTopology(6)));
-
-    constexpr int kThreads = 8;
-    std::array<const std::string *, kThreads> images{};
-    std::array<const char *, kThreads> buffers{};
-    std::atomic<int> started{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            started.fetch_add(1);
-            const std::string &image = entry->image(key);
-            images[t] = &image;
-            buffers[t] = image.data();
-        });
-    }
-    while (started.load() < kThreads)
-        std::this_thread::yield();
-    entry->publish(result);
-    for (auto &t : threads)
-        t.join();
-
-    const std::string &kept = entry->image(key);
-    for (int t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(images[t], &kept) << "thread " << t;
-        EXPECT_EQ(buffers[t], kept.data()) << "thread " << t;
-    }
-    EXPECT_EQ(kept, serialize::encodeArtifact(key, *result));
 }
 
 TEST(CompileCache, HitsStayCoherentUnderRehashAndErase)
