@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "common/hash.hh"
-#include "common/logging.hh"
 
 namespace tetris::serialize
 {
@@ -33,34 +32,6 @@ countOk(BinaryReader &r, uint64_t n)
 
 /** magic + version + jobKey + payloadSize. */
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8;
-
-/** write(CompileStats): 19 fixed-width fields. */
-constexpr size_t kStatsBytes = 19 * 8;
-
-size_t
-layoutBytes(const Layout &l)
-{
-    return 4 + 8 + 4 * static_cast<size_t>(l.numLogical());
-}
-
-/** Exact size of encodeArtifact's payload, so it reserves once. */
-size_t
-payloadBytes(const CompileResult &r)
-{
-    size_t n = 4 + 8;
-    for (const Gate &g : r.circuit.gates()) {
-        n += 1 + varintSize(static_cast<uint32_t>(g.q0));
-        if (g.isTwoQubit())
-            n += varintSize(static_cast<uint32_t>(g.q1));
-        if (takesAngle(g.kind))
-            n += 8;
-    }
-    n += kStatsBytes + layoutBytes(r.initialLayout) +
-         layoutBytes(r.finalLayout) + 8;
-    for (size_t idx : r.blockOrder)
-        n += varintSize(idx);
-    return n + 1;
-}
 
 } // namespace
 
@@ -210,13 +181,14 @@ read(BinaryReader &r, Layout &l)
 std::string
 encodeArtifact(uint64_t job_key, const CompileResult &result)
 {
-    const size_t payload_size = payloadBytes(result);
     BinaryWriter w;
-    w.reserve(kHeaderBytes + payload_size + 8);
+    // A rough size: gate records average about 3 bytes, and the
+    // stats, layouts and block order are small beside them.
+    w.reserve(kHeaderBytes + 4 * result.circuit.size() + 1024);
     w.u32(kMagic);
     w.u32(kArtifactVersion);
     w.u64(job_key);
-    w.u64(payload_size);
+    w.u64(0); // payloadSize, patched once the payload is written
     write(w, result.circuit);
     write(w, result.stats);
     write(w, result.initialLayout);
@@ -225,8 +197,8 @@ encodeArtifact(uint64_t job_key, const CompileResult &result)
     for (size_t idx : result.blockOrder)
         w.varint(idx);
     w.u8(result.cancelled ? 1 : 0);
-    TETRIS_ASSERT(w.size() == kHeaderBytes + payload_size,
-                  "payloadBytes disagrees with the encoder");
+    const size_t payload_size = w.size() - kHeaderBytes;
+    w.patchU64(kHeaderBytes - 8, payload_size);
     w.u64(checksum64(w.data().data() + kHeaderBytes, payload_size));
     return std::move(w).take();
 }

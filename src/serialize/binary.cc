@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "common/logging.hh"
+
 namespace tetris::serialize
 {
 
@@ -44,6 +46,15 @@ void
 BinaryWriter::f64(double v)
 {
     u64(std::bit_cast<uint64_t>(v));
+}
+
+void
+BinaryWriter::patchU64(size_t offset, uint64_t v)
+{
+    TETRIS_ASSERT(offset <= out_.size() && out_.size() - offset >= 8,
+                  "patchU64 past the written bytes");
+    for (size_t i = 0; i < 8; ++i)
+        out_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 void

@@ -35,16 +35,6 @@ namespace tetris::serialize
  */
 using ByteSpan = std::string_view;
 
-/** Bytes varint(v) writes: 1 for v < 128, at most 10. */
-inline size_t
-varintSize(uint64_t v)
-{
-    size_t n = 1;
-    for (; v >= 0x80; v >>= 7)
-        ++n;
-    return n;
-}
-
 /**
  * Append-only little-endian encoder over a growable byte string.
  * Each field is one append; reserve() the known output size first
@@ -61,7 +51,7 @@ class BinaryWriter
     void i32(int32_t v);
     /** IEEE-754 bit pattern; NaN/inf round-trip exactly. */
     void f64(double v);
-    /** Minimal LEB128 encoding, varintSize(v) bytes. */
+    /** Minimal LEB128 encoding: 1 byte below 128, at most 10. */
     void
     varint(uint64_t v)
     {
@@ -74,6 +64,11 @@ class BinaryWriter
     /** u64 length prefix followed by the raw bytes. */
     void str(std::string_view v);
     void bytes(const void *data, size_t n);
+    /**
+     * Overwrite the 8 bytes at `offset`, written earlier, with v:
+     * a length prefix whose value is known only after its body.
+     */
+    void patchU64(size_t offset, uint64_t v);
 
     const std::string &data() const { return out_; }
     size_t size() const { return out_.size(); }

@@ -134,30 +134,46 @@ TEST(Binary, BogusStringLengthFails)
 
 TEST(Binary, VarintRoundTripAtEveryWidth)
 {
-    const uint64_t values[] = {0,
-                               1,
-                               127,
-                               128,
-                               300,
-                               16383,
-                               16384,
-                               uint64_t{1} << 35,
-                               (uint64_t{1} << 63) - 1,
-                               uint64_t{1} << 63,
-                               std::numeric_limits<uint64_t>::max()};
-    for (uint64_t v : values) {
+    const struct
+    {
+        uint64_t value;
+        size_t bytes; // 7 bits per byte
+    } cases[] = {{0, 1},
+                 {1, 1},
+                 {127, 1},
+                 {128, 2},
+                 {300, 2},
+                 {16383, 2},
+                 {16384, 3},
+                 {uint64_t{1} << 35, 6},
+                 {(uint64_t{1} << 63) - 1, 9},
+                 {uint64_t{1} << 63, 10},
+                 {std::numeric_limits<uint64_t>::max(), 10}};
+    for (const auto &c : cases) {
         BinaryWriter w;
-        w.varint(v);
-        EXPECT_EQ(w.size(), serialize::varintSize(v)) << v;
+        w.varint(c.value);
+        EXPECT_EQ(w.size(), c.bytes) << c.value;
         BinaryReader r(w.data());
-        EXPECT_EQ(r.varint(std::numeric_limits<uint64_t>::max()), v);
-        EXPECT_TRUE(r.ok()) << v;
-        EXPECT_TRUE(r.atEnd()) << v;
+        EXPECT_EQ(r.varint(std::numeric_limits<uint64_t>::max()), c.value);
+        EXPECT_TRUE(r.ok()) << c.value;
+        EXPECT_TRUE(r.atEnd()) << c.value;
     }
-    EXPECT_EQ(serialize::varintSize(127), 1u);
-    EXPECT_EQ(serialize::varintSize(128), 2u);
-    EXPECT_EQ(serialize::varintSize(std::numeric_limits<uint64_t>::max()),
-              10u);
+}
+
+TEST(Binary, PatchU64RewritesEightBytesInPlace)
+{
+    BinaryWriter w;
+    w.u8(0xaa);
+    w.u64(0);
+    w.u8(0xbb);
+    w.patchU64(1, 0x0102030405060708ull);
+    ASSERT_EQ(w.size(), 10u);
+    BinaryReader r(w.data());
+    EXPECT_EQ(r.u8(), 0xaa);
+    EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+    EXPECT_EQ(r.u8(), 0xbb);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.atEnd());
 }
 
 TEST(Binary, VarintRejectsMalformedForms)
