@@ -33,9 +33,9 @@
  *                  or 256)
  *
  * Integer flags are strict: --port takes [1, 65535], --qubits
- * [1, 4096] (the wire's cap), --seed [0, 2^63), and --jobs,
- * --distinct and --window [1, 2^20]. Any other value prints the usage
- * and exits 2 before a connection is made.
+ * [1, 4096] (the wire's cap), --seed any unsigned 64-bit decimal,
+ * and --jobs, --distinct and --window [1, 2^20]. Any other value
+ * prints the usage and exits 2 before a connection is made.
  *
  * Exit status: 0 when every submission returned a Result with
  * verify != fail, 1 otherwise.
@@ -48,9 +48,10 @@
 
 #if TETRIS_HAVE_SOCKETS
 
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -68,6 +69,24 @@ namespace
 
 /** Upper bound of the count flags (--jobs, --distinct, --window). */
 constexpr int64_t kMaxCount = int64_t{1} << 20;
+
+/**
+ * `s` as a whole unsigned 64-bit decimal; nullopt on anything else.
+ * strtoull alone would take a sign ("-1" wraps to 2^64 - 1), leading
+ * blanks and trailing junk.
+ */
+std::optional<uint64_t>
+parseU64(const char *s)
+{
+    if (*s < '0' || *s > '9')
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(s, &end, 10);
+    if (errno == ERANGE || *end != '\0')
+        return std::nullopt;
+    return static_cast<uint64_t>(n);
+}
 
 int
 usage(const char *argv0)
@@ -140,8 +159,11 @@ main(int argc, char **argv)
             ok = bounded(jobs, 1, kMaxCount);
         else if (arg == "--qubits")
             ok = bounded(qubits, 1, 4096);
-        else if (arg == "--seed")
-            ok = bounded(seed, 0, std::numeric_limits<int64_t>::max());
+        else if (arg == "--seed") {
+            const auto n = (v = next()) ? parseU64(v) : std::nullopt;
+            seed = n.value_or(seed);
+            ok = n.has_value();
+        }
         else if (arg == "--distinct")
             ok = bounded(distinct, 1, kMaxCount);
         else if (arg == "--pipeline" && (v = next()))

@@ -12,7 +12,8 @@
  *   tetrisd [--port N] [--host H] [--unix PATH] [--port-file PATH]
  *           [--no-verify] [--cancel-queued-on-signal]
  *
- *   --port N       TCP listen port in [0, 65535] (default 0 = ephemeral)
+ *   --port N       TCP listen port in [-1, 65535] (default 0 =
+ *                  ephemeral; -1 = no TCP listener, for --unix alone)
  *   --host H       TCP bind host (default 127.0.0.1)
  *   --unix PATH    also listen on a Unix-domain socket
  *   --port-file P  write the bound TCP port to P (scripts discover
@@ -24,7 +25,8 @@
  *                  instead of compiling out the backlog
  *
  * A malformed or out-of-range --port prints the usage and exits 2
- * before anything binds.
+ * before anything binds; -1 without --unix leaves no listener, which
+ * the server refuses at start (exit 1).
  *
  * Environment: TETRIS_SERVE_MAX_CLIENTS / TETRIS_SERVE_QUEUE /
  * TETRIS_SERVE_MAX_FRAME_MB (admission control), TETRIS_CACHE_DIR
@@ -95,7 +97,7 @@ main(int argc, char **argv)
         };
         if (arg == "--port") {
             const char *v = next();
-            const auto port = v ? parseBoundedInt(v, 0, 65535) : std::nullopt;
+            const auto port = v ? parseBoundedInt(v, -1, 65535) : std::nullopt;
             if (!port)
                 return usage(argv[0]);
             opts.tcpPort = static_cast<int>(*port);

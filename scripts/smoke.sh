@@ -407,9 +407,11 @@ EOF
 
 # ---- resident serve plane: tetrisd + wire protocol ----------------
 # Every integer flag of the serve CLIs is parsed strictly: a
-# non-number, -1 and the first value above its range each print the
-# usage and exit 2 before any socket binds or thread starts. (The
-# client gets a valid --port so only the flag under test is bad.)
+# non-number, the first negative value below its range (-2 for
+# tetrisd's --port, where -1 turns TCP off; -1 elsewhere) and the
+# first value above it each print the usage and exit 2 before any
+# socket binds or thread starts. (The client gets a valid --port so
+# only the flag under test is bad.)
 expect_usage() { # command...
   set +e
   (cd build && "$@") > /dev/null 2>&1
@@ -420,13 +422,15 @@ expect_usage() { # command...
     exit 1
   fi
 }
-for bad in x -1 65536; do
+for bad in x -2 65536; do
   expect_usage ./tetrisd_main --port "$bad"
+done
+for bad in x -1 65536; do
   expect_usage ./tetris_client --port "$bad" --ping
 done
-# Each flag:first-value-above-its-range.
+# Each flag:first-value-above-its-range (--seed takes any uint64).
 for flag_above in jobs:1048577 qubits:4097 distinct:1048577 \
-    window:1048577 seed:9223372036854775808; do
+    window:1048577 seed:18446744073709551616; do
   for bad in x -1 "${flag_above#*:}"; do
     expect_usage ./tetris_client --port 1 "--${flag_above%%:*}" "$bad"
   done
@@ -542,3 +546,21 @@ if [ -e "$serve_dir/tetrisd.sock" ]; then
 fi
 echo "smoke OK: SIGTERM mid-batch drained cleanly" \
   "($(grep 'drained after' build/tetrisd.log))"
+
+# --port -1 turns TCP off: the daemon serves on its unix socket alone.
+rm -f build/tetrisd.log
+(cd build && exec ./tetrisd_main --port -1 \
+  --unix "$serve_dir/unix-only.sock" > tetrisd.log 2>&1) &
+tetrisd_pid=$!
+for _ in $(seq 1 50); do
+  [ -S "$serve_dir/unix-only.sock" ] && break
+  sleep 0.1
+done
+(cd build && ./tetris_client --unix "$serve_dir/unix-only.sock" --ping)
+kill -TERM "$tetrisd_pid"
+wait "$tetrisd_pid"
+if grep -q 'listening on .*:[0-9]' build/tetrisd.log; then
+  echo "smoke FAIL: tetrisd --port -1 bound a TCP port" >&2
+  exit 1
+fi
+echo "smoke OK: tetrisd --port -1 served on its unix socket alone"
