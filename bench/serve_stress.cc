@@ -34,16 +34,11 @@
  * or warm-phase recompile.
  */
 
-#include <cstdio>
-#include <cstring>
-
-#include "common/net.hh"
-
-#if TETRIS_HAVE_SOCKETS
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -380,15 +375,3 @@ main(int argc, char **argv)
         std::printf("serve_stress: PASS\n");
     return failed ? 1 : 0;
 }
-
-#else // !TETRIS_HAVE_SOCKETS
-
-int
-main()
-{
-    std::fprintf(stderr, "serve_stress: sockets unavailable on this "
-                         "platform\n");
-    return 1;
-}
-
-#endif // TETRIS_HAVE_SOCKETS

@@ -41,19 +41,14 @@
  * verify != fail, 1 otherwise.
  */
 
-#include <cstdio>
-#include <string>
-
-#include "common/net.hh"
-
-#if TETRIS_HAVE_SOCKETS
-
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -345,15 +340,3 @@ main(int argc, char **argv)
     }
     return all_ok ? 0 : 1;
 }
-
-#else // !TETRIS_HAVE_SOCKETS
-
-int
-main()
-{
-    std::fprintf(stderr, "tetris_client: sockets unavailable on "
-                         "this platform\n");
-    return 1;
-}
-
-#endif // TETRIS_HAVE_SOCKETS

@@ -34,17 +34,13 @@
  * TETRIS_ENGINE_THREADS (worker pool).
  */
 
+#include <signal.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
-
-#include "common/net.hh"
-
-#if TETRIS_HAVE_SOCKETS
-
-#include <signal.h>
-#include <unistd.h>
 
 #include "common/env.hh"
 #include "engine/disk_cache.hh"
@@ -185,15 +181,3 @@ main(int argc, char **argv)
                     server->requestsServed()));
     return 0;
 }
-
-#else // !TETRIS_HAVE_SOCKETS
-
-int
-main()
-{
-    std::fprintf(stderr, "tetrisd: sockets unavailable on this "
-                         "platform\n");
-    return 1;
-}
-
-#endif // TETRIS_HAVE_SOCKETS

@@ -1,39 +1,37 @@
 /**
  * @file
- * EINTR-hardened POSIX socket helpers.
+ * POSIX socket helpers: the one module in this repository that makes
+ * socket system calls.
  *
- * Every blocking socket syscall in this repository goes through these
- * wrappers. The contract they fix: a syscall interrupted by a signal
- * (EINTR) is *retried*, never treated as a peer failure. That matters
- * for any resident process — tetrisd fields SIGTERM for its graceful
- * drain, bench binaries field SIGINT for cancellation — where a
- * signal landing mid-accept() or mid-recv() must not drop a request,
- * truncate a response, or lose a metrics scrape. (Before these
- * helpers existed, the obs server's accept/recv/send loops treated
- * EINTR as fatal; see src/obs/obs_server.cc history.)
+ * Set-up: listenTcp/listenUnix open the listeners of the serve and
+ * obs planes, connectTcp/connectUnix open their client connections,
+ * and setTimeouts arms the send/receive timeouts every accepted or
+ * connected socket carries. On failure each returns -1 and sets
+ * `err` to the failed call's strerror text (or names the input it
+ * refused), so callers word their own warnings.
  *
- * All helpers are thin: no buffering, no ownership, no timeouts of
- * their own (callers set SO_RCVTIMEO/SO_SNDTIMEO or poll first). A
+ * Transfer: accept, recv, send and poll retry a call interrupted by a
+ * signal (EINTR) instead of treating it as a peer failure. That
+ * matters for any resident process — tetrisd fields SIGTERM for its
+ * graceful drain, bench binaries field SIGINT for cancellation —
+ * where a signal landing mid-accept() or mid-recv() must not drop a
+ * request, truncate a response, or lose a metrics scrape.
+ * connectTcp and connectUnix do not retry: they reach only a
+ * loopback port or a Unix path, where connect returns without
+ * waiting unless the listener's backlog is full.
+ *
+ * The transfer helpers are thin: no buffering, no ownership, no
+ * timeouts of their own (callers arm setTimeouts or poll first). A
  * receive timeout surfaces as EAGAIN/EWOULDBLOCK, which the *All
  * variants report as a short transfer so a stuck peer still cannot
  * wedge a serving thread forever.
- *
- * Only compiled on POSIX platforms (TETRIS_HAVE_SOCKETS); the obs
- * and serve layers carry their own no-socket stubs.
  */
 
 #ifndef TETRIS_COMMON_NET_HH
 #define TETRIS_COMMON_NET_HH
 
-#if defined(__unix__) || defined(__APPLE__)
-#define TETRIS_HAVE_SOCKETS 1
-#else
-#define TETRIS_HAVE_SOCKETS 0
-#endif
-
-#if TETRIS_HAVE_SOCKETS
-
 #include <cstddef>
+#include <string>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -41,6 +39,43 @@
 
 namespace tetris::net
 {
+
+/**
+ * True iff listenTcp accepts `host`: an IPv4 literal, or "localhost"
+ * or empty, which both mean 127.0.0.1.
+ */
+bool isTcpHost(const std::string &host);
+
+/** True iff `path` fits a Unix socket address with its terminator. */
+bool fitsUnixPath(const std::string &path);
+
+/**
+ * TCP listener on `host` (see isTcpHost) and `port` (0 picks an
+ * ephemeral one) with SO_REUSEADDR. Returns the fd and stores the
+ * bound port in `bound_port`, or -1 with `err` set.
+ */
+int listenTcp(const std::string &host, int port, int backlog,
+              int &bound_port, std::string &err);
+
+/**
+ * Unix-domain listener on `path`. A stale socket file at `path` is
+ * unlinked first; the caller unlinks it again when it closes the fd.
+ * Returns the fd, or -1 with `err` set.
+ */
+int listenUnix(const std::string &path, int backlog, std::string &err);
+
+/**
+ * TCP connection to 127.0.0.1:`port`. A `timeout_s` > 0 is armed with
+ * setTimeouts before the connect, so it bounds the handshake too.
+ * Returns the fd, or -1 with `err` set.
+ */
+int connectTcp(int port, std::string &err, int timeout_s = 0);
+
+/** Connection to the Unix-domain socket at `path`, or -1 with `err`. */
+int connectUnix(const std::string &path, std::string &err);
+
+/** Arm SO_RCVTIMEO and SO_SNDTIMEO of `fd` to `seconds`. */
+void setTimeouts(int fd, int seconds);
 
 /**
  * accept(2) retrying on EINTR. Also retries the transient
@@ -76,7 +111,5 @@ bool sendAll(int fd, const void *data, size_t len);
 bool recvAll(int fd, void *data, size_t len);
 
 } // namespace tetris::net
-
-#endif // TETRIS_HAVE_SOCKETS
 
 #endif // TETRIS_COMMON_NET_HH

@@ -203,7 +203,6 @@ optionsContentHash(const TetrisOptions &opts)
     h = fnvMix(h, opts.synthesis.swapWeight);
     h = fnvMix(h, opts.synthesis.enableBridging);
     h = fnvMix(h, opts.synthesis.adaptiveFallbackFactor);
-    h = fnvMix(h, opts.synthesis.clusterFromLargestCC);
     // The seed placement changes the emitted circuit, so it must be
     // part of the cache key: a chunk compiled from layout A must not
     // satisfy a lookup for the same blocks seeded from layout B.

@@ -71,8 +71,7 @@ optionsContentHash(const MaxCancelOptions &opts)
 uint64_t
 optionsContentHash(const QaoaPassOptions &opts)
 {
-    uint64_t h = fnvMix(kFnvOffset, opts.swapBenefitThreshold);
-    h = fnvMix(h, opts.enableBridging);
+    uint64_t h = fnvMix(kFnvOffset, opts.enableBridging);
     h = fnvMix(h, opts.enableQubitReuse);
     return fnvMix(h, opts.runPeephole);
 }

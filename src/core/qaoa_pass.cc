@@ -12,6 +12,12 @@ namespace tetris
 namespace
 {
 
+/**
+ * SWAP is chosen over bridging when its total distance reduction
+ * across pending gates reaches this threshold.
+ */
+constexpr int kSwapBenefitThreshold = 2;
+
 /** One pending rotation: ZZ on (u, v), or single-Z when v < 0. */
 struct PendingGate
 {
@@ -194,7 +200,7 @@ compileQaoaTetris(const std::vector<PauliBlock> &blocks,
         // Lookahead decision (Sec. V-C): SWAP only when it helps
         // future gates enough; otherwise bridge if possible.
         if (!bridge_path.empty() &&
-            best_benefit < opts.swapBenefitThreshold) {
+            best_benefit < kSwapBenefitThreshold) {
             emit_bridged(g, bridge_path);
             pending.erase(pending.begin() + front);
             continue;

@@ -28,11 +28,6 @@ namespace tetris
 /** Knobs of the QAOA bridging pass. */
 struct QaoaPassOptions
 {
-    /**
-     * SWAP is chosen over bridging when its total distance reduction
-     * across pending gates reaches this threshold.
-     */
-    int swapBenefitThreshold = 2;
     /** Allow CNOT bridging through free ancillas. */
     bool enableBridging = true;
     /**

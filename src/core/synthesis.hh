@@ -47,11 +47,6 @@ struct SynthesisOptions
      * fallback and always uses block-level synthesis).
      */
     double adaptiveFallbackFactor = 2.0;
-    /**
-     * PH-style clustering for single strings: grow from the largest
-     * connected component instead of a distance center.
-     */
-    bool clusterFromLargestCC = false;
 };
 
 /** Counters accumulated across synthesized blocks. */

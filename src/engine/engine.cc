@@ -232,8 +232,11 @@ class Engine::JobTimeline
         const uint64_t end_ns = steadyNowNs();
         closeSpan(end_ns);
         engine_.metrics_.recordCompile(stats);
-        // The stages run one after another, so their spans lie
-        // back-to-back from the measured durations.
+        // One span per stage, as long as the stage's total time,
+        // laid end to end. The stages interleave (compileTetris
+        // schedules and synthesizes block by block), so the spans'
+        // lengths are right and their positions are not. perfbench's
+        // per-layer self times depend only on the lengths.
         const std::pair<const char *, double> stages[] = {
             {"schedule", stats.scheduleSeconds},
             {"synthesis", stats.synthSeconds},
@@ -405,7 +408,7 @@ Engine::runJob(const CompileJob &job, uint64_t key,
 }
 
 std::shared_ptr<CompileCache::Entry>
-Engine::submitScoped(CompileJob job)
+Engine::submit(CompileJob job)
 {
     TETRIS_ASSERT(job.hw != nullptr, "job without a device");
     TETRIS_ASSERT(job.pipeline != nullptr, "job without a pipeline");
@@ -443,27 +446,6 @@ Engine::submitScoped(CompileJob job)
     return entry;
 }
 
-Engine::JobId
-Engine::submit(CompileJob job)
-{
-    auto entry = submitScoped(std::move(job));
-    std::lock_guard<std::mutex> lock(jobsMutex_);
-    jobs_.push_back(std::move(entry));
-    return jobs_.size() - 1;
-}
-
-std::shared_ptr<const CompileResult>
-Engine::wait(JobId id)
-{
-    std::shared_ptr<CompileCache::Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(jobsMutex_);
-        TETRIS_ASSERT(id < jobs_.size(), "unknown job id ", id);
-        entry = jobs_[id];
-    }
-    return entry->get();
-}
-
 void
 Engine::syncCacheMetrics()
 {
@@ -481,15 +463,15 @@ Engine::syncCacheMetrics()
 std::vector<std::shared_ptr<const CompileResult>>
 Engine::compileAll(std::vector<CompileJob> jobs)
 {
-    std::vector<JobId> ids;
-    ids.reserve(jobs.size());
+    std::vector<std::shared_ptr<CompileCache::Entry>> entries;
+    entries.reserve(jobs.size());
     for (auto &job : jobs)
-        ids.push_back(submit(std::move(job)));
+        entries.push_back(submit(std::move(job)));
 
     std::vector<std::shared_ptr<const CompileResult>> results;
-    results.reserve(ids.size());
-    for (JobId id : ids)
-        results.push_back(wait(id));
+    results.reserve(entries.size());
+    for (const auto &entry : entries)
+        results.push_back(entry->get());
     syncCacheMetrics();
     return results;
 }

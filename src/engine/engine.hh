@@ -140,7 +140,7 @@ struct EngineOptions
      * submissions, `total` submissions so far. Invocations are
      * serialized (safe to print from) but run on worker threads and
      * must not call back into the engine. A job's callback always
-     * returns before wait() on that job does.
+     * returns before get() on the job's entry does.
      */
     std::function<void(size_t done, size_t total,
                        const std::string &name)>
@@ -173,8 +173,6 @@ struct EngineOptions
 class Engine
 {
   public:
-    using JobId = size_t;
-
     explicit Engine(EngineOptions opts = EngineOptions());
 
     /** Drains all outstanding jobs. */
@@ -183,22 +181,15 @@ class Engine
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
-    /** Enqueue a job; returns a handle for wait(). */
-    JobId submit(CompileJob job);
-
     /**
-     * Session-scoped submission for resident services (serve/): the
-     * same enqueue/dedup path as submit(), but the returned entry is
-     * the *only* handle — nothing is appended to the engine-lifetime
-     * job table, so a daemon serving millions of requests does not
-     * grow per-request state inside the engine. Block on
-     * entry->get() for the immutable result; dropping the entry
-     * abandons interest (the compilation still completes and caches).
+     * Enqueue a job (or join an identical one in the cache). The
+     * returned entry is the only handle: the engine keeps no
+     * per-submission state, so a resident service does not grow
+     * with its request count. Block on entry->get() for the
+     * immutable result; dropping the entry abandons interest (the
+     * compilation still completes and caches).
      */
-    std::shared_ptr<CompileCache::Entry> submitScoped(CompileJob job);
-
-    /** Block until the job finishes; its immutable result. */
-    std::shared_ptr<const CompileResult> wait(JobId id);
+    std::shared_ptr<CompileCache::Entry> submit(CompileJob job);
 
     /**
      * Submit every job and wait for all of them. results[i] belongs
@@ -209,8 +200,8 @@ class Engine
 
     /**
      * Abandon every job that has not started compiling yet: each
-     * publishes an empty CompileResult with `cancelled` set (so
-     * compileAll/wait still return one result per submission, in
+     * publishes an empty CompileResult with `cancelled` set (so every
+     * submission still gets one result, and compileAll keeps its
      * order) and its key leaves the in-memory cache. One-way for the
      * lifetime of this engine; jobs submitted afterwards are also
      * cancelled. Jobs already inside Pipeline::run complete normally.
@@ -222,7 +213,7 @@ class Engine
 
     /**
      * Block until every submitted job's work has fully finished.
-     * wait()/compileAll() return as results publish; drain()
+     * Entry::get()/compileAll() return as results publish; drain()
      * additionally covers the write-behind disk persists that run
      * after a result publishes (the destructor drains implicitly).
      * While draining, draining() reads true and /healthz reports
@@ -325,7 +316,7 @@ class Engine
      * cache.misses, and — when a disk tier is attached —
      * cache.disk.misses / writes (disk hits are jobs.disk_hits).
      * Called automatically at the end of compileAll(); call it
-     * directly before reading metrics() after bare submit()/wait()
+     * directly before reading metrics() after bare submit()
      * traffic.
      */
     void syncCacheMetrics();
@@ -375,9 +366,6 @@ class Engine
         jobsDedupedH_, jobsDiskHitsH_, jobsCancelledH_;
     MetricsRegistry::Handle verifyPassH_, verifyFailH_,
         verifySkippedH_, verifySecondsH_;
-
-    std::mutex jobsMutex_;
-    std::vector<std::shared_ptr<CompileCache::Entry>> jobs_;
 
     /** Serializes onJobDone so (done, total) pairs never interleave. */
     std::mutex progressMutex_;

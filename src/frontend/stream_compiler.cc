@@ -137,7 +137,7 @@ StreamCompiler::run(BlockSource &src)
         // sinking the O(window) claim this layer exists for.
         job.transient = true;
         p.key = Engine::jobKey(job);
-        p.entry = engine_.submitScoped(std::move(job));
+        p.entry = engine_.submit(std::move(job));
         return p;
     };
 

@@ -1,27 +1,15 @@
 #include "obs/obs_server.hh"
 
-#include "common/net.hh"
-
-#if TETRIS_HAVE_SOCKETS
-#define TETRIS_OBS_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
-#else
-#define TETRIS_OBS_HAVE_SOCKETS 0
-#endif
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/env.hh"
 #include "common/log.hh"
+#include "common/net.hh"
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
 #include "engine/stats.hh"
@@ -30,41 +18,31 @@
 namespace tetris
 {
 
-#if TETRIS_OBS_HAVE_SOCKETS
-
 namespace
 {
 
 /**
- * "host:port" -> (inet addr, port). Host must be an IPv4 literal or
+ * "host:port" -> (host, port). Host must be an IPv4 literal or
  * "localhost"; a bare ":port" or "port" binds loopback. Returns
  * false on anything else.
  */
 bool
-parseAddr(const std::string &addr, struct sockaddr_in &out)
+parseAddr(const std::string &addr, std::string &host, int &port)
 {
-    std::string host = "127.0.0.1";
+    host = "127.0.0.1";
     std::string port_str = addr;
     const size_t colon = addr.rfind(':');
     if (colon != std::string::npos) {
         host = addr.substr(0, colon);
         port_str = addr.substr(colon + 1);
-        if (host.empty())
-            host = "127.0.0.1";
     }
-    if (host == "localhost")
-        host = "127.0.0.1";
-    if (port_str.empty())
+    if (port_str.empty() || !net::isTcpHost(host))
         return false;
     // Port 0 asks for an ephemeral port.
-    const auto port = parseBoundedInt(port_str.c_str(), 0, 65535);
-    if (!port)
+    const auto parsed = parseBoundedInt(port_str.c_str(), 0, 65535);
+    if (!parsed)
         return false;
-    std::memset(&out, 0, sizeof(out));
-    out.sin_family = AF_INET;
-    out.sin_port = htons(static_cast<uint16_t>(*port));
-    if (::inet_pton(AF_INET, host.c_str(), &out.sin_addr) != 1)
-        return false;
+    port = static_cast<int>(*parsed);
     return true;
 }
 
@@ -171,39 +149,23 @@ renderStatusz(const Engine &engine, uint64_t requests)
 std::unique_ptr<ObsServer>
 ObsServer::start(const Engine &engine, const std::string &addr)
 {
-    struct sockaddr_in sa;
-    if (!parseAddr(addr, sa)) {
+    std::string host, err;
+    int port = 0;
+    if (!parseAddr(addr, host, port)) {
         logWarn("obs server: invalid address '", addr,
                 "' (want host:port); not serving");
         return nullptr;
     }
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int bound_port = 0;
+    const int fd = net::listenTcp(host, port, 16, bound_port, err);
     if (fd < 0) {
-        logWarn("obs server: socket() failed: ", std::strerror(errno));
-        return nullptr;
-    }
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<struct sockaddr *>(&sa),
-               sizeof(sa)) != 0 ||
-        ::listen(fd, 16) != 0) {
-        logWarn("obs server: cannot bind '", addr,
-                "': ", std::strerror(errno), "; not serving");
-        ::close(fd);
-        return nullptr;
-    }
-    struct sockaddr_in bound;
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<struct sockaddr *>(&bound),
-                      &len) != 0) {
-        logWarn("obs server: getsockname failed: ",
-                std::strerror(errno));
-        ::close(fd);
+        logWarn("obs server: cannot bind '", addr, "': ", err,
+                "; not serving");
         return nullptr;
     }
     std::unique_ptr<ObsServer> server(new ObsServer(engine));
     server->listenFd_ = fd;
-    server->port_ = ntohs(bound.sin_port);
+    server->port_ = bound_port;
     server->lingerMs_ = envInt("TETRIS_OBS_LINGER_MS", 0, 60000, 0);
     server->thread_ = std::thread([s = server.get()] { s->loop(); });
     logInfo("obs server: serving /metrics /healthz /statusz on port ",
@@ -250,11 +212,7 @@ ObsServer::loop()
             continue;
         // A stuck or malicious client must not wedge the serving
         // thread past this request.
-        struct timeval tmo;
-        tmo.tv_sec = 2;
-        tmo.tv_usec = 0;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tmo, sizeof(tmo));
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tmo, sizeof(tmo));
+        net::setTimeouts(fd, 2);
         handle(fd);
         ::close(fd);
     }
@@ -309,24 +267,10 @@ obsHttpGet(int port, const std::string &path, int *status)
 {
     if (status != nullptr)
         *status = 0;
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    std::string err;
+    const int fd = net::connectTcp(port, err, 5);
     if (fd < 0)
         return "";
-    struct timeval tmo;
-    tmo.tv_sec = 5;
-    tmo.tv_usec = 0;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tmo, sizeof(tmo));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tmo, sizeof(tmo));
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&sa),
-                  sizeof(sa)) != 0) {
-        ::close(fd);
-        return "";
-    }
     const std::string req =
         "GET " + path + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n";
     net::sendAll(fd, req.data(), req.size());
@@ -346,37 +290,5 @@ obsHttpGet(int port, const std::string &path, int *status)
     return body == std::string::npos ? std::string()
                                      : resp.substr(body + 4);
 }
-
-#else // !TETRIS_OBS_HAVE_SOCKETS
-
-std::unique_ptr<ObsServer>
-ObsServer::start(const Engine &, const std::string &addr)
-{
-    logWarn("obs server: no socket support on this platform; "
-            "ignoring '", addr, "'");
-    return nullptr;
-}
-
-ObsServer::~ObsServer() = default;
-
-void
-ObsServer::loop()
-{
-}
-
-void
-ObsServer::handle(int)
-{
-}
-
-std::string
-obsHttpGet(int, const std::string &, int *status)
-{
-    if (status != nullptr)
-        *status = 0;
-    return "";
-}
-
-#endif // TETRIS_OBS_HAVE_SOCKETS
 
 } // namespace tetris

@@ -1,83 +1,33 @@
 #include "serve/client.hh"
 
-#if TETRIS_HAVE_SOCKETS
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cstring>
-
+#include "common/net.hh"
 #include "serialize/artifact.hh"
 
 namespace tetris::serve
 {
 
-namespace
-{
-
-/** Clients wait out real compilations; 60s bounds a dead server. */
-void
-setClientTimeouts(int fd)
-{
-    struct timeval tmo;
-    tmo.tv_sec = 60;
-    tmo.tv_usec = 0;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tmo, sizeof(tmo));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tmo, sizeof(tmo));
-}
-
-} // namespace
-
 std::unique_ptr<ServeClient>
 ServeClient::connectTcp(int port, std::string &err)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        err = std::strerror(errno);
-        return nullptr;
-    }
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&sa),
-                  sizeof(sa)) != 0) {
-        err = std::strerror(errno);
-        ::close(fd);
-        return nullptr;
-    }
-    setClientTimeouts(fd);
-    return std::unique_ptr<ServeClient>(new ServeClient(fd));
+    const int fd = net::connectTcp(port, err);
+    return fd < 0 ? nullptr
+                  : std::unique_ptr<ServeClient>(new ServeClient(fd));
 }
 
 std::unique_ptr<ServeClient>
 ServeClient::connectUnix(const std::string &path, std::string &err)
 {
-    struct sockaddr_un sa;
-    if (path.size() >= sizeof(sa.sun_path)) {
-        err = "unix socket path too long";
-        return nullptr;
-    }
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        err = std::strerror(errno);
-        return nullptr;
-    }
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sun_family = AF_UNIX;
-    std::memcpy(sa.sun_path, path.c_str(), path.size());
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&sa),
-                  sizeof(sa)) != 0) {
-        err = std::strerror(errno);
-        ::close(fd);
-        return nullptr;
-    }
-    setClientTimeouts(fd);
-    return std::unique_ptr<ServeClient>(new ServeClient(fd));
+    const int fd = net::connectUnix(path, err);
+    return fd < 0 ? nullptr
+                  : std::unique_ptr<ServeClient>(new ServeClient(fd));
+}
+
+ServeClient::ServeClient(int fd) : fd_(fd)
+{
+    // Clients wait out real compilations; 60s bounds a dead server.
+    net::setTimeouts(fd_, 60);
 }
 
 ServeClient::~ServeClient()
@@ -170,5 +120,3 @@ ServeClient::statsText(std::string &out)
 }
 
 } // namespace tetris::serve
-
-#endif // TETRIS_HAVE_SOCKETS

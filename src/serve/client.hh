@@ -25,8 +25,6 @@
 namespace tetris::serve
 {
 
-#if TETRIS_HAVE_SOCKETS
-
 class ServeClient
 {
   public:
@@ -74,12 +72,11 @@ class ServeClient
     int fd() const { return fd_; }
 
   private:
-    explicit ServeClient(int fd) : fd_(fd) {}
+    /** Takes `fd`, connected, and arms its I/O timeouts. */
+    explicit ServeClient(int fd);
 
     int fd_ = -1;
 };
-
-#endif // TETRIS_HAVE_SOCKETS
 
 } // namespace tetris::serve
 

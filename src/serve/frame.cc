@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/hash.hh"
+#include "common/net.hh"
 #include "core/pipeline.hh"
 #include "core/pipeline_adapters.hh"
 #include "hardware/coupling_graph.hh"
@@ -343,8 +344,6 @@ decodeError(ByteSpan payload, ErrorFrame &out)
     return r.ok() && r.atEnd();
 }
 
-#if TETRIS_HAVE_SOCKETS
-
 // ---- fd-level frame transport --------------------------------------
 
 const char *
@@ -413,7 +412,5 @@ recvFrame(int fd, uint64_t max_payload, FrameType &type,
     type = static_cast<FrameType>(h.type);
     return RecvStatus::Ok;
 }
-
-#endif // TETRIS_HAVE_SOCKETS
 
 } // namespace tetris::serve

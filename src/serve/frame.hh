@@ -27,9 +27,8 @@
  * hostile 2^63 prefix costs nothing.
  *
  * The codec half of this header (encode/decode of headers and
- * payload structs) is platform-independent and fuzzable without a
- * socket; the fd-level sendFrame/recvFrame helpers are only
- * compiled where sockets exist (common/net.hh).
+ * payload structs) is fuzzable without a socket; the fd-level
+ * sendFrame/recvFrame helpers move frames through common/net.hh.
  */
 
 #ifndef TETRIS_SERVE_FRAME_HH
@@ -40,7 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/net.hh"
 #include "engine/engine.hh"
 #include "serialize/binary.hh"
 
@@ -212,8 +210,6 @@ struct ErrorFrame
 std::string encodeError(const ErrorFrame &e);
 bool decodeError(serialize::ByteSpan payload, ErrorFrame &out);
 
-#if TETRIS_HAVE_SOCKETS
-
 // ---- fd-level frame transport --------------------------------------
 
 /** Why recvFrame did not produce a frame. */
@@ -241,8 +237,6 @@ bool sendFrame(int fd, FrameType type, serialize::ByteSpan payload);
  */
 RecvStatus recvFrame(int fd, uint64_t max_payload, FrameType &type,
                      std::string &payload);
-
-#endif // TETRIS_HAVE_SOCKETS
 
 } // namespace tetris::serve
 

@@ -1,19 +1,10 @@
 #include "serve/server.hh"
 
-#include "common/net.hh"
-
-#if TETRIS_HAVE_SOCKETS
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
-#endif
-
-#include <cstring>
 
 #include "common/env.hh"
 #include "common/log.hh"
+#include "common/net.hh"
 #include "engine/engine.hh"
 #include "engine/stats.hh"
 #include "engine/trace.hh"
@@ -23,21 +14,8 @@
 namespace tetris::serve
 {
 
-#if TETRIS_HAVE_SOCKETS
-
 namespace
 {
-
-/** A stuck or vanished peer must not wedge a handler mid-frame. */
-void
-setIoTimeouts(int fd)
-{
-    struct timeval tmo;
-    tmo.tv_sec = 5;
-    tmo.tv_usec = 0;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tmo, sizeof(tmo));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tmo, sizeof(tmo));
-}
 
 /** Best-effort error frame; the peer may already be gone. */
 void
@@ -45,66 +23,6 @@ sendError(int fd, const char *code, const std::string &detail)
 {
     sendFrame(fd, FrameType::Error,
               encodeError(ErrorFrame{code, detail}));
-}
-
-int
-bindTcp(const std::string &host, int port, int &bound_port)
-{
-    std::string h = host.empty() || host == "localhost" ? "127.0.0.1"
-                                                        : host;
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<uint16_t>(port));
-    if (::inet_pton(AF_INET, h.c_str(), &sa.sin_addr) != 1) {
-        logWarn("tetrisd: invalid TCP host '", host, "'");
-        return -1;
-    }
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in bound;
-    socklen_t len = sizeof(bound);
-    if (::bind(fd, reinterpret_cast<struct sockaddr *>(&sa),
-               sizeof(sa)) != 0 ||
-        ::listen(fd, 64) != 0 ||
-        ::getsockname(fd, reinterpret_cast<struct sockaddr *>(&bound),
-                      &len) != 0) {
-        logWarn("tetrisd: cannot bind TCP ", host, ":", port, ": ",
-                std::strerror(errno));
-        ::close(fd);
-        return -1;
-    }
-    bound_port = ntohs(bound.sin_port);
-    return fd;
-}
-
-int
-bindUnix(const std::string &path)
-{
-    struct sockaddr_un sa;
-    if (path.size() >= sizeof(sa.sun_path)) {
-        logWarn("tetrisd: unix socket path too long: ", path);
-        return -1;
-    }
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sun_family = AF_UNIX;
-    std::memcpy(sa.sun_path, path.c_str(), path.size());
-    ::unlink(path.c_str()); // stale socket from a previous run
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    if (::bind(fd, reinterpret_cast<struct sockaddr *>(&sa),
-               sizeof(sa)) != 0 ||
-        ::listen(fd, 64) != 0) {
-        logWarn("tetrisd: cannot bind unix socket ", path, ": ",
-                std::strerror(errno));
-        ::close(fd);
-        return -1;
-    }
-    return fd;
 }
 
 } // namespace
@@ -126,14 +44,30 @@ ServeServer::start(Engine &engine, ServeOptions opts)
             ? opts.maxFrameBytes
             : envInt("TETRIS_SERVE_MAX_FRAME_MB", 1, 4096, 64) << 20;
 
+    std::string err;
     if (opts.tcpPort >= 0) {
-        server->tcpFd_ =
-            bindTcp(opts.tcpHost, opts.tcpPort, server->port_);
-        if (server->tcpFd_ < 0)
+        if (!net::isTcpHost(opts.tcpHost)) {
+            logWarn("tetrisd: invalid TCP host '", opts.tcpHost, "'");
             return nullptr;
+        }
+        server->tcpFd_ = net::listenTcp(opts.tcpHost, opts.tcpPort, 64,
+                                        server->port_, err);
+        if (server->tcpFd_ < 0) {
+            logWarn("tetrisd: cannot bind TCP ", opts.tcpHost, ":",
+                    opts.tcpPort, ": ", err);
+            return nullptr;
+        }
     }
     if (!opts.unixPath.empty()) {
-        server->unixFd_ = bindUnix(opts.unixPath);
+        if (!net::fitsUnixPath(opts.unixPath)) {
+            logWarn("tetrisd: unix socket path too long: ",
+                    opts.unixPath);
+        } else {
+            server->unixFd_ = net::listenUnix(opts.unixPath, 64, err);
+            if (server->unixFd_ < 0)
+                logWarn("tetrisd: cannot bind unix socket ",
+                        opts.unixPath, ": ", err);
+        }
         if (server->unixFd_ < 0) {
             if (server->tcpFd_ >= 0)
                 ::close(server->tcpFd_);
@@ -256,7 +190,9 @@ ServeServer::acceptLoop()
             if (fd < 0)
                 continue;
             engine_.metrics().addCount("serve.connections");
-            setIoTimeouts(fd);
+            // A stuck or vanished peer must not wedge a handler
+            // mid-frame.
+            net::setTimeouts(fd, 5);
             if (draining_.load(std::memory_order_relaxed)) {
                 sendError(fd, "draining", "server is draining");
                 ::close(fd);
@@ -393,7 +329,7 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
     }
 
     const uint64_t key = Engine::jobKey(job);
-    auto entry = engine_.submitScoped(std::move(job));
+    auto entry = engine_.submit(std::move(job));
     auto result = entry->get();
     if (result == nullptr || result->cancelled) {
         respondError("serve.cancelled", "compile_cancelled",
@@ -418,43 +354,5 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
             .record(steadyNowNs() - t0);
     }
 }
-
-#else // !TETRIS_HAVE_SOCKETS
-
-std::unique_ptr<ServeServer>
-ServeServer::start(Engine &, ServeOptions)
-{
-    logWarn("tetrisd: no socket support on this platform");
-    return nullptr;
-}
-
-ServeServer::~ServeServer() = default;
-
-void
-ServeServer::drain(bool)
-{
-}
-
-void
-ServeServer::acceptLoop()
-{
-}
-
-void
-ServeServer::handleConnection(int)
-{
-}
-
-void
-ServeServer::handleSubmit(int, const std::string &)
-{
-}
-
-void
-ServeServer::reapFinishedHandlers()
-{
-}
-
-#endif // TETRIS_HAVE_SOCKETS
 
 } // namespace tetris::serve

@@ -2,9 +2,8 @@
  * @file
  * tetrisd: a resident compile service over one Engine.
  *
- * The daemon shape the ROADMAP's "millions of users" directions
- * assume: the thread pool, both cache tiers, and the obs plane stay
- * alive across requests, so a client's second submission of a known
+ * The thread pool, both cache tiers, and the obs plane stay alive
+ * across requests, so a client's second submission of a known
  * program is a memory-cache hit instead of a process launch.
  * Concurrent clients connect over TCP and/or a Unix socket and speak
  * the frame protocol of serve/frame.hh:
@@ -52,8 +51,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "common/net.hh"
 
 namespace tetris
 {

@@ -337,7 +337,7 @@ TEST_F(DiskCacheTest, VerifyBeforeStoreKeepsBadCompilesOffDisk)
         opts.diskCache = disk;
         opts.verify = true; // verifyBeforeStore defaults to true
         Engine engine(opts);
-        auto result = engine.wait(engine.submit(job));
+        auto result = engine.submit(job)->get();
         // The bad result is still published to its waiters...
         ASSERT_NE(result, nullptr);
         EXPECT_GT(result->stats.totalGateCount, 0u);
@@ -356,7 +356,7 @@ TEST_F(DiskCacheTest, VerifyBeforeStoreKeepsBadCompilesOffDisk)
         opts.verify = true;
         opts.verifyBeforeStore = false;
         Engine engine(opts);
-        engine.wait(engine.submit(job));
+        engine.submit(job)->get();
     }
     EXPECT_EQ(disk->writes(), 1u);
     EXPECT_NE(disk->load(key), nullptr);
@@ -408,7 +408,7 @@ TEST_F(DiskCacheTest, EngineTeardownAppliesEvictionBudget)
         job.name = "evict";
         job.blocks = buildSyntheticUcc(6, 1);
         job.hw = hw;
-        engine.wait(engine.submit(job));
+        engine.submit(job)->get();
     }
     // Written during the run; evicted when the engine drained.
     EXPECT_EQ(disk->writes(), 1u);

@@ -416,17 +416,17 @@ TEST(Engine, CacheHitsOnRepeatedJob)
     opts.numThreads = 2;
     Engine engine(opts);
 
-    auto id0 = engine.submit(job);
-    auto id1 = engine.submit(job); // identical -> served from cache
+    auto e0 = engine.submit(job);
+    auto e1 = engine.submit(job); // identical -> served from cache
     CompileJob other = job;
     TetrisOptions k3;
     k3.lookaheadK = 3; // different options -> distinct key
     other.pipeline = makeTetrisPipeline(k3);
-    auto id2 = engine.submit(other);
+    auto e2 = engine.submit(other);
 
-    auto r0 = engine.wait(id0);
-    auto r1 = engine.wait(id1);
-    auto r2 = engine.wait(id2);
+    auto r0 = e0->get();
+    auto r1 = e1->get();
+    auto r2 = e2->get();
 
     EXPECT_EQ(engine.cache().hits(), 1u);
     EXPECT_EQ(engine.cache().misses(), 2u);
@@ -576,8 +576,8 @@ TEST(Engine, CacheSeparatesPipelinesOverIdenticalInputs)
     ASSERT_NE(Engine::jobKey(tet), Engine::jobKey(ph));
 
     Engine engine(EngineOptions{.numThreads = 2});
-    auto r_tet = engine.wait(engine.submit(tet));
-    auto r_ph = engine.wait(engine.submit(ph));
+    auto r_tet = engine.submit(tet)->get();
+    auto r_ph = engine.submit(ph)->get();
 
     // Two pipelines over identical blocks+device: two cache entries,
     // two compilations, no aliasing.
@@ -657,19 +657,19 @@ TEST(Engine, StressJobsExceedThreads)
 
     // 32 submissions over 8 distinct workloads: heavy oversubscription
     // plus in-flight dedup pressure.
-    std::vector<Engine::JobId> ids;
+    std::vector<std::shared_ptr<CompileCache::Entry>> entries;
     for (int round = 0; round < 4; ++round) {
         for (int n = 0; n < 8; ++n) {
             CompileJob job;
             job.name = "stress" + std::to_string(n);
             job.blocks = buildSyntheticUcc(5 + n % 3, 100 + n);
             job.hw = hw;
-            ids.push_back(engine.submit(job));
+            entries.push_back(engine.submit(job));
         }
     }
     std::vector<std::shared_ptr<const CompileResult>> results;
-    for (auto id : ids)
-        results.push_back(engine.wait(id));
+    for (const auto &entry : entries)
+        results.push_back(entry->get());
 
     for (const auto &r : results)
         ASSERT_NE(r, nullptr);
@@ -714,8 +714,8 @@ TEST(Engine, CacheDisabled)
     opts.numThreads = 2;
     opts.enableCache = false;
     Engine engine(opts);
-    auto r0 = engine.wait(engine.submit(job));
-    auto r1 = engine.wait(engine.submit(job));
+    auto r0 = engine.submit(job)->get();
+    auto r1 = engine.submit(job)->get();
     EXPECT_NE(r0, r1); // compiled twice, distinct objects
     expectSameResult(*r0, *r1);
     EXPECT_EQ(engine.cache().hits(), 0u);
@@ -788,15 +788,15 @@ TEST(Engine, CancelPendingAbandonsQueuedJobs)
     first.blocks = buildSyntheticUcc(5, 1);
     first.hw = hw;
     first.pipeline = gated;
-    auto first_id = engine.submit(first);
+    auto first_entry = engine.submit(first);
 
-    std::vector<Engine::JobId> pending_ids;
+    std::vector<std::shared_ptr<CompileCache::Entry>> pending;
     for (int n : {5, 6, 7}) {
         CompileJob job;
         job.name = "pending" + std::to_string(n);
         job.blocks = buildSyntheticUcc(n, 50 + n);
         job.hw = hw;
-        pending_ids.push_back(engine.submit(job));
+        pending.push_back(engine.submit(job));
     }
 
     // The worker is provably inside job 0; the rest are queued.
@@ -806,14 +806,14 @@ TEST(Engine, CancelPendingAbandonsQueuedJobs)
     gated->release();
 
     // The in-flight job completes normally...
-    auto first_result = engine.wait(first_id);
+    auto first_result = first_entry->get();
     ASSERT_NE(first_result, nullptr);
     EXPECT_FALSE(first_result->cancelled);
     EXPECT_GT(first_result->stats.totalGateCount, 0u);
 
     // ...every queued job returns a cancelled placeholder, in order.
-    for (auto id : pending_ids) {
-        auto r = engine.wait(id);
+    for (const auto &entry : pending) {
+        auto r = entry->get();
         ASSERT_NE(r, nullptr);
         EXPECT_TRUE(r->cancelled);
         EXPECT_TRUE(r->circuit.empty());
@@ -830,7 +830,7 @@ TEST(Engine, CancelPendingAbandonsQueuedJobs)
     late.name = "late";
     late.blocks = buildSyntheticUcc(6, 99);
     late.hw = hw;
-    auto late_result = engine.wait(engine.submit(late));
+    auto late_result = engine.submit(late)->get();
     ASSERT_NE(late_result, nullptr);
     EXPECT_TRUE(late_result->cancelled);
 }
@@ -884,7 +884,7 @@ TEST(Engine, StatsSerializeToJson)
     job.blocks = buildSyntheticUcc(6, 9);
     job.hw = hw;
     Engine engine;
-    auto result = engine.wait(engine.submit(job));
+    auto result = engine.submit(job)->get();
 
     JsonWriter w;
     writeJson(w, result->stats);

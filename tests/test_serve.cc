@@ -9,22 +9,23 @@
  * disconnects, a seeded frame fuzz — the server must answer a typed
  * error or hang up, never crash, hang, or over-allocate), and the
  * graceful-drain contract (in-flight requests answered, /healthz
- * reporting "draining", post-drain connects refused). The TSan job
- * runs this suite for the accept/handler/drain interleavings.
+ * reporting "draining", post-drain connects refused), and the
+ * listeners themselves (a Unix-only server, refused set-ups and
+ * connects). The TSan job runs this suite for the
+ * accept/handler/drain interleavings.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/net.hh"
-
-#if TETRIS_HAVE_SOCKETS
-
 #include <poll.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <random>
 #include <string>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "chem/uccsd.hh"
+#include "common/net.hh"
 #include "engine/engine.hh"
 #include "hardware/topologies.hh"
 #include "obs/obs_server.hh"
@@ -523,6 +525,21 @@ TEST(ServeRobustness, FrameFuzzNeverKillsServer)
 
 // ---- graceful drain ------------------------------------------------
 
+/**
+ * Wait (up to 10 s) until the engine has taken `n` submissions: past
+ * that point each request has passed the server's draining check, so
+ * a drain that follows finds it in flight, however slow the build.
+ */
+void
+awaitSubmitted(const Engine &engine, size_t n)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (engine.submittedCount() < n &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 TEST(ServeDrain, InFlightAnsweredHealthzDrainingConnectsRefused)
 {
     EngineOptions eopts;
@@ -540,7 +557,7 @@ TEST(ServeDrain, InFlightAnsweredHealthzDrainingConnectsRefused)
     std::thread submitter([&] {
         client->submit(sampleRequest(6, 99), resp);
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    awaitSubmitted(fx.engine, 1);
     fx.server->drain(false);
 
     submitter.join();
@@ -590,7 +607,7 @@ TEST(ServeDrain, CancelQueuedAnswersCancelled)
         threads.emplace_back([&, c] {
             clients[c]->submit(sampleRequest(6, 200 + c), resps[c]);
         });
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    awaitSubmitted(fx.engine, kClients);
     fx.server->drain(/*cancel_queued=*/true);
     for (auto &t : threads)
         t.join();
@@ -611,14 +628,85 @@ TEST(ServeDrain, CancelQueuedAnswersCancelled)
     EXPECT_EQ(results + cancelled, kClients);
 }
 
-} // namespace
-} // namespace tetris
+// ---- listeners and connects ----------------------------------------
 
-#else // !TETRIS_HAVE_SOCKETS
-
-TEST(ServeFrameCodec, SkippedWithoutSockets)
+/** A Unix socket path private to this process and test. */
+std::string
+socketPath(const char *name)
 {
-    GTEST_SKIP() << "no socket support on this platform";
+    return ::testing::TempDir() + "tetris_" + name + "_" +
+           std::to_string(::getpid()) + ".sock";
 }
 
-#endif // TETRIS_HAVE_SOCKETS
+TEST(ServeListeners, UnixOnlyServerMatchesTcpAndRemovesItsSocket)
+{
+    const SubmitRequest req = sampleRequest(4, 11);
+    ServeFixture tcp;
+    ASSERT_NE(tcp.server, nullptr);
+    auto tcp_client = tcp.connect();
+    ASSERT_NE(tcp_client, nullptr);
+    ServeClient::Response over_tcp;
+    ASSERT_TRUE(tcp_client->submit(req, over_tcp));
+    ASSERT_TRUE(over_tcp.ok) << over_tcp.errorCode;
+
+    // A stale file at the path (a crashed daemon's socket) is
+    // replaced, not an error.
+    const std::string path = socketPath("unix_only");
+    std::ofstream(path).put('x');
+    ASSERT_TRUE(std::filesystem::exists(path));
+
+    Engine engine(ServeFixture::verifyOpts());
+    serve::ServeOptions opts;
+    opts.unixPath = path;
+    ASSERT_EQ(opts.tcpPort, -1);
+    auto server = serve::ServeServer::start(engine, opts);
+    ASSERT_NE(server, nullptr);
+    EXPECT_EQ(server->port(), 0);
+    EXPECT_EQ(server->unixPath(), path);
+
+    std::string err;
+    auto client = ServeClient::connectUnix(path, err);
+    ASSERT_NE(client, nullptr) << err;
+    ServeClient::Response over_unix;
+    ASSERT_TRUE(client->submit(req, over_unix));
+    ASSERT_TRUE(over_unix.ok) << over_unix.errorCode;
+    EXPECT_EQ(over_unix.jobKey, over_tcp.jobKey);
+    EXPECT_EQ(over_unix.result.stats.cnotCount,
+              over_tcp.result.stats.cnotCount);
+    EXPECT_EQ(over_unix.verify, WireVerify::Pass);
+
+    server->drain(false);
+    EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ServeListeners, StartRefusesLongUnixPathAndNoListener)
+{
+    Engine engine;
+    serve::ServeOptions none;
+    EXPECT_EQ(serve::ServeServer::start(engine, none), nullptr);
+
+    serve::ServeOptions too_long;
+    too_long.unixPath =
+        std::string(sizeof(sockaddr_un::sun_path), 'x');
+    EXPECT_EQ(serve::ServeServer::start(engine, too_long), nullptr);
+}
+
+TEST(ServeListeners, ConnectWithoutListenerFailsWithReason)
+{
+    // A port bound and released again has no listener.
+    std::string err;
+    int port = 0;
+    const int fd = net::listenTcp("127.0.0.1", 0, 1, port, err);
+    ASSERT_GE(fd, 0) << err;
+    ::close(fd);
+    EXPECT_EQ(ServeClient::connectTcp(port, err), nullptr);
+    EXPECT_FALSE(err.empty());
+
+    err.clear();
+    EXPECT_EQ(ServeClient::connectUnix(socketPath("missing"), err),
+              nullptr);
+    EXPECT_FALSE(err.empty());
+}
+
+} // namespace
+} // namespace tetris

@@ -533,7 +533,7 @@ TEST(Trace, EngineWithDefaultTracerFollowsTetrisTrace)
     job.name = "default-tracer";
     job.blocks = buildSyntheticUcc(4, 11);
     job.hw = hw;
-    engine.wait(engine.submit(job));
+    engine.submit(job)->get();
 
     EXPECT_EQ(Tracer::global().enabled(), traced);
     if (traced)
@@ -550,7 +550,7 @@ TEST(Stats, SnapshotFormatsEngineState)
     job.name = "stats/job";
     job.blocks = buildSyntheticUcc(4, 17);
     job.hw = hw;
-    engine.wait(engine.submit(job));
+    engine.submit(job)->get();
     engine.drain();
 
     EXPECT_EQ(engine.submittedCount(), 1u);

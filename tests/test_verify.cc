@@ -469,8 +469,7 @@ TEST(VerifyEngine, CatchesStaleDiskArtifact)
         opts.verify = true;
         opts.diskCache = disk;
         Engine engine(opts);
-        engine.submit(job);
-        ASSERT_NE(engine.wait(0), nullptr) << what;
+        ASSERT_NE(engine.submit(job)->get(), nullptr) << what;
 
         EXPECT_EQ(engine.metrics().count("jobs.disk_hits"), 1u) << what;
         EXPECT_EQ(engine.metrics().count("verify.fail"), 1u) << what;
