@@ -1,13 +1,14 @@
 #include "bench_util.hh"
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include <unistd.h>
 
 #include "common/env.hh"
+#include "common/logging.hh"
 #include "engine/disk_cache.hh"
 #include "engine/stats.hh"
 
@@ -24,15 +25,6 @@ bool
 verifyEnabled()
 {
     return envFlag("TETRIS_VERIFY");
-}
-
-std::vector<MoleculeSpec>
-benchMolecules(size_t quick_count)
-{
-    std::vector<MoleculeSpec> specs = moleculeBenchmarks();
-    if (quickMode() && specs.size() > quick_count)
-        specs.resize(quick_count);
-    return specs;
 }
 
 void
@@ -133,28 +125,6 @@ makeJob(std::string name, std::vector<PauliBlock> blocks,
     return job;
 }
 
-std::vector<BenchRecord>
-runJobs(Engine &engine, std::vector<CompileJob> jobs)
-{
-    std::vector<std::string> names;
-    names.reserve(jobs.size());
-    for (const auto &job : jobs)
-        names.push_back(job.name);
-
-    const auto start = std::chrono::steady_clock::now();
-    auto results = engine.compileAll(std::move(jobs));
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    std::fprintf(stderr, "%s\n",
-                 formatSummary(engine, elapsed.count()).c_str());
-
-    std::vector<BenchRecord> records;
-    records.reserve(results.size());
-    for (size_t i = 0; i < results.size(); ++i)
-        records.emplace_back(std::move(names[i]), results[i]);
-    return records;
-}
-
 std::string
 writeBenchFile(const std::string &artifact,
                const std::function<void(JsonWriter &)> &config,
@@ -168,9 +138,27 @@ writeBenchFile(const std::string &artifact,
     w.key("config").beginObject();
     config(w);
     w.endObject();
-    w.key("rows").beginArray();
+    w.key("rows");
+    const size_t rows_begin = w.str().size();
+    w.beginArray();
     rows(w);
     w.endArray();
+    // Each row starts with its name and no other object in the rows
+    // starts with a "name" key, so every {"name":" opens one row.
+    const std::string text = w.str().substr(rows_begin);
+    const std::string prefix = "{\"name\":\"";
+    std::set<std::string> names;
+    for (size_t at = text.find(prefix); at != std::string::npos;
+         at = text.find(prefix, at + 1)) {
+        size_t end = at + prefix.size();
+        while (text[end] != '"') // compared still JSON-escaped
+            end += text[end] == '\\' ? 2 : 1;
+        std::string name = text.substr(at + prefix.size(),
+                                       end - at - prefix.size());
+        if (!names.insert(name).second)
+            fatal("BENCH_", artifact, ".json: row name \"", name,
+                  "\" repeats; every row needs its own name");
+    }
     if (engine != nullptr) {
         w.key("engine");
         engine->metrics().writeJson(w);

@@ -2,18 +2,19 @@
  * @file
  * Shared helpers for the benchmark harness.
  *
- * Every binary in bench/ regenerates one table or figure of the
- * paper and prints the corresponding rows (plus, where available,
- * the paper's published values for side-by-side comparison).
- * Set TETRIS_BENCH_QUICK=1 to restrict the molecule set to the
- * smaller half for fast smoke runs.
+ * Every table and figure binary in bench/ regenerates one table or
+ * figure of the paper and prints the corresponding rows (plus, where
+ * available, the paper's published values for side-by-side
+ * comparison). Its jobs are one sweep of bench/sweeps.hh, where
+ * every figure's workloads and compiler stacks are declared once;
+ * TETRIS_BENCH_QUICK=1 selects each sweep's smaller quick set for
+ * fast smoke runs.
  *
- * Binaries with multi-molecule x multi-config sweeps run their jobs
- * through the shared batch engine (benchEngine()) so the sweep
- * parallelizes across TETRIS_ENGINE_THREADS workers, and drop a
- * machine-readable BENCH_<artifact>.json via writeBenchJson().
- * Every bench binary writes that file through writeBenchFile(), so
- * all of them share one layout (see there).
+ * The sweeps run through the shared batch engine (benchEngine()) so
+ * they parallelize across TETRIS_ENGINE_THREADS workers, and each
+ * binary drops a machine-readable BENCH_<artifact>.json via
+ * writeBenchJson(). Every bench binary writes that file through
+ * writeBenchFile(), so all of them share one layout (see there).
  *
  * When TETRIS_CACHE_DIR is set the engine also opens the persistent
  * compile-artifact store (engine/disk_cache.hh), so a repeated run
@@ -59,9 +60,6 @@ bool quickMode();
 /** The TETRIS_VERIFY flag (default off). */
 bool verifyEnabled();
 
-/** Molecule list honoring quick mode (first `quick_count` entries). */
-std::vector<MoleculeSpec> benchMolecules(size_t quick_count = 3);
-
 /** Print a section banner naming the paper artifact being rebuilt. */
 void printBanner(const std::string &title, const std::string &note);
 
@@ -83,18 +81,9 @@ CompileJob makeJob(std::string name, std::vector<PauliBlock> blocks,
                    std::shared_ptr<const CouplingGraph> hw,
                    PipelinePtr pipeline = nullptr);
 
-/** One named result row of a finished sweep. */
+/** One named result row of a finished sweep (see runSweep()). */
 using BenchRecord =
     std::pair<std::string, std::shared_ptr<const CompileResult>>;
-
-/**
- * Compile the whole sweep through `engine` and pair each result with
- * its job's name, in submission order -- the input of both the table
- * printers and writeBenchJson(). Prints one `stats: summary:` line
- * (formatSummary) on stderr when the sweep is done.
- */
-std::vector<BenchRecord> runJobs(Engine &engine,
-                                 std::vector<CompileJob> jobs);
 
 /**
  * Write BENCH_<artifact>.json in the working directory, in the one
@@ -107,8 +96,9 @@ std::vector<BenchRecord> runJobs(Engine &engine,
  *
  * `config` writes the members of the config object and `rows` one
  * object per measured item, each starting with its "name"; neither
- * the set of rows nor their names may depend on the machine.
- * "engine" is present when `engine` is non-null. scripts/
+ * the set of rows nor their names may depend on the machine, and no
+ * two rows may share a name (a repeat is fatal: exit 1, nothing
+ * written). "engine" is present when `engine` is non-null. scripts/
  * bench_diff.py compares two such files. Returns the path written,
  * or "" on failure.
  */

@@ -10,8 +10,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -23,45 +22,23 @@ main()
                 "CNOT counts with and without greedy consecutive-"
                 "similarity reordering inside each block.");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
-
-    TetrisOptions no_reorder;
-    no_reorder.reorderStringsInBlock = false;
-    TetrisOptions reorder;
-    reorder.reorderStringsInBlock = true;
-
-    const size_t stacks = 2;
-    std::vector<CompileJob> jobs;
-    for (const char *enc : {"jw", "bk"}) {
-        for (const auto &spec : benchMolecules()) {
-            auto blocks = buildMolecule(spec, enc);
-            std::string base = std::string(enc) + "/" + spec.name;
-            jobs.push_back(makeJob(base + "/tetris", blocks, hw,
-                                   makeTetrisPipeline(no_reorder)));
-            jobs.push_back(makeJob(base + "/tetris+reorder",
-                                   std::move(blocks), hw,
-                                   makeTetrisPipeline(reorder)));
-        }
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = extRecursiveSweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table({"Encoder", "Bench", "Tetris", "Tetris+reorder",
                         "Delta"});
-    size_t row = 0;
-    for (const char *enc : {"jw", "bk"}) {
-        for (const auto &spec : benchMolecules()) {
-            const auto *r = &records[stacks * row++];
-            const CompileStats &base = r[0].second->stats;
-            const CompileStats &reordered = r[1].second->stats;
-            table.addRow({enc, spec.name,
-                          formatCount(base.cnotCount),
-                          formatCount(reordered.cnotCount),
-                          formatPercent(-improvement(
-                              base.cnotCount, reordered.cnotCount))});
-        }
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        // Reordering is on by default: "tetris" is the reordered pass.
+        const CompileStats &base = run.stats(i, "tetris-no-reorder");
+        const CompileStats &reordered = run.stats(i, "tetris");
+        table.addRow({sweep.workloads[i].part(0),
+                      sweep.workloads[i].part(1),
+                      formatCount(base.cnotCount),
+                      formatCount(reordered.cnotCount),
+                      formatPercent(-improvement(base.cnotCount,
+                                                 reordered.cnotCount))});
     }
     table.print();
-    return writeBenchJson("ext_recursive", records, engine);
+    return writeBenchJson("ext_recursive", run.records, engine);
 }

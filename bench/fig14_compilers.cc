@@ -10,8 +10,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -23,50 +22,18 @@ main()
                 "Expected ordering: TKet >> PCOAST > PH > Tetris > "
                 "Tetris+lookahead.");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
-
-    auto mols = benchMolecules(2);
-    if (mols.size() > 4)
-        mols.resize(4); // LiH..MgH2 as in the paper
-
-    TetrisOptions ph_sched;
-    ph_sched.scheduler = SchedulerKind::Lexicographic;
-    TetrisOptions look;
-    look.scheduler = SchedulerKind::Lookahead;
-    look.lookaheadK = 10;
-
-    // Five stacks per molecule, in table-column order.
-    const size_t stacks = 5;
-    std::vector<CompileJob> jobs;
-    for (const auto &spec : mols) {
-        auto blocks = buildMolecule(spec, "jw");
-        jobs.push_back(makeJob(spec.name + "/tket-o2", blocks, hw,
-                               makeTketPipeline(TketFlavor::O2)));
-        jobs.push_back(makeJob(spec.name + "/pcoast", blocks, hw,
-                               makePcoastPipeline()));
-        jobs.push_back(makeJob(spec.name + "/ph", blocks, hw,
-                               makePaulihedralPipeline()));
-        jobs.push_back(makeJob(spec.name + "/tetris-lex", blocks, hw,
-                               makeTetrisPipeline(ph_sched)));
-        jobs.push_back(makeJob(spec.name + "/tetris-lookahead",
-                               std::move(blocks), hw,
-                               makeTetrisPipeline(look)));
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig14Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table({"Bench", "TKet", "PCOAST", "PH", "Tetris",
                         "Tetris+lookahead"});
-    for (size_t i = 0; i < mols.size(); ++i) {
-        const auto *r = &records[stacks * i];
-        table.addRow({mols[i].name,
-                      formatCount(r[0].second->stats.cnotCount),
-                      formatCount(r[1].second->stats.cnotCount),
-                      formatCount(r[2].second->stats.cnotCount),
-                      formatCount(r[3].second->stats.cnotCount),
-                      formatCount(r[4].second->stats.cnotCount)});
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        std::vector<std::string> row{sweep.workloads[i].part(1)};
+        for (const Stack &s : sweep.stacks)
+            row.push_back(formatCount(run.stats(i, s.name).cnotCount));
+        table.addRow(row);
     }
     table.print();
-    return writeBenchJson("fig14", records, engine);
+    return writeBenchJson("fig14", run.records, engine);
 }

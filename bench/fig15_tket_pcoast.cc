@@ -8,8 +8,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -17,40 +16,17 @@ using namespace tetris::bench;
 int
 main()
 {
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
-    auto mols = benchMolecules(2);
-    if (mols.size() > 4)
-        mols.resize(4);
-
-    // Per molecule: tket-o2, tket-o3 (panel a); pcoast, ph, tetris
-    // (panel b).
-    const size_t stacks = 5;
-    std::vector<CompileJob> jobs;
-    for (const auto &spec : mols) {
-        auto blocks = buildMolecule(spec, "jw");
-        jobs.push_back(makeJob(spec.name + "/tket-o2", blocks, hw,
-                               makeTketPipeline(TketFlavor::O2)));
-        jobs.push_back(makeJob(spec.name + "/tket-o3", blocks, hw,
-                               makeTketPipeline(TketFlavor::QiskitO3)));
-        jobs.push_back(makeJob(spec.name + "/pcoast", blocks, hw,
-                               makePcoastPipeline()));
-        jobs.push_back(makeJob(spec.name + "/ph", blocks, hw,
-                               makePaulihedralPipeline()));
-        jobs.push_back(makeJob(spec.name + "/tetris", std::move(blocks),
-                               hw, makeTetrisPipeline()));
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig15Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     printBanner("Fig. 15a: T|Ket> + TKet-O2 vs T|Ket> + Qiskit-O3",
                 "Paper: the O2 flavor wins in all cases.");
     TablePrinter a({"Bench", "TKet+O2 CNOT", "TKet+QiskitO3 CNOT"});
-    for (size_t i = 0; i < mols.size(); ++i) {
-        const auto *r = &records[stacks * i];
-        a.addRow({mols[i].name,
-                  formatCount(r[0].second->stats.cnotCount),
-                  formatCount(r[1].second->stats.cnotCount)});
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        a.addRow({sweep.workloads[i].part(1),
+                  formatCount(run.stats(i, "tket-o2").cnotCount),
+                  formatCount(run.stats(i, "tket-o3").cnotCount)});
     }
     a.print();
 
@@ -60,16 +36,14 @@ main()
     TablePrinter b({"Bench", "PCOAST logical", "PCOAST swaps",
                     "PH logical", "PH swaps", "Tetris logical",
                     "Tetris swaps"});
-    for (size_t i = 0; i < mols.size(); ++i) {
-        const auto *r = &records[stacks * i];
-        b.addRow({mols[i].name,
-                  formatCount(r[2].second->stats.logicalCnots),
-                  formatCount(r[2].second->stats.swapCnots),
-                  formatCount(r[3].second->stats.logicalCnots),
-                  formatCount(r[3].second->stats.swapCnots),
-                  formatCount(r[4].second->stats.logicalCnots),
-                  formatCount(r[4].second->stats.swapCnots)});
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        std::vector<std::string> row{sweep.workloads[i].part(1)};
+        for (const char *stack : {"pcoast", "ph", "tetris"}) {
+            row.push_back(formatCount(run.stats(i, stack).logicalCnots));
+            row.push_back(formatCount(run.stats(i, stack).swapCnots));
+        }
+        b.addRow(row);
     }
     b.print();
-    return writeBenchJson("fig15", records, engine);
+    return writeBenchJson("fig15", run.records, engine);
 }

@@ -10,8 +10,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -23,44 +22,19 @@ main()
                 "max_cancel = single-leaf-tree logical circuit + "
                 "peephole (no hardware constraint).");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
-
-    MaxCancelOptions bound;
-    bound.route = false;
-    bound.logicalPeephole = true;
-
-    const size_t stacks = 3; // ph, tetris, max-cancel bound
-    std::vector<CompileJob> jobs;
-    for (const char *enc : {"jw", "bk"}) {
-        for (const auto &spec : benchMolecules()) {
-            auto blocks = buildMolecule(spec, enc);
-            std::string base = std::string(enc) + "/" + spec.name;
-            jobs.push_back(makeJob(base + "/ph", blocks, hw,
-                                   makePaulihedralPipeline()));
-            jobs.push_back(makeJob(base + "/tetris", blocks, hw,
-                                   makeTetrisPipeline()));
-            jobs.push_back(makeJob(base + "/max-cancel",
-                                   std::move(blocks), hw,
-                                   makeMaxCancelPipeline(bound)));
-        }
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig17Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table(
         {"Encoder", "Bench", "PH", "Tetris", "max_cancel"});
-    size_t row = 0;
-    for (const char *enc : {"jw", "bk"}) {
-        for (const auto &spec : benchMolecules()) {
-            const auto *r = &records[stacks * row++];
-            table.addRow(
-                {enc, spec.name,
-                 formatPercent(r[0].second->stats.cancelRatio),
-                 formatPercent(r[1].second->stats.cancelRatio),
-                 formatPercent(r[2].second->stats.cancelRatio)});
-        }
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        std::vector<std::string> row{sweep.workloads[i].part(0),
+                                     sweep.workloads[i].part(1)};
+        for (const Stack &s : sweep.stacks)
+            row.push_back(formatPercent(run.stats(i, s.name).cancelRatio));
+        table.addRow(row);
     }
     table.print();
-    return writeBenchJson("fig17", records, engine);
+    return writeBenchJson("fig17", run.records, engine);
 }

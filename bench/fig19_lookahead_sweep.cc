@@ -8,8 +8,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -21,42 +20,27 @@ main()
                 "Paper: CNOT count drops sharply from K=1 and is "
                 "stable for K > 10.");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
-    const std::vector<int> ks = {1, 4, 7, 10, 13, 16, 19, 22};
-
-    auto mols = benchMolecules();
-    std::vector<CompileJob> jobs;
-    for (const auto &spec : mols) {
-        auto blocks = buildMolecule(spec, "jw");
-        for (int k : ks) {
-            TetrisOptions opts;
-            opts.lookaheadK = k;
-            jobs.push_back(makeJob(spec.name + "/k" + std::to_string(k),
-                                   blocks, hw,
-                                   makeTetrisPipeline(opts)));
-        }
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig19Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     std::vector<std::string> headers{"Bench", "Metric"};
-    for (int k : ks)
-        headers.push_back("K=" + std::to_string(k));
+    for (const Stack &s : sweep.stacks)
+        headers.push_back("K" + s.name.substr(1)); // "k=4" -> "K=4"
     TablePrinter table(headers);
 
-    for (size_t i = 0; i < mols.size(); ++i) {
-        std::vector<std::string> cnot_row{mols[i].name, "CNOT"};
-        std::vector<std::string> depth_row{mols[i].name, "Depth"};
-        for (size_t j = 0; j < ks.size(); ++j) {
-            const CompileStats &s =
-                records[i * ks.size() + j].second->stats;
-            cnot_row.push_back(formatCount(s.cnotCount));
-            depth_row.push_back(formatCount(s.depth));
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        const std::string bench = sweep.workloads[i].part(1);
+        std::vector<std::string> cnot_row{bench, "CNOT"};
+        std::vector<std::string> depth_row{bench, "Depth"};
+        for (const Stack &s : sweep.stacks) {
+            const CompileStats &stats = run.stats(i, s.name);
+            cnot_row.push_back(formatCount(stats.cnotCount));
+            depth_row.push_back(formatCount(stats.depth));
         }
         table.addRow(cnot_row);
         table.addRow(depth_row);
     }
     table.print();
-    return writeBenchJson("fig19", records, engine);
+    return writeBenchJson("fig19", run.records, engine);
 }

@@ -7,8 +7,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -20,31 +19,18 @@ main()
                 "Paper: depth improvement -18.1..-47.8%, CNOT "
                 "improvement -25.5..-42.3%.");
 
-    auto hw = shareDevice(googleSycamore64());
     Engine &engine = benchEngine();
-
-    const size_t stacks = 2; // ph, tetris
-    auto mols = benchMolecules();
-    std::vector<CompileJob> jobs;
-    for (const auto &spec : mols) {
-        auto blocks = buildMolecule(spec, "jw");
-        jobs.push_back(makeJob(spec.name + "/ph", blocks, hw,
-                               makePaulihedralPipeline()));
-        jobs.push_back(makeJob(spec.name + "/tetris", std::move(blocks),
-                               hw, makeTetrisPipeline()));
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig21Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table({"Bench", "PH depth", "Tet depth", "Depth%",
                         "PH CNOT", "Tet CNOT", "CNOT%", "PH_S",
                         "Tetris_S"});
-    for (size_t i = 0; i < mols.size(); ++i) {
-        const CompileStats &ph = records[stacks * i].second->stats;
-        const CompileStats &tet =
-            records[stacks * i + 1].second->stats;
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        const CompileStats &ph = run.stats(i, "ph");
+        const CompileStats &tet = run.stats(i, "tetris");
         table.addRow({
-            mols[i].name,
+            sweep.workloads[i].part(1),
             formatCount(ph.depth),
             formatCount(tet.depth),
             formatPercent(-improvement(ph.depth, tet.depth)),
@@ -56,5 +42,5 @@ main()
         });
     }
     table.print();
-    return writeBenchJson("fig21", records, engine);
+    return writeBenchJson("fig21", run.records, engine);
 }

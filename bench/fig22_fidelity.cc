@@ -18,10 +18,8 @@
 
 #include <algorithm>
 
-#include "bench_util.hh"
-#include "common/rng.hh"
-#include "hardware/topologies.hh"
 #include "sim/noise.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -55,68 +53,35 @@ main()
                 "Depolarizing noise p2=1e-3, p1=1e-4; higher is "
                 "better; Tetris should dominate PH.");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
     NoiseModel noise;
-
-    struct Config
-    {
-        const char *molecule;
-        int samples;
-    };
-    std::vector<Config> configs = {{"LiH", 100}, {"CO2", 10}};
-    if (quickMode())
-        configs = {{"LiH", 20}};
-
-    // Sample every subset in the serial order, two jobs per sample.
-    std::vector<CompileJob> jobs;
-    for (const auto &cfg : configs) {
-        auto blocks = buildMolecule(moleculeByName(cfg.molecule), "jw");
-        Rng rng(2024);
-        for (int nb = 1; nb <= 10; ++nb) {
-            for (int s = 0; s < cfg.samples; ++s) {
-                auto picks = rng.sampleIndices(blocks.size(), nb);
-                std::vector<PauliBlock> subset;
-                for (size_t idx : picks)
-                    subset.push_back(blocks[idx]);
-                std::string base = std::string(cfg.molecule) + "/nb=" +
-                                   std::to_string(nb) + "/s=" +
-                                   std::to_string(s);
-                jobs.push_back(makeJob(base + "/ph", subset, hw,
-                                       makePaulihedralPipeline()));
-                jobs.push_back(makeJob(base + "/tetris",
-                                       std::move(subset), hw,
-                                       makeTetrisPipeline()));
-            }
-        }
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig22Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table({"Molecule", "#Blocks", "PH min", "PH mean",
                         "PH max", "Tetris min", "Tetris mean",
                         "Tetris max"});
-    size_t next = 0;
-    for (const auto &cfg : configs) {
-        for (int nb = 1; nb <= 10; ++nb) {
-            std::vector<double> ph_f, tet_f;
-            for (int s = 0; s < cfg.samples; ++s) {
-                ph_f.push_back(echoFidelity(
-                    records[next].second->circuit, noise));
-                tet_f.push_back(echoFidelity(
-                    records[next + 1].second->circuit, noise));
-                next += 2;
-            }
-            Summary ph_s = summarize(ph_f);
-            Summary tet_s = summarize(tet_f);
-            table.addRow({cfg.molecule, std::to_string(nb),
-                          formatDouble(ph_s.min), formatDouble(ph_s.mean),
-                          formatDouble(ph_s.max),
-                          formatDouble(tet_s.min),
-                          formatDouble(tet_s.mean),
-                          formatDouble(tet_s.max)});
+    // One row per molecule and subset size: the consecutive samples
+    // that share both.
+    const auto &workloads = sweep.workloads;
+    for (size_t i = 0; i < workloads.size();) {
+        const std::string molecule = workloads[i].part(1);
+        const size_t nb = workloads[i].blocks.size();
+        std::vector<double> ph_f, tet_f;
+        for (; i < workloads.size() && workloads[i].part(1) == molecule &&
+               workloads[i].blocks.size() == nb;
+             ++i) {
+            ph_f.push_back(echoFidelity(run.result(i, "ph").circuit, noise));
+            tet_f.push_back(
+                echoFidelity(run.result(i, "tetris").circuit, noise));
         }
+        Summary ph_s = summarize(ph_f);
+        Summary tet_s = summarize(tet_f);
+        table.addRow({molecule, std::to_string(nb),
+                      formatDouble(ph_s.min), formatDouble(ph_s.mean),
+                      formatDouble(ph_s.max), formatDouble(tet_s.min),
+                      formatDouble(tet_s.mean), formatDouble(tet_s.max)});
     }
     table.print();
-    return writeBenchJson("fig22", records, engine);
+    return writeBenchJson("fig22", run.records, engine);
 }

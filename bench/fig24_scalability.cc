@@ -15,9 +15,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "engine/engine.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -30,42 +28,19 @@ main()
                 "the end-to-end latency including O3 scales better "
                 "because fewer gates reach the optimizer.");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
     std::printf("[engine: %d threads]\n", engine.numThreads());
 
-    PaulihedralOptions ph_raw;
-    ph_raw.runPeephole = false;
-    TetrisOptions tet_raw;
-    tet_raw.runPeephole = false;
-
-    auto specs = benchMolecules();
-    std::vector<CompileJob> jobs;
-    for (const auto &spec : specs) {
-        auto blocks = buildMolecule(spec, "jw");
-        // Per molecule: PH raw, PH+O3, Tetris raw, Tetris+O3.
-        jobs.push_back(makeJob(spec.name + "/ph", blocks, hw,
-                               makePaulihedralPipeline(ph_raw)));
-        jobs.push_back(makeJob(spec.name + "/ph+o3", blocks, hw,
-                               makePaulihedralPipeline()));
-        jobs.push_back(makeJob(spec.name + "/tetris", blocks, hw,
-                               makeTetrisPipeline(tet_raw)));
-        jobs.push_back(makeJob(spec.name + "/tetris+o3",
-                               std::move(blocks), hw,
-                               makeTetrisPipeline()));
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig16Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table({"Bench", "PH", "PH+O3", "Tetris",
                         "Tetris+O3"});
-    for (size_t i = 0; i < specs.size(); ++i) {
-        const auto *r = &records[4 * i];
-        table.addRow({specs[i].name,
-                      formatDouble(r[0].second->stats.compileSeconds),
-                      formatDouble(r[1].second->stats.compileSeconds),
-                      formatDouble(r[2].second->stats.compileSeconds),
-                      formatDouble(r[3].second->stats.compileSeconds)});
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        std::vector<std::string> row{sweep.workloads[i].part(1)};
+        for (const Stack &s : sweep.stacks)
+            row.push_back(formatDouble(run.stats(i, s.name).compileSeconds));
+        table.addRow(row);
     }
     table.print();
 
@@ -76,5 +51,5 @@ main()
                 m.seconds("compile.schedule"),
                 m.seconds("compile.synthesis"),
                 m.seconds("compile.peephole"));
-    return writeBenchJson("fig24", records, engine);
+    return writeBenchJson("fig24", run.records, engine);
 }

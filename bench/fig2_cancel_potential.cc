@@ -10,8 +10,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -23,38 +22,21 @@ main()
                 "Paper (JW): PH 37.8..50.8%, max 61.1..81.1%. "
                 "Paper (BK): PH 24.9..43.4%, max 56.2..76.9%.");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
-
-    std::vector<CompileJob> jobs;
-    std::vector<double> max_ratios;
-    for (const char *enc : {"jw", "bk"}) {
-        for (const auto &spec : benchMolecules()) {
-            auto blocks = buildMolecule(spec, enc);
-            max_ratios.push_back(
-                static_cast<double>(maxCancelCnotBound(blocks)) /
-                static_cast<double>(naiveCnotCount(blocks)));
-            jobs.push_back(makeJob(std::string(enc) + "/" + spec.name +
-                                       "/ph",
-                                   std::move(blocks), hw,
-                                   makePaulihedralPipeline()));
-        }
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = fig2Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table(
         {"Encoder", "Bench", "PH cancel", "max_cancel bound"});
-    size_t row = 0;
-    for (const char *enc : {"jw", "bk"}) {
-        for (const auto &spec : benchMolecules()) {
-            table.addRow({enc, spec.name,
-                          formatPercent(
-                              records[row].second->stats.cancelRatio),
-                          formatPercent(max_ratios[row])});
-            ++row;
-        }
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        const Workload &w = sweep.workloads[i];
+        const double max_ratio =
+            static_cast<double>(maxCancelCnotBound(w.blocks)) /
+            static_cast<double>(naiveCnotCount(w.blocks));
+        table.addRow({w.part(0), w.part(1),
+                      formatPercent(run.stats(i, "ph").cancelRatio),
+                      formatPercent(max_ratio)});
     }
     table.print();
-    return writeBenchJson("fig2", records, engine);
+    return writeBenchJson("fig2", run.records, engine);
 }

@@ -12,10 +12,10 @@
  */
 
 #include <cstdio>
+#include <iterator>
 
-#include "bench_util.hh"
-#include "hardware/topologies.hh"
-#include "qaoa/qaoa.hh"
+#include "common/logging.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -45,93 +45,51 @@ main()
                 "Molecules use the JW encoder (blocked spin order); "
                 "paper values in parentheses.");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
 
-    NaiveOptions logical_only;
-    logical_only.route = false;
-    auto naive = makeNaivePipeline(logical_only);
-
-    struct Row
-    {
-        std::string type;
-        std::string name;
-        int qubits;
-        size_t pauli;
-        size_t one_q;
-        PaperRow paper;
-    };
-    std::vector<Row> rows;
-    std::vector<CompileJob> jobs;
-    auto addWorkload = [&](const std::string &type,
-                           const std::string &name, int qubits,
-                           size_t pauli, size_t one_q,
-                           const PaperRow &paper,
-                           std::vector<PauliBlock> blocks) {
-        rows.push_back({type, name, qubits, pauli, one_q, paper});
-        jobs.push_back(
-            makeJob(name + "/naive", std::move(blocks), hw, naive));
-    };
-
-    const std::vector<PaperRow> mol_paper = {
+    // One row per workload of table1Sweep(): the six molecules, UCC-10
+    // .. UCC-35, then the six QAOA graphs.
+    const PaperRow paper[] = {
         {640, 8064, 4992},     {1488, 21072, 11712},
         {4240, 73680, 33600},  {8400, 173264, 66752},
         {17280, 440960, 137600}, {20944, 568656, 166848},
-    };
-    const auto &mols = moleculeBenchmarks();
-    for (size_t i = 0; i < mols.size(); ++i) {
-        auto blocks = buildMolecule(mols[i], "jw");
-        // Counts hoisted out: argument evaluation order is
-        // unspecified relative to the move of `blocks`.
-        size_t pauli = totalStrings(blocks);
-        size_t one_q = naiveOneQubitCount(blocks);
-        addWorkload("Molecule", mols[i].name, mols[i].numSpinOrbitals,
-                    pauli, one_q, mol_paper[i], std::move(blocks));
-    }
-
-    const std::vector<PaperRow> ucc_paper = {
         {800, 8976, 6400},    {1800, 27200, 14400},
         {3200, 59712, 25600}, {5000, 117376, 40000},
         {7200, 193984, 57600}, {9800, 304976, 78400},
-    };
-    const int ucc_sizes[] = {10, 15, 20, 25, 30, 35};
-    for (size_t i = 0; i < 6; ++i) {
-        int n = ucc_sizes[i];
-        auto blocks = buildSyntheticUcc(n, 1000 + n);
-        size_t pauli = totalStrings(blocks);
-        size_t one_q = naiveOneQubitCount(blocks);
-        addWorkload("UCCSD", "UCC-" + std::to_string(n), n, pauli,
-                    one_q, ucc_paper[i], std::move(blocks));
-    }
-
-    const std::vector<PaperRow> qaoa_paper = {
         {25, 50, 57}, {31, 62, 67}, {40, 80, 80},
         {24, 48, 56}, {27, 54, 63}, {30, 60, 70},
     };
-    const auto &specs = qaoaBenchmarks();
-    for (size_t i = 0; i < specs.size(); ++i) {
-        Graph g = buildQaoaGraph(specs[i], 1);
-        auto blocks = buildQaoaCostBlocks(g, 0.4);
-        // Table I 1Q accounting: one RZ per edge + H and RX layers.
-        size_t one_q = g.numEdges() + 2 * g.numNodes();
-        size_t pauli = blocks.size();
-        addWorkload("QAOA", specs[i].name, specs[i].numNodes, pauli,
-                    one_q, qaoa_paper[i], std::move(blocks));
-    }
 
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = table1Sweep();
+    TETRIS_ASSERT(sweep.workloads.size() == std::size(paper));
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table({"Type", "Bench", "#qubits", "#Pauli(paper)",
                         "#CNOT(paper)", "#1Q(paper)"});
-    for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        const Workload &w = sweep.workloads[i];
+        const std::string family = w.part(0);
+        const size_t qubits = w.blocks.front().numQubits();
+        size_t pauli = totalStrings(w.blocks);
+        size_t one_q = naiveOneQubitCount(w.blocks);
+        std::string type = "Molecule", bench = w.part(1);
+        if (family == "ucc") {
+            type = "UCCSD";
+        } else if (family != "jw") {
+            // A QAOA graph: one ZZ block per edge; Table I counts one
+            // RZ per edge plus the H and RX layers.
+            type = "QAOA";
+            bench = family;
+            pauli = w.blocks.size();
+            one_q = pauli + 2 * qubits;
+        }
         // Unrouted naive: cnotCount == the paper's original CNOTs.
-        size_t cnots = records[i].second->stats.cnotCount;
-        table.addRow({rows[i].type, rows[i].name,
-                      std::to_string(rows[i].qubits),
-                      withPaper(rows[i].pauli, rows[i].paper.pauli),
-                      withPaper(cnots, rows[i].paper.cnot),
-                      withPaper(rows[i].one_q, rows[i].paper.one_q)});
+        table.addRow({type, bench, std::to_string(qubits),
+                      withPaper(pauli, paper[i].pauli),
+                      withPaper(run.stats(i, "naive-unrouted").cnotCount,
+                                paper[i].cnot),
+                      withPaper(one_q, paper[i].one_q)});
     }
     table.print();
-    return writeBenchJson("table1", records, engine);
+    return writeBenchJson("table1", run.records, engine);
 }

@@ -12,9 +12,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-#include "engine/engine.hh"
-#include "hardware/topologies.hh"
+#include "sweeps.hh"
 
 using namespace tetris;
 using namespace tetris::bench;
@@ -22,22 +20,19 @@ using namespace tetris::bench;
 namespace
 {
 
-struct RowSpec
-{
-    std::string group;
-    std::string name;
-};
-
 void
-addComparisonRow(TablePrinter &table, const RowSpec &spec,
+addComparisonRow(TablePrinter &table, const Workload &w,
                  const CompileStats &ph, const CompileStats &tet)
 {
     auto pct = [](double a, double b) {
         return formatPercent(-improvement(a, b)); // paper prints -x%
     };
+    const std::string family = w.part(0);
     table.addRow({
-        spec.group,
-        spec.name,
+        family == "jw"   ? "Jordan-Wigner"
+        : family == "bk" ? "Bravyi-Kitaev"
+                         : "Synthetic",
+        w.part(1),
         formatCount(ph.totalGateCount),
         formatCount(tet.totalGateCount),
         pct(ph.totalGateCount, tet.totalGateCount),
@@ -63,47 +58,19 @@ main()
         "Negative percentages = reduction by Tetris (paper JW CNOT: "
         "-17.2..-40.7%, depth: -11.0..-37.6%).");
 
-    auto hw = shareDevice(ibmIthaca65());
     Engine &engine = benchEngine();
     std::printf("[engine: %d threads]\n", engine.numThreads());
 
-    std::vector<RowSpec> rows;
-    std::vector<CompileJob> jobs; // PH then Tetris, per row
-    auto addWorkload = [&](const std::string &group,
-                           const std::string &name,
-                           std::vector<PauliBlock> blocks) {
-        rows.push_back({group, name});
-        jobs.push_back(makeJob(name + "/ph", blocks, hw,
-                               makePaulihedralPipeline()));
-        jobs.push_back(makeJob(name + "/tetris", std::move(blocks), hw,
-                               makeTetrisPipeline()));
-    };
-
-    for (const char *enc : {"jw", "bk"}) {
-        for (const auto &spec : benchMolecules()) {
-            addWorkload(enc == std::string("jw") ? "Jordan-Wigner"
-                                                 : "Bravyi-Kitaev",
-                        spec.name, buildMolecule(spec, enc));
-        }
-    }
-
-    std::vector<int> ucc_sizes = {10, 15, 20, 25, 30, 35};
-    if (quickMode())
-        ucc_sizes = {10, 15};
-    for (int n : ucc_sizes) {
-        addWorkload("Synthetic", "UCC-" + std::to_string(n),
-                    buildSyntheticUcc(n, 1000 + n));
-    }
-
-    auto records = runJobs(engine, std::move(jobs));
+    const Sweep sweep = table2Sweep(quickMode());
+    const SweepRun run = runSweep(engine, sweep);
 
     TablePrinter table({"Encoder", "Bench", "Tot PH", "Tot Tet", "Tot%",
                         "CNOT PH", "CNOT Tet", "CNOT%", "Dep PH",
                         "Dep Tet", "Dep%", "Dur PH", "Dur Tet", "Dur%"});
-    for (size_t i = 0; i < rows.size(); ++i) {
-        addComparisonRow(table, rows[i], records[2 * i].second->stats,
-                         records[2 * i + 1].second->stats);
+    for (size_t i = 0; i < sweep.workloads.size(); ++i) {
+        addComparisonRow(table, sweep.workloads[i], run.stats(i, "ph"),
+                         run.stats(i, "tetris"));
     }
     table.print();
-    return writeBenchJson("table2", records, engine);
+    return writeBenchJson("table2", run.records, engine);
 }

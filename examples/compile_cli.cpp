@@ -51,6 +51,8 @@ usage()
                  " [--backend ithaca|sycamore] [--compiler %s|ph|max|"
                  "tket] [--swap-weight W] [--lookahead K]"
                  " [--no-bridging] [--verify] [--qasm FILE]\n"
+                 "(--workload ucc-N builds UCC-N, an integer N in [4, "
+                 "backend width]: 65 on ithaca, 64 on sycamore)\n"
                  "(--lookahead sets the scheduler's candidate-set size, "
                  "an integer K in [1, 1048576]; default 10)\n"
                  "(--verify, or TETRIS_VERIFY=1, checks the compiled "
@@ -63,12 +65,15 @@ usage()
 
 std::vector<PauliBlock>
 loadWorkload(const std::string &name, const std::string &encoder,
-             bool &is_qaoa)
+             const CouplingGraph &hw, bool &is_qaoa)
 {
     is_qaoa = false;
     if (name.rfind("ucc-", 0) == 0) {
-        int n = std::atoi(name.c_str() + 4);
-        return buildSyntheticUcc(n, 1000 + n);
+        // UCCSD needs at least 4 qubits, and every one needs a wire.
+        auto n = parseBoundedInt(name.c_str() + 4, 4, hw.numQubits());
+        if (!n)
+            usage();
+        return buildSyntheticUcc(static_cast<int>(*n), 1000 + *n);
     }
     if (name.rfind("qaoa-", 0) == 0) {
         is_qaoa = true;
@@ -164,10 +169,10 @@ main(int argc, char **argv)
     if (workload.empty())
         usage();
 
-    bool is_qaoa = false;
-    auto blocks = loadWorkload(workload, encoder, is_qaoa);
     auto hw = std::make_shared<const CouplingGraph>(
         backend == "sycamore" ? googleSycamore64() : ibmIthaca65());
+    bool is_qaoa = false;
+    auto blocks = loadWorkload(workload, encoder, *hw, is_qaoa);
 
     CompileJob job;
     job.name = workload + "/" + compiler;

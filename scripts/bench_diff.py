@@ -7,10 +7,9 @@ Usage:
 Every bench binary writes the same layout (bench/bench_util.hh,
 "schema": "bench-v3"): an "artifact" name, a "config" object holding
 the settings that produced the file, and "rows", one object per
-measured item with a "name". Rows are matched by name; a name that
-repeats within a file is keyed by its occurrence ("LiH/ph",
-"LiH/ph#2", ...). Nested objects are flattened, and each field is
-judged by the policy POLICY gives its last name component:
+measured item with a unique "name". Rows are matched by name.
+Nested objects are flattened, and each field is judged by the policy
+POLICY gives its last name component:
 
   quality  fails when the candidate exceeds baseline x (1 + PCT/100)
   exact    fails on any change
@@ -24,8 +23,8 @@ their own. The differ only compares two runs: checks on a single run
 live in the exit status of the binary that ran it.
 
 Exit status: 0 = no failures (warnings allowed), 1 = at least one
-failure, 2 = unreadable file, a schema other than bench-v3, or files
-of two different artifacts.
+failure, 2 = unreadable file, a schema other than bench-v3, a row name
+that repeats within a file, or files of two different artifacts.
 """
 
 import argparse
@@ -104,13 +103,14 @@ def flatten(obj, prefix=""):
     return flat
 
 
-def rows_by_key(doc):
-    """{row key: row}, repeated names keyed by occurrence."""
-    rows, seen = {}, {}
+def rows_by_name(doc, path):
+    """{row name: row}, exiting 2 when a name repeats."""
+    rows = {}
     for row in doc["rows"]:
         name = row.get("name")
-        seen[name] = seen.get(name, 0) + 1
-        rows[name if seen[name] == 1 else f"{name}#{seen[name]}"] = row
+        if name in rows:
+            die(f"{path} repeats the row name {name!r}")
+        rows[name] = row
     return rows
 
 
@@ -165,7 +165,8 @@ def main():
             print(f"note: config {key}: {base_cfg.get(key)!r} -> "
                   f"{cand_cfg.get(key)!r}")
 
-    base_rows, cand_rows = rows_by_key(base), rows_by_key(cand)
+    base_rows = rows_by_name(base, args.baseline)
+    cand_rows = rows_by_name(cand, args.candidate)
     failures, warnings, compared = [], [], 0
     for key in sorted(base_rows.keys() ^ cand_rows.keys()):
         side = args.baseline if key in base_rows else args.candidate

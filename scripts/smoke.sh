@@ -285,6 +285,21 @@ for bad in x -1 0 1048577; do
 done
 echo "smoke OK: compile_cli refused out-of-range lookahead values"
 
+# --workload ucc-N takes N in [4, backend width] (65 on ithaca) and
+# prints the usage (exit 2) for anything else, in place of a library
+# panic or a silently truncated N.
+for bad in ucc-abc ucc-3 ucc-10x ucc-66; do
+  set +e
+  (cd build && ./compile_cli --workload "$bad") > /dev/null 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "smoke FAIL: compile_cli --workload $bad exited $rc" >&2
+    exit 1
+  fi
+done
+echo "smoke OK: compile_cli refused malformed ucc-N workloads"
+
 # ---- semantic verification sweep ----------------------------------
 # Every result of a multi-pipeline molecule sweep must pass the
 # equivalence verifier: with TETRIS_VERIFY set the bench exits 1 on a
@@ -324,7 +339,8 @@ EOF
 # Each mutated copy of the fresh table2 and stream files must get its
 # stated exit status: 0 unchanged; 1 for a moved quality count, a
 # moved exact count, or a dropped row; 0 with a warning line for a
-# halved rate; 2 for the previous envelope version.
+# halved rate; 2 for the previous envelope version or a repeated row
+# name.
 python3 - <<'EOF'
 import copy, json
 
@@ -347,6 +363,9 @@ def halve_rate(doc):
 def older_schema(doc):
     doc["schema"] = doc["schema"].replace("v3", "v2")
 
+def repeat_name(doc):
+    doc["rows"][1]["name"] = doc["rows"][0]["name"]
+
 table2 = load("build/BENCH_table2.json")
 stream = load("build/BENCH_stream.json")
 write(table2, "cnot", lambda d: bump(d["rows"][0]["stats"], "cnotCount"))
@@ -354,6 +373,7 @@ write(stream, "chunks", lambda d: bump(d["rows"][0], "chunks"))
 write(table2, "dropped", lambda d: d["rows"].pop())
 write(stream, "rate", halve_rate)
 write(table2, "schema", older_schema)
+write(table2, "repeat", repeat_name)
 EOF
 expect_diff() { # want-status baseline candidate
   set +e
@@ -377,6 +397,7 @@ if ! grep -q '^warning: .*instructions_per_sec' build/diff-out.txt; then
   exit 1
 fi
 expect_diff 2 build/BENCH_table2.json build/diff-schema.json
+expect_diff 2 build/BENCH_table2.json build/diff-repeat.json
 echo "smoke OK: bench_diff gave each mutated copy its exit status"
 
 # Bounded frontend fuzz: random/mutated/garbage bytes through both

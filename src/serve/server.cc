@@ -30,7 +30,52 @@ sendError(int fd, const char *code, const std::string &detail)
 std::unique_ptr<ServeServer>
 ServeServer::start(Engine &engine, ServeOptions opts)
 {
+    // Open the listeners before the server exists: a refused start
+    // closes what it opened and never reaches ~ServeServer, whose
+    // drain would mark the engine draining and wait out its backlog.
+    int tcp_fd = -1;
+    int unix_fd = -1;
+    int port = 0;
+    std::string err;
+    if (opts.tcpPort >= 0) {
+        if (!net::isTcpHost(opts.tcpHost)) {
+            logWarn("tetrisd: invalid TCP host '", opts.tcpHost, "'");
+            return nullptr;
+        }
+        tcp_fd = net::listenTcp(opts.tcpHost, opts.tcpPort, 64, port, err);
+        if (tcp_fd < 0) {
+            logWarn("tetrisd: cannot bind TCP ", opts.tcpHost, ":",
+                    opts.tcpPort, ": ", err);
+            return nullptr;
+        }
+    }
+    if (!opts.unixPath.empty()) {
+        if (!net::fitsUnixPath(opts.unixPath)) {
+            logWarn("tetrisd: unix socket path too long: ",
+                    opts.unixPath);
+        } else {
+            unix_fd = net::listenUnix(opts.unixPath, 64, err);
+            if (unix_fd < 0)
+                logWarn("tetrisd: cannot bind unix socket ",
+                        opts.unixPath, ": ", err);
+        }
+        if (unix_fd < 0) {
+            if (tcp_fd >= 0)
+                ::close(tcp_fd);
+            return nullptr;
+        }
+    }
+    if (tcp_fd < 0 && unix_fd < 0) {
+        logWarn("tetrisd: no listener configured (need a TCP port "
+                "and/or a unix socket path)");
+        return nullptr;
+    }
+
     std::unique_ptr<ServeServer> server(new ServeServer(engine));
+    server->tcpFd_ = tcp_fd;
+    server->unixFd_ = unix_fd;
+    server->port_ = port;
+    server->unixPath_ = opts.unixPath;
     server->maxClients_ =
         opts.maxClients > 0
             ? opts.maxClients
@@ -43,43 +88,6 @@ ServeServer::start(Engine &engine, ServeOptions opts)
         opts.maxFrameBytes > 0
             ? opts.maxFrameBytes
             : envInt("TETRIS_SERVE_MAX_FRAME_MB", 1, 4096, 64) << 20;
-
-    std::string err;
-    if (opts.tcpPort >= 0) {
-        if (!net::isTcpHost(opts.tcpHost)) {
-            logWarn("tetrisd: invalid TCP host '", opts.tcpHost, "'");
-            return nullptr;
-        }
-        server->tcpFd_ = net::listenTcp(opts.tcpHost, opts.tcpPort, 64,
-                                        server->port_, err);
-        if (server->tcpFd_ < 0) {
-            logWarn("tetrisd: cannot bind TCP ", opts.tcpHost, ":",
-                    opts.tcpPort, ": ", err);
-            return nullptr;
-        }
-    }
-    if (!opts.unixPath.empty()) {
-        if (!net::fitsUnixPath(opts.unixPath)) {
-            logWarn("tetrisd: unix socket path too long: ",
-                    opts.unixPath);
-        } else {
-            server->unixFd_ = net::listenUnix(opts.unixPath, 64, err);
-            if (server->unixFd_ < 0)
-                logWarn("tetrisd: cannot bind unix socket ",
-                        opts.unixPath, ": ", err);
-        }
-        if (server->unixFd_ < 0) {
-            if (server->tcpFd_ >= 0)
-                ::close(server->tcpFd_);
-            return nullptr;
-        }
-        server->unixPath_ = opts.unixPath;
-    }
-    if (server->tcpFd_ < 0 && server->unixFd_ < 0) {
-        logWarn("tetrisd: no listener configured (need a TCP port "
-                "and/or a unix socket path)");
-        return nullptr;
-    }
 
     server->acceptThread_ =
         std::thread([s = server.get()] { s->acceptLoop(); });

@@ -1,11 +1,11 @@
 /**
  * @file
- * Golden corpus: the quick sweeps of Table II (the 16 jobs
- * table2_main builds with TETRIS_BENCH_QUICK=1), Fig. 23 (the 36
- * QAOA jobs fig23_qaoa builds in the same mode) and Fig. 19 (the
- * lookahead K sweep, plus a program wider than one 64-qubit
- * bit-plane word), and the routed baselines (naive, T|Ket>, PCOAST,
- * max-cancel) over Table II's quick workloads, pinned job by job.
+ * Golden corpus: the quick sweeps of Table II (16 jobs), Fig. 23 (36
+ * QAOA jobs) and Fig. 19 (the lookahead K sweep, plus a program wider
+ * than one 64-qubit bit-plane word), and the routed baselines (naive,
+ * T|Ket>, PCOAST, max-cancel) over Table II's quick workloads, pinned
+ * job by job. The jobs come from the sweep table the bench binaries
+ * run (bench/sweeps.hh), whose invariants are checked here too.
  *
  * Each row of the data/golden/*_quick.txt files holds
  * one job's CNOT, one-qubit, depth and SWAP counts plus an FNV-1a
@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -34,11 +35,10 @@
 
 #include "chem/uccsd.hh"
 #include "common/hash.hh"
-#include "core/pipeline_adapters.hh"
 #include "engine/engine.hh"
 #include "hardware/topologies.hh"
-#include "qaoa/qaoa.hh"
 #include "serialize/artifact.hh"
+#include "sweeps.hh"
 
 namespace tetris
 {
@@ -151,138 +151,25 @@ readCorpus(const std::string &path)
     return rows;
 }
 
-CompileJob
-makeJob(std::string name, std::vector<PauliBlock> blocks,
-        std::shared_ptr<const CouplingGraph> hw, PipelinePtr pipeline)
-{
-    CompileJob job;
-    job.name = std::move(name);
-    job.blocks = std::move(blocks);
-    job.hw = std::move(hw);
-    job.pipeline = std::move(pipeline);
-    return job;
-}
-
-using Workload = std::pair<std::string, std::vector<PauliBlock>>;
-
-/** table2_main's quick workloads: the first three molecules under
- *  both encoders, then UCC-10 and UCC-15 with their fixed seeds. */
-std::vector<Workload>
-table2QuickWorkloads()
-{
-    std::vector<Workload> workloads;
-    for (const char *enc : {"jw", "bk"}) {
-        for (size_t i = 0; i < 3; ++i) {
-            const MoleculeSpec &spec = moleculeBenchmarks()[i];
-            workloads.emplace_back(std::string(enc) + "/" + spec.name,
-                                   buildMolecule(spec, enc));
-        }
-    }
-    for (int n : {10, 15}) {
-        workloads.emplace_back("ucc/UCC-" + std::to_string(n),
-                               buildSyntheticUcc(n, 1000 + n));
-    }
-    return workloads;
-}
-
-/** table2_main's quick set: Paulihedral and Tetris per workload. */
-std::vector<CompileJob>
-table2QuickJobs()
-{
-    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
-    std::vector<CompileJob> jobs;
-    for (const auto &[workload, blocks] : table2QuickWorkloads()) {
-        jobs.push_back(makeJob(workload + "/ph", blocks, hw,
-                               makePaulihedralPipeline()));
-        jobs.push_back(makeJob(workload + "/tetris", blocks, hw,
-                               makeTetrisPipeline()));
-    }
-    return jobs;
-}
-
-/** The routed baselines over the same workloads: naive routed and
- *  unrouted (Table I), both T|Ket> flavors, PCOAST, max-cancel
- *  routed, and Fig. 17's unrouted max-cancel bound. */
-std::vector<CompileJob>
-routedQuickJobs()
-{
-    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
-    NaiveOptions unrouted_naive;
-    unrouted_naive.route = false;
-    MaxCancelOptions bound;
-    bound.route = false;
-    bound.logicalPeephole = true;
-    const std::pair<const char *, PipelinePtr> stacks[] = {
-        {"naive", makeNaivePipeline()},
-        {"naive-unrouted", makeNaivePipeline(unrouted_naive)},
-        {"tket-o2", makeTketPipeline(TketFlavor::O2)},
-        {"tket-o3", makeTketPipeline(TketFlavor::QiskitO3)},
-        {"pcoast", makePcoastPipeline()},
-        {"max-cancel", makeMaxCancelPipeline()},
-        {"max-cancel-bound", makeMaxCancelPipeline(bound)},
-    };
-    std::vector<CompileJob> jobs;
-    for (const auto &[workload, blocks] : table2QuickWorkloads()) {
-        for (const auto &[stack, pipeline] : stacks)
-            jobs.push_back(
-                makeJob(workload + "/" + stack, blocks, hw, pipeline));
-    }
-    return jobs;
-}
-
-/** fig23_qaoa's quick set: every QAOA benchmark graph at seeds 100
- *  and 101 under Paulihedral, 2QAN and qaoa-bridge. */
-std::vector<CompileJob>
-fig23QuickJobs()
-{
-    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
-    std::vector<CompileJob> jobs;
-    for (const auto &spec : qaoaBenchmarks()) {
-        for (int s = 0; s < 2; ++s) {
-            auto blocks =
-                buildQaoaCostBlocks(buildQaoaGraph(spec, 100 + s), 0.35);
-            std::string base = spec.name + "/s=" + std::to_string(s);
-            jobs.push_back(makeJob(base + "/ph", blocks, hw,
-                                   makePaulihedralPipeline()));
-            jobs.push_back(makeJob(base + "/2qan", blocks, hw,
-                                   makeQaoa2qanPipeline()));
-            jobs.push_back(makeJob(base + "/tetris", blocks, hw,
-                                   makeQaoaBridgePipeline()));
-        }
-    }
-    return jobs;
-}
-
-/** fig19_lookahead_sweep's quick set (the first three molecules
- *  under JW at every K), then the first 60 blocks of UCC-70 on a 9x9
- *  grid: 15 of them have leaf qubits >= 64, so the scheduler's
- *  similarity runs over two-word bit-planes. */
+/** fig19_lookahead_sweep's quick set, then the first 60 blocks of
+ *  UCC-70 on a 9x9 grid at K = 1, 10 and 22: 15 of them have leaf
+ *  qubits >= 64, so the scheduler's similarity runs over two-word
+ *  bit-planes. */
 std::vector<CompileJob>
 fig19QuickJobs()
 {
-    auto hw = std::make_shared<const CouplingGraph>(ibmIthaca65());
-    std::vector<CompileJob> jobs;
-    auto add = [&](const std::string &workload,
-                   const std::vector<PauliBlock> &blocks,
-                   const std::shared_ptr<const CouplingGraph> &device,
-                   int k) {
-        TetrisOptions opts;
-        opts.lookaheadK = k;
-        jobs.push_back(makeJob(workload + "/k=" + std::to_string(k),
-                               blocks, device,
-                               makeTetrisPipeline(opts)));
-    };
-    for (size_t i = 0; i < 3; ++i) {
-        const MoleculeSpec &spec = moleculeBenchmarks()[i];
-        auto blocks = buildMolecule(spec, "jw");
-        for (int k : {1, 4, 7, 10, 13, 16, 19, 22})
-            add("jw/" + spec.name, blocks, hw, k);
-    }
-    auto grid = std::make_shared<const CouplingGraph>(gridTopology(9, 9));
+    bench::Sweep sweep = bench::fig19Sweep(true);
+    std::vector<CompileJob> jobs = sweep.jobs();
     auto wide = buildSyntheticUcc(70, 1070);
     wide.resize(60);
-    for (int k : {1, 10, 22})
-        add("ucc/UCC-70x60", wide, grid, k);
+    sweep.workloads = {{"ucc/UCC-70x60", std::move(wide),
+                        std::make_shared<const CouplingGraph>(
+                            gridTopology(9, 9))}};
+    std::erase_if(sweep.stacks, [](const bench::Stack &s) {
+        return s.name != "k=1" && s.name != "k=10" && s.name != "k=22";
+    });
+    for (CompileJob &job : sweep.jobs())
+        jobs.push_back(std::move(job));
     return jobs;
 }
 
@@ -293,10 +180,13 @@ TEST(Golden, QuickSweepsAreUnchanged)
         const char *corpus;
         std::vector<CompileJob> (*jobs)();
     } sweeps[] = {
-        {TETRIS_TEST_DATA_DIR "/golden/table2_quick.txt", table2QuickJobs},
-        {TETRIS_TEST_DATA_DIR "/golden/fig23_quick.txt", fig23QuickJobs},
+        {TETRIS_TEST_DATA_DIR "/golden/table2_quick.txt",
+         [] { return bench::table2Sweep(true).jobs(); }},
+        {TETRIS_TEST_DATA_DIR "/golden/fig23_quick.txt",
+         [] { return bench::fig23Sweep(true).jobs(); }},
         {TETRIS_TEST_DATA_DIR "/golden/fig19_quick.txt", fig19QuickJobs},
-        {TETRIS_TEST_DATA_DIR "/golden/routed_quick.txt", routedQuickJobs},
+        {TETRIS_TEST_DATA_DIR "/golden/routed_quick.txt",
+         [] { return bench::routedSweep(true).jobs(); }},
     };
     for (const auto &sweep : sweeps) {
         SCOPED_TRACE(sweep.corpus);
@@ -327,6 +217,54 @@ TEST(Golden, QuickSweepsAreUnchanged)
         if (!all_match)
             std::printf("actual rows of %s:\n%s", sweep.corpus,
                         actual_rows.c_str());
+    }
+}
+
+/**
+ * Every figure's quick sweep, built without compiling: job names are
+ * unique within a sweep, every job has a device and a pipeline, and
+ * a stack label names one configuration everywhere -- each (label,
+ * pipeline id) pair has one options hash across all sweeps.
+ */
+TEST(Golden, SweepTableInvariants)
+{
+    const std::pair<const char *, bench::Sweep (*)(bool)> figures[] = {
+        {"table1", [](bool) { return bench::table1Sweep(); }},
+        {"table2", bench::table2Sweep},
+        {"routed", bench::routedSweep},
+        {"fig2", bench::fig2Sweep},
+        {"fig14", bench::fig14Sweep},
+        {"fig15", bench::fig15Sweep},
+        {"fig16", bench::fig16Sweep},
+        {"fig17", bench::fig17Sweep},
+        {"fig18", bench::fig18Sweep},
+        {"fig19", bench::fig19Sweep},
+        {"fig20", bench::fig20Sweep},
+        {"fig21", bench::fig21Sweep},
+        {"fig22", bench::fig22Sweep},
+        {"fig23", bench::fig23Sweep},
+        {"ext_recursive", bench::extRecursiveSweep},
+    };
+    std::map<std::pair<std::string, std::string>, uint64_t> hashes;
+    for (const auto &[figure, build] : figures) {
+        SCOPED_TRACE(figure);
+        const bench::Sweep sweep = build(true);
+        std::set<std::string> names;
+        for (const CompileJob &job : sweep.jobs()) {
+            EXPECT_TRUE(names.insert(job.name).second)
+                << job.name << " repeats";
+            EXPECT_NE(job.hw, nullptr) << job.name;
+            EXPECT_NE(job.pipeline, nullptr) << job.name;
+        }
+        EXPECT_FALSE(names.empty());
+        for (const bench::Stack &stack : sweep.stacks) {
+            ASSERT_NE(stack.pipeline, nullptr) << stack.name;
+            const auto key = std::pair(stack.name, stack.pipeline->name());
+            const uint64_t hash = stack.pipeline->optionsHash();
+            EXPECT_EQ(hashes.emplace(key, hash).first->second, hash)
+                << "stack " << stack.name << " (" << key.second
+                << ") is configured differently in another sweep";
+        }
     }
 }
 

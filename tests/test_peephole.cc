@@ -16,12 +16,11 @@
 #include <vector>
 
 #include "baselines/paulihedral.hh"
-#include "chem/uccsd.hh"
 #include "circuit/peephole.hh"
 #include "common/rng.hh"
 #include "core/compiler.hh"
-#include "hardware/topologies.hh"
 #include "sim/statevector.hh"
+#include "sweeps.hh"
 
 namespace tetris
 {
@@ -682,29 +681,20 @@ TEST(PeepholeReference, RandomCircuitsMatchEveryGatePasses)
 
 TEST(PeepholeReference, TableTwoQuickCircuitsMatchEveryGatePasses)
 {
-    // table2_main's quick set, compiled without the peephole.
-    const CouplingGraph hw = ibmIthaca65();
-    std::vector<std::vector<PauliBlock>> workloads;
-    for (const char *enc : {"jw", "bk"}) {
-        for (size_t i = 0; i < 3; ++i)
-            workloads.push_back(
-                buildMolecule(moleculeBenchmarks()[i], enc));
-    }
-    for (int n : {10, 15})
-        workloads.push_back(buildSyntheticUcc(n, 1000 + n));
-
+    // table2_main's quick workloads, compiled without the peephole.
     PaulihedralOptions ph;
     ph.runPeephole = false;
     TetrisOptions tetris;
     tetris.runPeephole = false;
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        SCOPED_TRACE(testing::Message() << "workload " << w);
+    const bench::Sweep sweep = bench::table2Sweep(true);
+    for (const bench::Workload &w : sweep.workloads) {
+        SCOPED_TRACE(w.name);
         EXPECT_GT(expectMatchesEveryGate(
-                      compilePaulihedral(workloads[w], hw, ph).circuit,
+                      compilePaulihedral(w.blocks, *w.hw, ph).circuit,
                       PeepholeOptions()),
                   0u);
         EXPECT_GT(expectMatchesEveryGate(
-                      compileTetris(workloads[w], hw, tetris).circuit,
+                      compileTetris(w.blocks, *w.hw, tetris).circuit,
                       PeepholeOptions()),
                   0u);
     }

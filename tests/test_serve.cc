@@ -681,14 +681,34 @@ TEST(ServeListeners, UnixOnlyServerMatchesTcpAndRemovesItsSocket)
 
 TEST(ServeListeners, StartRefusesLongUnixPathAndNoListener)
 {
+    // A refused start leaves the engine as it was: not draining, and
+    // still compiling.
     Engine engine;
+    auto expectEngineUntouched = [&] {
+        EXPECT_FALSE(engine.draining());
+        CompileJob job;
+        std::string err;
+        ASSERT_TRUE(serve::submitToJob(sampleRequest(), job, err)) << err;
+        auto result = engine.submit(std::move(job))->get();
+        ASSERT_NE(result, nullptr);
+        EXPECT_GT(result->stats.cnotCount, 0u);
+    };
+
     serve::ServeOptions none;
     EXPECT_EQ(serve::ServeServer::start(engine, none), nullptr);
+    expectEngineUntouched();
 
     serve::ServeOptions too_long;
     too_long.unixPath =
         std::string(sizeof(sockaddr_un::sun_path), 'x');
     EXPECT_EQ(serve::ServeServer::start(engine, too_long), nullptr);
+    expectEngineUntouched();
+
+    // The TCP listener binds, then the Unix path refuses the start.
+    serve::ServeOptions tcp_then_long = too_long;
+    tcp_then_long.tcpPort = 0;
+    EXPECT_EQ(serve::ServeServer::start(engine, tcp_then_long), nullptr);
+    expectEngineUntouched();
 }
 
 TEST(ServeListeners, ConnectWithoutListenerFailsWithReason)

@@ -182,23 +182,28 @@ TEST(Trace, WriteFileProducesLoadableDocument)
         fs::temp_directory_path() /
         ("tetris-trace-test-" + std::to_string(::getpid()) + ".json");
 
-    Tracer tracer;
-    tracer.enable(path.string());
-    const uint64_t epoch = tracer.epochNs();
-    tracer.recordSpan("job", "job", epoch, epoch + 1000, "h2/tetris");
-    ASSERT_TRUE(tracer.writeFile());
+    {
+        // ~Tracer writes an armed tracer's file again, so the file is
+        // removed only once the tracer is gone.
+        Tracer tracer;
+        tracer.enable(path.string());
+        const uint64_t epoch = tracer.epochNs();
+        tracer.recordSpan("job", "job", epoch, epoch + 1000, "h2/tetris");
+        ASSERT_TRUE(tracer.writeFile());
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string doc = buffer.str();
-    EXPECT_TRUE(balancedJson(doc));
-    EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(doc.find("\"h2/tetris\""), std::string::npos);
+        std::ifstream in(path);
+        ASSERT_TRUE(in.good());
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        const std::string doc = buffer.str();
+        EXPECT_TRUE(balancedJson(doc));
+        EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
+        EXPECT_NE(doc.find("\"h2/tetris\""), std::string::npos);
+    }
 
     std::error_code ec;
-    fs::remove(path, ec);
+    EXPECT_TRUE(fs::remove(path, ec)) << ec.message();
+    EXPECT_FALSE(fs::exists(path));
 }
 
 TEST(Trace, WriteFileWithoutPathFails)
