@@ -9,6 +9,11 @@
  * shor and chem emit the Pauli-list format; grover emits OpenQASM 2.
  * Writing streams line by line, so --min-instructions 100000000 works
  * in O(1) memory — the point of the exercise.
+ *
+ * Flags are strict: --qubits takes an integer in [4, 4096],
+ * --min-instructions one in [1, 2*10^9] and --seed any unsigned
+ * 64-bit decimal. Any other value, or an unknown --kind, prints the
+ * usage and exits 2 before --out is opened.
  */
 
 #include <cstdio>
@@ -18,9 +23,12 @@
 #include <iostream>
 #include <string>
 
+#include "common/env.hh"
 #include "frontend/workloads.hh"
 
 using namespace tetris::frontend;
+using tetris::parseBoundedInt;
+using tetris::parseU64;
 
 namespace
 {
@@ -56,23 +64,38 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--kind") == 0) {
             kind = next("--kind");
         } else if (std::strcmp(argv[i], "--qubits") == 0) {
-            spec.numQubits = std::atoi(next("--qubits"));
+            const auto n = parseBoundedInt(next("--qubits"), 4, 4096);
+            if (!n)
+                return usage(argv[0]);
+            spec.numQubits = static_cast<int>(*n);
         } else if (std::strcmp(argv[i], "--min-instructions") == 0) {
-            spec.minInstructions = static_cast<uint64_t>(
-                std::atoll(next("--min-instructions")));
+            const auto n = parseBoundedInt(next("--min-instructions"), 1,
+                                           2'000'000'000);
+            if (!n)
+                return usage(argv[0]);
+            spec.minInstructions = static_cast<uint64_t>(*n);
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            spec.seed =
-                static_cast<uint64_t>(std::atoll(next("--seed")));
+            const auto n = parseU64(next("--seed"));
+            if (!n)
+                return usage(argv[0]);
+            spec.seed = *n;
         } else if (std::strcmp(argv[i], "--out") == 0) {
             out_path = next("--out");
         } else {
             return usage(argv[0]);
         }
     }
-    if (spec.numQubits < 4 || spec.numQubits > 4096) {
-        std::fprintf(stderr, "--qubits must be in [4, 4096]\n");
-        return 2;
-    }
+
+    using Generator = uint64_t (*)(std::ostream &, const WorkloadSpec &);
+    Generator generate = nullptr;
+    if (kind == "shor")
+        generate = genShorModExp;
+    else if (kind == "grover")
+        generate = genGrover3Sat;
+    else if (kind == "chem")
+        generate = genTrotterChem;
+    else
+        return usage(argv[0]);
 
     std::ofstream file;
     std::ostream *out = &std::cout;
@@ -85,16 +108,7 @@ main(int argc, char **argv)
         out = &file;
     }
 
-    uint64_t written = 0;
-    if (kind == "shor") {
-        written = genShorModExp(*out, spec);
-    } else if (kind == "grover") {
-        written = genGrover3Sat(*out, spec);
-    } else if (kind == "chem") {
-        written = genTrotterChem(*out, spec);
-    } else {
-        return usage(argv[0]);
-    }
+    const uint64_t written = generate(*out, spec);
     out->flush();
     if (!*out) {
         std::fprintf(stderr, "write failure on %s\n", out_path.c_str());

@@ -31,12 +31,16 @@
  *  8. The peephole pass alone, per input gate, on the Paulihedral and
  *     Tetris circuits of the same two workloads compiled without it,
  *     with its input and output gate counts and fixpoint passes.
+ *  9. Synthesis: CompileStats::synthSeconds per block for the
+ *     Paulihedral and Tetris compiles of the same two workloads,
+ *     peephole off.
  *
  * TETRIS_BENCH_QUICK=1 shrinks every dimension for CI. BENCH_perf.json
  * uses bench_util.hh's shared layout: one row per cache sweep (the
  * default shard count is always swept, as `shards=default`), kernel,
  * load phase, engine phase, overhead section, scheduler
- * (workload, K) pair and peephole (workload, compiler) pair.
+ * (workload, K) pair, and peephole and synthesis (workload, compiler)
+ * pair.
  * scripts/bench_diff.py warns when two runs' timings drift apart.
  */
 
@@ -369,7 +373,7 @@ struct EngineRun
     uint64_t lockWaitNs = 0;
 };
 
-/** The two workloads sections 7 and 8 compile. */
+/** The two workloads sections 7 to 9 compile. */
 std::vector<std::pair<const char *, std::vector<PauliBlock>>>
 compileWorkloads()
 {
@@ -472,6 +476,54 @@ runPeephole(bool quick)
             }
             row.avgNs = seconds * 1e9 /
                         static_cast<double>(runs * row.gatesIn);
+            rows.push_back(std::move(row));
+        }
+    }
+    return rows;
+}
+
+// ---- 9. synthesis --------------------------------------------------
+
+struct SynthesisRow
+{
+    std::string name;
+    uint64_t blocks = 0;
+    uint64_t compiles = 0;
+    /** Synthesis time per block, over every compile. */
+    double avgNs = 0.0;
+};
+
+/**
+ * Compile each workload with Paulihedral and Tetris, peephole off,
+ * and read the synthesis stage's time from CompileStats: string by
+ * string for Paulihedral, block by block (root clustering, leaf
+ * attachment, emission) for Tetris.
+ */
+std::vector<SynthesisRow>
+runSynthesis(bool quick)
+{
+    const uint64_t compiles = quick ? 1 : 3;
+    const CouplingGraph hw = ibmIthaca65();
+    PaulihedralOptions ph;
+    ph.runPeephole = false;
+    TetrisOptions tetris;
+    tetris.runPeephole = false;
+    std::vector<SynthesisRow> rows;
+    for (const auto &[label, blocks] : compileWorkloads()) {
+        for (const bool is_tetris : {false, true}) {
+            double seconds = 0.0;
+            for (uint64_t c = 0; c < compiles; ++c) {
+                seconds += (is_tetris ? compileTetris(blocks, hw, tetris)
+                                      : compilePaulihedral(blocks, hw, ph))
+                               .stats.synthSeconds;
+            }
+            SynthesisRow row;
+            row.name = std::string("synthesis/") + label +
+                       (is_tetris ? "/tetris" : "/ph");
+            row.blocks = blocks.size();
+            row.compiles = compiles;
+            row.avgNs = seconds * 1e9 /
+                        static_cast<double>(compiles * blocks.size());
             rows.push_back(std::move(row));
         }
     }
@@ -767,6 +819,16 @@ main()
                     row.avgNs);
     }
 
+    // ---- 9. synthesis ----------------------------------------------
+    std::printf("\nsynthesis (synthesis time per block):\n");
+    const std::vector<SynthesisRow> syntheses = runSynthesis(quick);
+    for (const SynthesisRow &row : syntheses) {
+        std::printf("  %-28s %5llu blocks  %9.0f ns/block\n",
+                    row.name.c_str(),
+                    static_cast<unsigned long long>(row.blocks),
+                    row.avgNs);
+    }
+
     auto config = [&](JsonWriter &w) {
         w.key("quick").value(quick);
         w.key("hardware_concurrency")
@@ -850,6 +912,14 @@ main()
             w.key("gates_in").value(row.gatesIn);
             w.key("gates_out").value(row.gatesOut);
             w.key("passes").value(row.passes);
+            w.key("avg_ns").value(row.avgNs);
+            w.endObject();
+        }
+        for (const SynthesisRow &row : syntheses) {
+            w.beginObject();
+            w.key("name").value(row.name);
+            w.key("blocks").value(row.blocks);
+            w.key("compiles").value(row.compiles);
             w.key("avg_ns").value(row.avgNs);
             w.endObject();
         }

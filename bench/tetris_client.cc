@@ -41,7 +41,6 @@
  * verify != fail, 1 otherwise.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -64,24 +63,6 @@ namespace
 
 /** Upper bound of the count flags (--jobs, --distinct, --window). */
 constexpr int64_t kMaxCount = int64_t{1} << 20;
-
-/**
- * `s` as a whole unsigned 64-bit decimal; nullopt on anything else.
- * strtoull alone would take a sign ("-1" wraps to 2^64 - 1), leading
- * blanks and trailing junk.
- */
-std::optional<uint64_t>
-parseU64(const char *s)
-{
-    if (*s < '0' || *s > '9')
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(s, &end, 10);
-    if (errno == ERANGE || *end != '\0')
-        return std::nullopt;
-    return static_cast<uint64_t>(n);
-}
 
 int
 usage(const char *argv0)

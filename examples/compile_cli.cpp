@@ -18,11 +18,17 @@
  * tket-o2, tket-o3, pcoast, naive, max-cancel, qaoa-2qan,
  * qaoa-bridge) plus the legacy aliases ph, max, tket. "tetris" on a
  * QAOA workload selects the qaoa-bridge pass, as the paper does.
+ * --backend takes only ithaca or sycamore and --swap-weight a finite
+ * W >= 0 (Fig. 20 sweeps 0.1 to 100); any other value prints the
+ * usage and exits 2.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "chem/uccsd.hh"
@@ -55,12 +61,27 @@ usage()
                  "backend width]: 65 on ithaca, 64 on sycamore)\n"
                  "(--lookahead sets the scheduler's candidate-set size, "
                  "an integer K in [1, 1048576]; default 10)\n"
+                 "(--swap-weight takes a finite number W >= 0; "
+                 "default 3)\n"
                  "(--verify, or TETRIS_VERIFY=1, checks the compiled "
                  "circuit against the source Pauli-block program with "
                  "the conjugation checker and exits nonzero on a "
                  "semantic mismatch)\n",
                  ids.c_str());
     std::exit(2);
+}
+
+/** `s` as a whole finite decimal >= 0; nullopt on anything else. */
+std::optional<double>
+parseSwapWeight(const char *s)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double w = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(w) || w < 0.0)
+        return std::nullopt;
+    return w;
 }
 
 std::vector<PauliBlock>
@@ -145,12 +166,19 @@ main(int argc, char **argv)
             workload = need("--workload");
         else if (!std::strcmp(argv[i], "--encoder"))
             encoder = need("--encoder");
-        else if (!std::strcmp(argv[i], "--backend"))
+        else if (!std::strcmp(argv[i], "--backend")) {
             backend = need("--backend");
+            if (backend != "ithaca" && backend != "sycamore")
+                usage();
+        }
         else if (!std::strcmp(argv[i], "--compiler"))
             compiler = need("--compiler");
-        else if (!std::strcmp(argv[i], "--swap-weight"))
-            opts.synthesis.swapWeight = std::atof(need("--swap-weight"));
+        else if (!std::strcmp(argv[i], "--swap-weight")) {
+            auto w = parseSwapWeight(need("--swap-weight"));
+            if (!w)
+                usage();
+            opts.synthesis.swapWeight = *w;
+        }
         else if (!std::strcmp(argv[i], "--lookahead")) {
             auto k = parseBoundedInt(need("--lookahead"), 1, 1 << 20);
             if (!k)

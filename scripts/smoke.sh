@@ -19,8 +19,11 @@
 # otherwise), stored artifacts must average under 40 KB (compact
 # gate records), the packed kernels must hold their >=5x speedup at
 # 64+ qubits, each scheduler row (UCC-20 and CH4/JW at K in
-# {1, 10, 22}) must have scheduled blocks, and each peephole row
-# (UCC-20 and CH4/JW under Paulihedral and Tetris) must remove gates.
+# {1, 10, 22}) must have scheduled blocks, each peephole row
+# (UCC-20 and CH4/JW under Paulihedral and Tetris) must remove gates,
+# and each synthesis row (the same four pairs) must have synthesized
+# blocks. compile_cli and gen_workloads must refuse malformed flag
+# values with exit 2, and gen_workloads must not touch --out then.
 #
 # Observability: sweep BENCH files must carry latency histograms,
 # and a TETRIS_TRACE run must produce a file that
@@ -259,6 +262,11 @@ for workload in ("ucc/UCC-20", "jw/CH4"):
         assert row["gates_out"] < row["gates_in"], \
             f"{name} removed nothing ({row['gates_in']} gates in, " \
             f"{row['gates_out']} out)"
+for workload in ("ucc/UCC-20", "jw/CH4"):
+    for compiler in ("ph", "tetris"):
+        name = f"synthesis/{workload}/{compiler}"
+        assert name in rows, f"no synthesis row {name}"
+        assert rows[name]["blocks"] > 0, f"{name} synthesized no blocks"
 print("smoke OK: warm microbench did zero recompiles "
       f"({warm['disk_hits']} disk hit(s)); "
       f"{rows['load/warm']['bytes_total'] // rows['load/warm']['entries']}"
@@ -266,7 +274,7 @@ print("smoke OK: warm microbench did zero recompiles "
       f"{len(sweeps)} cache sweeps; packed Pauli kernels >=5x at 64+ "
       "qubits; "
       f"disarmed event log {obs['event_log_disabled_ns']:.2f} ns/op; "
-      "6 scheduler rows; 4 peephole rows")
+      "6 scheduler rows; 4 peephole rows; 4 synthesis rows")
 EOF
 echo "smoke OK: perf microbench passed"
 
@@ -284,6 +292,27 @@ for bad in x -1 0 1048577; do
   fi
 done
 echo "smoke OK: compile_cli refused out-of-range lookahead values"
+
+# --swap-weight takes a finite W >= 0 and --backend only ithaca or
+# sycamore; anything else prints the usage (exit 2) in place of
+# compiling with weight 0 or for the wrong device.
+for bad in "--swap-weight abc" "--swap-weight -3" "--swap-weight nan" \
+  "--swap-weight inf" "--swap-weight 3x" "--backend sycamor"; do
+  set +e
+  # $bad holds a flag and its value: left unquoted to split.
+  (cd build && ./compile_cli --workload LiH $bad) > /dev/null 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ]; then
+    echo "smoke FAIL: compile_cli $bad exited $rc" >&2
+    exit 1
+  fi
+done
+for good in 0 0.1 100; do
+  (cd build && ./compile_cli --workload LiH --swap-weight "$good") \
+    > /dev/null
+done
+echo "smoke OK: compile_cli refused malformed swap weights and backends"
 
 # --workload ucc-N takes N in [4, backend width] (65 on ithaca) and
 # prints the usage (exit 2) for anything else, in place of a library
@@ -537,6 +566,23 @@ echo "smoke OK: tetrisd round-trips over TCP + unix socket"
 # back as a failure.
 (cd build && ./gen_workloads --kind shor --qubits 12 \
   --min-instructions 3000 --out smoke-stream.pauli)
+# gen_workloads' flags are strict, and a bad one exits 2 before --out
+# is opened, so the file written above survives every case.
+for bad in "--qubits 12x" "--qubits 3" "--min-instructions abc" \
+  "--min-instructions 0" "--seed -5" "--kind foo"; do
+  set +e
+  # $bad holds a flag and its value: left unquoted to split.
+  (cd build && ./gen_workloads --kind shor $bad \
+    --out smoke-stream.pauli) > /dev/null 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || [ ! -s build/smoke-stream.pauli ]; then
+    echo "smoke FAIL: gen_workloads $bad exited $rc" \
+      "or emptied its --out file" >&2
+    exit 1
+  fi
+done
+echo "smoke OK: gen_workloads refused malformed flags, --out intact"
 (cd build && ./tetris_client --port "$serve_port" \
   --file smoke-stream.pauli --window 64 --name smoke-stream)
 echo "smoke OK: streamed ingest through live tetrisd, layouts" \

@@ -56,6 +56,22 @@ parseBoundedInt(const char *s, int64_t min_value, int64_t max_value)
     return n;
 }
 
+/**
+ * `s` as a whole unsigned 64-bit decimal; nullopt on anything else,
+ * including the sign, leading blanks and trailing junk that strtoull
+ * alone would take ("-1" wraps to 2^64 - 1).
+ */
+inline std::optional<uint64_t>
+parseU64(const char *s)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(s, &end, 10);
+    if (*s < '0' || *s > '9' || errno == ERANGE || *end != '\0')
+        return std::nullopt;
+    return n;
+}
+
 /** The string knob `name`; empty when unset. */
 inline std::string
 envString(const char *name)

@@ -8,92 +8,9 @@
 namespace tetris
 {
 
-namespace
-{
-
-// BFS queues are plain vectors drained by a moving head index
-// (nothing is ever popped).
-
-/** Connected components of the induced subgraph on `positions`. */
-std::vector<std::vector<int>>
-inducedComponents(const CouplingGraph &hw,
-                  const std::vector<int> &positions)
-{
-    std::vector<char> member(hw.numQubits(), 0);
-    for (int p : positions)
-        member[p] = 1;
-
-    std::vector<char> seen(hw.numQubits(), 0);
-    std::vector<int> queue;
-    queue.reserve(positions.size());
-    std::vector<std::vector<int>> comps;
-    for (int p : positions) {
-        if (seen[p])
-            continue;
-        comps.emplace_back();
-        queue.clear();
-        queue.push_back(p);
-        seen[p] = 1;
-        for (size_t head = 0; head < queue.size(); ++head) {
-            int u = queue[head];
-            comps.back().push_back(u);
-            for (int v : hw.neighbors(u)) {
-                if (member[v] && !seen[v]) {
-                    seen[v] = 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    return comps;
-}
-
-/**
- * BFS from `start` over nodes not in `blocked`, returning the path
- * to the nearest node adjacent to `blocked`-marked cluster nodes in
- * `cluster_mark` (possibly `start` itself). Empty on failure.
- */
-std::vector<int>
-pathToClusterFrontier(const CouplingGraph &hw, int start,
-                      const std::vector<char> &cluster_mark)
-{
-    auto adjacent_to_cluster = [&](int v) {
-        for (int u : hw.neighbors(v)) {
-            if (cluster_mark[u])
-                return true;
-        }
-        return false;
-    };
-
-    std::vector<int> parent(hw.numQubits(), -2);
-    std::vector<int> queue;
-    queue.reserve(hw.numQubits());
-    queue.push_back(start);
-    parent[start] = -1;
-    for (size_t head = 0; head < queue.size(); ++head) {
-        int u = queue[head];
-        if (adjacent_to_cluster(u)) {
-            std::vector<int> path;
-            for (int x = u; x != -1; x = parent[x])
-                path.push_back(x);
-            std::reverse(path.begin(), path.end());
-            return path;
-        }
-        for (int v : hw.neighbors(u)) {
-            if (parent[v] == -2 && !cluster_mark[v]) {
-                parent[v] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    return {};
-}
-
-} // namespace
-
 BlockSynthesizer::BlockSynthesizer(const CouplingGraph &hw,
                                    const SynthesisOptions &opts)
-    : hw_(hw), opts_(opts)
+    : hw_(hw), opts_(opts), search_(hw), member_(hw.numQubits(), 0)
 {
 }
 
@@ -114,29 +31,43 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
                               SynthStats &stats)
 {
     TETRIS_ASSERT(!logicals.empty());
+    auto is_member = [&](int v) { return member_[v] != 0; };
 
-    std::vector<char> cluster_mark(hw_.numQubits(), 0);
-    std::vector<int> cluster;
-    std::vector<int> pending = logicals;
-
-    auto add_to_cluster = [&](int pos) {
-        cluster.push_back(pos);
-        cluster_mark[pos] = 1;
-    };
+    // The components of the subgraph induced on the group's
+    // positions: component k is order[starts[k], starts[k + 1]) of
+    // one search, rooted at its first member in `logicals` order.
+    for (int q : logicals)
+        member_[layout.physOf(q)] = 1;
+    std::vector<size_t> starts{0};
+    search_.restart(layout.physOf(logicals.front()));
+    for (int q : logicals) {
+        const int pos = layout.physOf(q);
+        if (!search_.reached(pos)) {
+            starts.push_back(search_.order().size());
+            search_.addRoot(pos);
+        }
+        search_.run(is_member);
+    }
+    for (int q : logicals)
+        member_[layout.physOf(q)] = 0;
+    const std::vector<int> &order = search_.order();
+    starts.push_back(order.size());
 
     // Already connected? No SWAPs needed regardless of the center.
-    {
-        std::vector<int> positions;
-        positions.reserve(pending.size());
-        for (int q : pending)
-            positions.push_back(layout.physOf(q));
-        auto comps = inducedComponents(hw_, positions);
-        if (comps.size() == 1)
-            return comps.front();
-    }
+    if (starts.size() == 2)
+        return order;
+
+    // From here on member_ marks the cluster.
+    std::vector<int> cluster;
+    std::vector<int> pending;
+    auto add_to_cluster = [&](int pos) {
+        cluster.push_back(pos);
+        member_[pos] = 1;
+    };
 
     if (center >= 0) {
         // Route the nearest group member onto the center position.
+        pending = logicals;
         size_t best = 0;
         for (size_t i = 1; i < pending.size(); ++i) {
             if (hw_.distance(layout.physOf(pending[i]), center) <
@@ -152,40 +83,48 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
         add_to_cluster(center);
     } else {
         // Seed with the largest already-connected component.
-        std::vector<int> positions;
-        positions.reserve(pending.size());
-        for (int q : pending)
-            positions.push_back(layout.physOf(q));
-        auto comps = inducedComponents(hw_, positions);
         size_t largest = 0;
-        for (size_t i = 1; i < comps.size(); ++i) {
-            if (comps[i].size() > comps[largest].size())
-                largest = i;
+        for (size_t k = 1; k + 1 < starts.size(); ++k) {
+            if (starts[k + 1] - starts[k] >
+                starts[largest + 1] - starts[largest])
+                largest = k;
         }
-        for (int pos : comps[largest])
-            add_to_cluster(pos);
-        std::vector<int> still_pending;
-        for (int q : pending) {
-            if (!cluster_mark[layout.physOf(q)])
-                still_pending.push_back(q);
+        for (size_t i = starts[largest]; i < starts[largest + 1]; ++i)
+            add_to_cluster(order[i]);
+        for (int q : logicals) {
+            if (!member_[layout.physOf(q)])
+                pending.push_back(q);
         }
-        pending = std::move(still_pending);
     }
 
+    auto next_to_cluster = [&](int v) {
+        for (int u : hw_.neighbors(v)) {
+            if (member_[u])
+                return true;
+        }
+        return false;
+    };
+    auto outside_cluster = [&](int v) { return member_[v] == 0; };
     while (!pending.empty()) {
         // Pick the pending qubit with the shortest realizable path to
-        // the cluster frontier.
+        // the cluster frontier: the first node next to the cluster
+        // that a search around the cluster takes off its queue.
         size_t best_idx = pending.size();
         std::vector<int> best_path;
         for (size_t i = 0; i < pending.size(); ++i) {
-            std::vector<int> path = pathToClusterFrontier(
-                hw_, layout.physOf(pending[i]), cluster_mark);
-            if (path.empty())
-                continue;
-            if (best_idx == pending.size() ||
-                path.size() < best_path.size()) {
-                best_idx = i;
-                best_path = std::move(path);
+            search_.restart(layout.physOf(pending[i]));
+            while (search_.pending()) {
+                const int u = search_.next();
+                if (next_to_cluster(u)) {
+                    const size_t length = search_.distance(u) + 1;
+                    if (best_idx == pending.size() ||
+                        length < best_path.size()) {
+                        best_idx = i;
+                        search_.pathTo(u, best_path);
+                    }
+                    break;
+                }
+                search_.expand(u, outside_cluster);
             }
         }
         TETRIS_ASSERT(best_idx != pending.size(),
@@ -195,39 +134,51 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
         add_to_cluster(best_path.back());
         pending.erase(pending.begin() + best_idx);
     }
+    for (int pos : cluster)
+        member_[pos] = 0;
     return cluster;
 }
 
-void
-BlockSynthesizer::buildBfsTree(const std::vector<int> &positions,
-                               int root_pos, std::vector<int> &bfs_order,
-                               std::vector<int> &parent) const
+BlockSynthesizer::RootTree
+BlockSynthesizer::rootTree(const std::vector<int> &positions)
 {
-    std::vector<char> member(hw_.numQubits(), 0);
-    for (int p : positions)
-        member[p] = 1;
-    TETRIS_ASSERT(member[root_pos]);
-
-    parent.assign(hw_.numQubits(), -1);
-    bfs_order.clear();
-    std::vector<char> seen(hw_.numQubits(), 0);
-    std::vector<int> queue;
-    queue.reserve(positions.size());
-    queue.push_back(root_pos);
-    seen[root_pos] = 1;
-    for (size_t head = 0; head < queue.size(); ++head) {
-        int u = queue[head];
-        bfs_order.push_back(u);
-        for (int v : hw_.neighbors(u)) {
-            if (member[v] && !seen[v]) {
-                seen[v] = 1;
-                parent[v] = u;
-                queue.push_back(v);
-            }
+    RootTree tree;
+    long best_cost = std::numeric_limits<long>::max();
+    for (int cand : positions) {
+        long cost = 0;
+        for (int other : positions)
+            cost += hw_.distance(cand, other);
+        if (cost < best_cost) {
+            best_cost = cost;
+            tree.root = cand;
         }
     }
-    TETRIS_ASSERT(bfs_order.size() == positions.size(),
+
+    for (int p : positions)
+        member_[p] = 1;
+    search_.restart(tree.root);
+    search_.run([&](int v) { return member_[v] != 0; });
+    for (int p : positions)
+        member_[p] = 0;
+    const std::vector<int> &order = search_.order();
+    TETRIS_ASSERT(order.size() == positions.size(),
                   "tree positions not connected");
+    tree.edges.reserve(order.size() - 1);
+    for (size_t i = 1; i < order.size(); ++i)
+        tree.edges.emplace_back(order[i], search_.parent(order[i]));
+    return tree;
+}
+
+void
+BlockSynthesizer::emitRotation(const RootTree &tree, double angle,
+                               Circuit &circ, SynthStats &stats)
+{
+    for (auto it = tree.edges.rbegin(); it != tree.edges.rend(); ++it)
+        circ.cx(it->first, it->second);
+    circ.rz(tree.root, angle);
+    for (const auto &[child, parent] : tree.edges)
+        circ.cx(child, parent);
+    stats.emittedCx += 2 * tree.edges.size();
 }
 
 void
@@ -249,41 +200,12 @@ BlockSynthesizer::synthesizeString(const PauliString &s, double angle,
     }
 
     std::vector<int> logicals(support.begin(), support.end());
-    std::vector<int> cluster =
-        growCluster(logicals, /*center=*/-1, layout, circ, stats);
-
-    // Root the tree at the member position with minimal total
-    // distance to the others.
-    int root_pos = cluster.front();
-    long best_cost = std::numeric_limits<long>::max();
-    for (int cand : cluster) {
-        long cost = 0;
-        for (int other : cluster)
-            cost += hw_.distance(cand, other);
-        if (cost < best_cost) {
-            best_cost = cost;
-            root_pos = cand;
-        }
-    }
-
-    std::vector<int> bfs_order, parent;
-    buildBfsTree(cluster, root_pos, bfs_order, parent);
+    const RootTree tree = rootTree(
+        growCluster(logicals, /*center=*/-1, layout, circ, stats));
 
     for (size_t q : support)
         circ.basisEnter(layout.physOf(static_cast<int>(q)), s.op(q));
-    for (auto it = bfs_order.rbegin(); it != bfs_order.rend(); ++it) {
-        if (parent[*it] != -1) {
-            circ.cx(*it, parent[*it]);
-            ++stats.emittedCx;
-        }
-    }
-    circ.rz(root_pos, angle);
-    for (int pos : bfs_order) {
-        if (parent[pos] != -1) {
-            circ.cx(pos, parent[pos]);
-            ++stats.emittedCx;
-        }
-    }
+    emitRotation(tree, angle, circ, stats);
     for (size_t q : support)
         circ.basisExit(layout.physOf(static_cast<int>(q)), s.op(q));
 }
@@ -313,10 +235,6 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
     // strings), versus 3 CNOTs per SWAP weighted by w in the score.
     const double bridge_hop_cost = 2.0;
 
-    // BFS working set, sized once and reset by every scan.
-    std::vector<int> parent(n), dist(n), queue;
-    queue.reserve(n);
-
     while (!pending.empty()) {
         struct Choice
         {
@@ -327,25 +245,22 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
             std::vector<int> path; // start .. approach node
         } best;
 
-        // One BFS pass per pending qubit over non-blocked nodes
-        // (SWAP routes) and one restricted to free |0> ancillas
-        // (bridge routes); each visited node adjacent to a mapped
-        // target yields a candidate attachment.
+        // One search per pending qubit over non-blocked nodes (SWAP
+        // routes) and one restricted to free |0> ancillas (bridge
+        // routes); each node taken off the queue that is adjacent to
+        // a mapped target yields a candidate attachment.
         auto scan = [&](size_t i, bool free_only) {
-            int start = layout.physOf(pending[i]);
-            parent.assign(n, -2);
-            dist.assign(n, -1);
-            queue.clear();
-            queue.push_back(start);
-            parent[start] = -1;
-            dist[start] = 0;
-            for (size_t head = 0; head < queue.size(); ++head) {
-                int u = queue[head];
+            const double hop = free_only ? bridge_hop_cost : w;
+            auto admit = [&](int v) {
+                return !blocked[v] && (!free_only || layout.isFree(v));
+            };
+            search_.restart(layout.physOf(pending[i]));
+            while (search_.pending()) {
+                const int u = search_.next();
                 for (int t : hw_.neighbors(u)) {
                     if (!blocked[t])
                         continue;
-                    double d = dist[u] + 1;
-                    double hop = free_only ? bridge_hop_cost : w;
+                    double d = search_.distance(u) + 1;
                     double score = (d - 1) * hop +
                                    (is_root_pos[t] ? 2 * num_ps : 2);
                     if (score < best.score) {
@@ -353,21 +268,10 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
                         best.pending_idx = i;
                         best.target = t;
                         best.bridge = free_only && d > 1;
-                        best.path.clear();
-                        for (int x = u; x != -1; x = parent[x])
-                            best.path.push_back(x);
-                        std::reverse(best.path.begin(), best.path.end());
+                        search_.pathTo(u, best.path);
                     }
                 }
-                for (int v : hw_.neighbors(u)) {
-                    if (parent[v] != -2 || blocked[v])
-                        continue;
-                    if (free_only && !layout.isFree(v))
-                        continue;
-                    parent[v] = u;
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
-                }
+                search_.expand(u, admit);
             }
         };
 
@@ -393,12 +297,9 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
                 result.edges.push_back(
                     {best.path[k - 1], best.path[k], false});
             }
-            for (size_t k = 1; k < best.path.size(); ++k) {
-                blocked[best.path[k]] = 1;
-                result.bridgePositions.push_back(best.path[k]);
-                ++stats.bridgeNodes;
-            }
-            blocked[best.path.front()] = 1;
+            for (int pos : best.path)
+                blocked[pos] = 1;
+            stats.bridgeNodes += best.path.size() - 1;
             result.leafPositions.emplace_back(q, best.path.front());
         } else {
             moveAlongPath(best.path, layout, circ, stats);
@@ -415,70 +316,48 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
 }
 
 void
-BlockSynthesizer::emitBlock(const TetrisBlock &tb,
-                            const std::vector<int> &root_bfs_order,
-                            const std::vector<int> &root_parent,
-                            const AttachResult &att, Layout &layout,
+BlockSynthesizer::emitBlock(const TetrisBlock &tb, const RootTree &root_tree,
+                            const AttachResult &att, const Layout &layout,
                             Circuit &circ, SynthStats &stats)
 {
-    (void)layout;
     const PauliBlock &block = tb.block();
+    // The attachment CNOTs of one kind (connectors or internal leaf
+    // edges), toward the root tree or mirrored back out.
+    auto emit_edges = [&](bool connector, bool inward) {
+        auto emit = [&](const AttachEdge &e) {
+            if (e.connector == connector) {
+                circ.cx(e.childPos, e.parentPos);
+                ++stats.emittedCx;
+            }
+        };
+        if (inward)
+            std::for_each(att.edges.rbegin(), att.edges.rend(), emit);
+        else
+            std::for_each(att.edges.begin(), att.edges.end(), emit);
+    };
 
     // --- Block prologue: leaf basis gates + internal leaf CNOTs. ---
     for (const auto &[logical, pos] : att.leafPositions)
         circ.basisEnter(pos, tb.leafOp(logical));
-    for (auto it = att.edges.rbegin(); it != att.edges.rend(); ++it) {
-        if (!it->connector) {
-            circ.cx(it->childPos, it->parentPos);
-            ++stats.emittedCx;
-        }
-    }
+    emit_edges(/*connector=*/false, /*inward=*/true);
 
     // --- Per string: root basis, connectors, root tree, RZ. ---
-    const int rz_pos = root_bfs_order.front();
     for (size_t i = 0; i < block.size(); ++i) {
         const PauliString &s = block.string(i);
         for (size_t q : tb.rootSet()) {
             circ.basisEnter(layout.physOf(static_cast<int>(q)), s.op(q));
         }
-        for (auto it = att.edges.rbegin(); it != att.edges.rend(); ++it) {
-            if (it->connector) {
-                circ.cx(it->childPos, it->parentPos);
-                ++stats.emittedCx;
-            }
-        }
-        for (auto it = root_bfs_order.rbegin();
-             it != root_bfs_order.rend(); ++it) {
-            if (root_parent[*it] != -1) {
-                circ.cx(*it, root_parent[*it]);
-                ++stats.emittedCx;
-            }
-        }
-        circ.rz(rz_pos, block.weight(i) * block.theta());
-        for (int pos : root_bfs_order) {
-            if (root_parent[pos] != -1) {
-                circ.cx(pos, root_parent[pos]);
-                ++stats.emittedCx;
-            }
-        }
-        for (const auto &e : att.edges) {
-            if (e.connector) {
-                circ.cx(e.childPos, e.parentPos);
-                ++stats.emittedCx;
-            }
-        }
+        emit_edges(/*connector=*/true, /*inward=*/true);
+        emitRotation(root_tree, block.weight(i) * block.theta(), circ,
+                     stats);
+        emit_edges(/*connector=*/true, /*inward=*/false);
         for (size_t q : tb.rootSet()) {
             circ.basisExit(layout.physOf(static_cast<int>(q)), s.op(q));
         }
     }
 
     // --- Block epilogue: mirror internal leaf CNOTs + leaf basis. ---
-    for (const auto &e : att.edges) {
-        if (!e.connector) {
-            circ.cx(e.childPos, e.parentPos);
-            ++stats.emittedCx;
-        }
-    }
+    emit_edges(/*connector=*/false, /*inward=*/false);
     for (const auto &[logical, pos] : att.leafPositions)
         circ.basisExit(pos, tb.leafOp(logical));
 }
@@ -536,19 +415,7 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
     // 2. Root tree via BFS from the most central member (the center
     // itself when clustering ran; the in-set center when the roots
     // were already connected and no SWAPs were inserted).
-    int tree_root = root_positions.front();
-    long best_cost = std::numeric_limits<long>::max();
-    for (int cand : root_positions) {
-        long cost = 0;
-        for (int other : root_positions)
-            cost += hw_.distance(cand, other);
-        if (cost < best_cost) {
-            best_cost = cost;
-            tree_root = cand;
-        }
-    }
-    std::vector<int> root_bfs_order, root_parent;
-    buildBfsTree(root_positions, tree_root, root_bfs_order, root_parent);
+    const RootTree root_tree = rootTree(root_positions);
 
     // 3. Attach the leaf qubits (may insert SWAPs / bridges).
     AttachResult att =
@@ -562,7 +429,7 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
 
     // 4. Emit with structural cancellation.
     ++stats.blocksWithCancellation;
-    emitBlock(tb, root_bfs_order, root_parent, att, layout, circ, stats);
+    emitBlock(tb, root_tree, att, layout, circ, stats);
 }
 
 long

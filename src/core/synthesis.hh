@@ -23,6 +23,7 @@
 #ifndef TETRIS_CORE_SYNTHESIS_HH
 #define TETRIS_CORE_SYNTHESIS_HH
 
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hh"
@@ -90,6 +91,14 @@ class BlockSynthesizer
     const SynthesisOptions &options() const { return opts_; }
 
   private:
+    /** A spanning tree of a connected set of physical positions. */
+    struct RootTree
+    {
+        int root = -1;
+        /** (child, parent) edges in breadth-first order from root. */
+        std::vector<std::pair<int, int>> edges;
+    };
+
     struct AttachEdge
     {
         int childPos;
@@ -104,7 +113,6 @@ class BlockSynthesizer
         std::vector<AttachEdge> edges;
         /** Physical position of each attached leaf logical qubit. */
         std::vector<std::pair<int, int>> leafPositions;
-        std::vector<int> bridgePositions;
     };
 
     /** Swap the occupant of `from` along `path` to its last node. */
@@ -120,24 +128,34 @@ class BlockSynthesizer
                                  int center, Layout &layout,
                                  Circuit &circ, SynthStats &stats);
 
-    /** Root-tree parent relation via BFS from rootPos. */
-    void buildBfsTree(const std::vector<int> &positions, int root_pos,
-                      std::vector<int> &bfs_order,
-                      std::vector<int> &parent) const;
+    /**
+     * The breadth-first tree over a connected position set, rooted
+     * at the member with the least total distance to the others.
+     */
+    RootTree rootTree(const std::vector<int> &positions);
+
+    /**
+     * The tree's CNOT ladder onto its root, RZ(angle) there, and the
+     * mirrored ladder.
+     */
+    void emitRotation(const RootTree &tree, double angle, Circuit &circ,
+                      SynthStats &stats);
 
     AttachResult attachLeaves(const TetrisBlock &tb,
                               const std::vector<int> &root_positions,
                               Layout &layout, Circuit &circ,
                               SynthStats &stats);
 
-    void emitBlock(const TetrisBlock &tb,
-                   const std::vector<int> &root_bfs_order,
-                   const std::vector<int> &root_parent,
-                   const AttachResult &att, Layout &layout,
+    void emitBlock(const TetrisBlock &tb, const RootTree &root_tree,
+                   const AttachResult &att, const Layout &layout,
                    Circuit &circ, SynthStats &stats);
 
     const CouplingGraph &hw_;
     SynthesisOptions opts_;
+    /** The one search every step of a block runs on. */
+    GraphSearch search_;
+    /** Membership marks of growCluster and rootTree; clear between. */
+    std::vector<char> member_;
 };
 
 } // namespace tetris

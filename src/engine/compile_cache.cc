@@ -97,7 +97,7 @@ CompileCache::acquire(uint64_t key, bool &is_new)
     auto [it, inserted] = shard.entries.try_emplace(key);
     is_new = inserted;
     if (inserted) {
-        it->second = std::make_shared<Entry>();
+        it->second = std::make_shared<Entry>(key);
         shard.misses.fetch_add(1, std::memory_order_relaxed);
     } else {
         shard.hits.fetch_add(1, std::memory_order_relaxed);

@@ -50,6 +50,10 @@ class CompileCache
     class Entry
     {
       public:
+        explicit Entry(uint64_t key) : key_(key) {}
+        /** The Engine::jobKey of the job this entry holds. */
+        uint64_t key() const { return key_; }
+
         /** Publish the result and wake all waiters (call once). */
         void publish(std::shared_ptr<const CompileResult> result);
 
@@ -79,6 +83,7 @@ class CompileCache
         }
 
       private:
+        const uint64_t key_;
         mutable std::mutex mutex_;
         mutable std::condition_variable published_;
         std::shared_ptr<const CompileResult> result_;

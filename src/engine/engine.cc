@@ -424,7 +424,7 @@ Engine::submit(CompileJob job)
         // No dedup: every submission gets a private slot. Transient
         // jobs take this path too — a consume-once result must not
         // stay in the cache (see CompileJob).
-        entry = std::make_shared<CompileCache::Entry>();
+        entry = std::make_shared<CompileCache::Entry>(key);
     }
 
     if (is_new) {

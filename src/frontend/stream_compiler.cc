@@ -114,7 +114,6 @@ StreamCompiler::run(BlockSource &src)
     struct Pending
     {
         std::shared_ptr<CompileCache::Entry> entry;
-        uint64_t key = 0;
         size_t blocks = 0;
         size_t index = 0;
     };
@@ -136,7 +135,6 @@ StreamCompiler::run(BlockSource &src)
         // stream: caching them would make resident memory O(chunks),
         // sinking the O(window) claim this layer exists for.
         job.transient = true;
-        p.key = Engine::jobKey(job);
         p.entry = engine_.submit(std::move(job));
         return p;
     };
@@ -155,14 +153,14 @@ StreamCompiler::run(BlockSource &src)
             ++st.verifyFailures;
         ++st.chunks;
         st.blocks += p.blocks;
-        st.chunkKeys.push_back(p.key);
+        st.chunkKeys.push_back(p.entry->key());
         st.totalGates += res->stats.totalGateCount;
         st.cnotCount += res->stats.cnotCount;
         st.swapCount += res->stats.swapCount;
         st.compileSeconds += res->stats.compileSeconds;
         st.finalLayout = res->finalLayout.toPhysical();
         seed_out = st.finalLayout;
-        if (writer != nullptr && !writer->append(p.key, *res)) {
+        if (writer != nullptr && !writer->append(p.entry->key(), *res)) {
             st.failure = "write failure on " + opts_.outputPath +
                          " at chunk " + std::to_string(p.index);
             return false;

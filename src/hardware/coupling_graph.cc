@@ -1,7 +1,6 @@
 #include "hardware/coupling_graph.hh"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "common/hash.hh"
@@ -33,19 +32,12 @@ CouplingGraph::CouplingGraph(int num_qubits,
 
     // All-pairs BFS.
     dist_.assign(numQubits_, std::vector<int>(numQubits_, kInf));
+    GraphSearch search(*this);
     for (int s = 0; s < numQubits_; ++s) {
-        dist_[s][s] = 0;
-        std::deque<int> queue{s};
-        while (!queue.empty()) {
-            int u = queue.front();
-            queue.pop_front();
-            for (int v : adj_[u]) {
-                if (dist_[s][v] == kInf) {
-                    dist_[s][v] = dist_[s][u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
+        search.restart(s);
+        search.run([](int) { return true; });
+        for (int v : search.order())
+            dist_[s][v] = search.distance(v);
     }
 }
 
@@ -69,34 +61,17 @@ std::vector<int>
 CouplingGraph::shortestPath(int a, int b,
                             const std::vector<bool> *blocked) const
 {
-    if (a == b)
-        return {a};
-
-    std::vector<int> parent(numQubits_, -1);
-    std::deque<int> queue{a};
-    std::vector<bool> seen(numQubits_, false);
-    seen[a] = true;
-    while (!queue.empty()) {
-        int u = queue.front();
-        queue.pop_front();
-        for (int v : adj_[u]) {
-            if (seen[v])
-                continue;
-            if (blocked && (*blocked)[v] && v != b)
-                continue;
-            seen[v] = true;
-            parent[v] = u;
-            if (v == b) {
-                std::vector<int> path{b};
-                for (int x = u; x != -1; x = parent[x])
-                    path.push_back(x);
-                std::reverse(path.begin(), path.end());
-                return path;
-            }
-            queue.push_back(v);
-        }
-    }
-    return {};
+    auto admit = [&](int v) {
+        return blocked == nullptr || !(*blocked)[v] || v == b;
+    };
+    GraphSearch search(*this);
+    search.restart(a);
+    while (search.pending() && !search.reached(b))
+        search.expand(search.next(), admit);
+    std::vector<int> path;
+    if (search.reached(b))
+        search.pathTo(b, path);
+    return path;
 }
 
 int
@@ -149,6 +124,21 @@ CouplingGraph::contentHash() const
         h = fnvMix(h, b);
     }
     return h;
+}
+
+GraphSearch::GraphSearch(const CouplingGraph &hw)
+    : hw_(hw), parent_(hw.numQubits()), dist_(hw.numQubits()),
+      stamp_(hw.numQubits(), 0)
+{
+    order_.reserve(hw.numQubits());
+}
+
+void
+GraphSearch::pathTo(int v, std::vector<int> &path) const
+{
+    path.resize(dist_[v] + 1);
+    for (int i = dist_[v]; i >= 0; --i, v = parent_[v])
+        path[i] = v;
 }
 
 } // namespace tetris

@@ -336,7 +336,6 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
         return;
     }
 
-    const uint64_t key = Engine::jobKey(job);
     auto entry = engine_.submit(std::move(job));
     auto result = entry->get();
     if (result == nullptr || result->cancelled) {
@@ -346,9 +345,9 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
     }
 
     ResultFrame rf;
-    rf.jobKey = key;
+    rf.jobKey = entry->key();
     rf.verify = static_cast<WireVerify>(entry->verifyStatus());
-    rf.artifact = serialize::encodeArtifact(key, *result);
+    rf.artifact = serialize::encodeArtifact(rf.jobKey, *result);
     // Server time stops once the image is in hand: the encode is
     // server work, not wire.
     rf.serverMs =

@@ -473,6 +473,46 @@ TEST(Engine, CacheKeySensitivity)
     EXPECT_EQ(Engine::jobKey(renamed), k0);
 }
 
+TEST(Engine, SubmittedEntryCarriesItsJobKey)
+{
+    auto hw = std::make_shared<const CouplingGraph>(lineTopology(6));
+    CompileJob job;
+    job.blocks = buildSyntheticUcc(4, 7);
+    job.hw = hw;
+    CompileJob other = job;
+    other.pipeline = PipelineRegistry::instance().create("paulihedral");
+    const uint64_t key = Engine::jobKey(job);
+    ASSERT_NE(Engine::jobKey(other), key);
+
+    // Cached: the first submission creates the entry, the second
+    // joins it; a different job gets its own key.
+    Engine cached;
+    auto first = cached.submit(job);
+    auto joined = cached.submit(job);
+    auto distinct = cached.submit(other);
+    EXPECT_EQ(first, joined);
+    EXPECT_EQ(first->key(), key);
+    EXPECT_EQ(distinct->key(), Engine::jobKey(other));
+
+    // Transient jobs and an uncached engine get private entries.
+    CompileJob transient = job;
+    transient.transient = true;
+    auto private_entry = cached.submit(transient);
+    EXPECT_NE(private_entry, first);
+    EXPECT_EQ(private_entry->key(), key);
+
+    EngineOptions opts;
+    opts.enableCache = false;
+    Engine uncached(opts);
+    auto a = uncached.submit(job);
+    auto b = uncached.submit(job);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(a->key(), key);
+    EXPECT_EQ(b->key(), key);
+    for (const auto &entry : {first, distinct, private_entry, a, b})
+        EXPECT_NE(entry->get(), nullptr);
+}
+
 TEST(PipelineRegistry, AllBuiltinsRegistered)
 {
     auto &reg = PipelineRegistry::instance();

@@ -325,6 +325,25 @@ TEST(ServeEndToEnd, SubmitRoundTripAndDedup)
     EXPECT_EQ(fx.engine.metrics().count("serve.results"), 2u);
 }
 
+TEST(ServeEndToEnd, ResultKeyIsTheJobKey)
+{
+    ServeFixture fx;
+    ASSERT_NE(fx.server, nullptr);
+    auto client = fx.connect();
+    ASSERT_NE(client, nullptr);
+
+    // The server reads the key off the engine's entry instead of
+    // hashing the job a second time; it must still be the job's key.
+    const SubmitRequest req = sampleRequest(5, 23);
+    ServeClient::Response res;
+    ASSERT_TRUE(client->submit(req, res));
+    ASSERT_TRUE(res.ok) << res.errorCode << ": " << res.errorDetail;
+    CompileJob job;
+    std::string err;
+    ASSERT_TRUE(serve::submitToJob(req, job, err)) << err;
+    EXPECT_EQ(res.jobKey, Engine::jobKey(job));
+}
+
 TEST(ServeEndToEnd, PingAndStats)
 {
     ServeFixture fx;
