@@ -10,7 +10,9 @@
  * call, so with TETRIS_ENGINE_THREADS > 1 concurrent jobs contend
  * for cores and inflate each other's numbers; run with
  * TETRIS_ENGINE_THREADS=1 for paper-faithful uncontended latencies
- * (gate counts are thread-count-invariant either way).
+ * (gate counts are thread-count-invariant either way). A result
+ * served from the disk tier carries no compile time (0.0), so run
+ * it without TETRIS_CACHE_DIR.
  */
 
 #include <cstdio>

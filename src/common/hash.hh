@@ -7,14 +7,14 @@
  * compiler options); these helpers provide the mixing primitives,
  * and each value type exposes a contentHash() built on top of them.
  * Collisions are possible in principle but negligible at cache scale
- * (< 2^20 entries). Job keys and the golden corpus hash stay FNV-1a:
- * changing them would move every cache key and corpus row.
+ * (< 2^20 entries). Job keys stay FNV-1a: changing them would move
+ * every cache key.
  *
  * checksum64() guards bytes in transit and at rest: the payload of
- * every .tca image and the trailer of every TSP1 frame. It reads the
- * input as little-endian 64-bit words, one word per step, so a
- * checksum is the same on every host and costs a fraction of a
- * byte-serial hash.
+ * every .tca image (which the golden corpus pins) and the trailer of
+ * every TSP1 frame. It reads the input as little-endian 64-bit
+ * words, one word per step, so a checksum is the same on every host
+ * and costs a fraction of a byte-serial hash.
  */
 
 #ifndef TETRIS_COMMON_HASH_HH

@@ -103,13 +103,6 @@ logWarn(Args &&...args)
     logAt(LogLevel::Warn, std::forward<Args>(args)...);
 }
 
-template <typename... Args>
-void
-logError(Args &&...args)
-{
-    logAt(LogLevel::Error, std::forward<Args>(args)...);
-}
-
 } // namespace tetris
 
 #endif // TETRIS_COMMON_LOG_HH

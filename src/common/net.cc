@@ -216,6 +216,28 @@ pollRetry(struct pollfd *fds, nfds_t nfds, int timeout_ms)
     }
 }
 
+WakeFd::WakeFd()
+{
+    if (::pipe(fds_) != 0)
+        fds_[0] = fds_[1] = -1;
+}
+
+WakeFd::~WakeFd()
+{
+    for (int fd : fds_)
+        if (fd >= 0)
+            ::close(fd);
+}
+
+void
+WakeFd::wake()
+{
+    const char byte = 1;
+    while (fds_[1] >= 0 && ::write(fds_[1], &byte, 1) < 0 &&
+           errno == EINTR) {
+    }
+}
+
 bool
 sendAll(int fd, const void *data, size_t len)
 {

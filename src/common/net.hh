@@ -95,6 +95,26 @@ ssize_t sendRetry(int fd, const void *buf, size_t len, int flags);
 int pollRetry(struct pollfd *fds, nfds_t nfds, int timeout_ms);
 
 /**
+ * A server's wake pipe: its loops poll fd() for POLLIN beside their
+ * sockets, and wake() ends every such poll at once and for good (its
+ * byte is never read). If the pipe cannot open, fd() is -1, which
+ * poll ignores, and the loops fall back to their poll timeouts.
+ */
+class WakeFd
+{
+  public:
+    WakeFd();
+    ~WakeFd();
+    WakeFd(const WakeFd &) = delete;
+    WakeFd &operator=(const WakeFd &) = delete;
+    int fd() const { return fds_[0]; }
+    void wake();
+
+  private:
+    int fds_[2] = {-1, -1};
+};
+
+/**
  * Write exactly `len` bytes. Retries EINTR and short writes; sends
  * with MSG_NOSIGNAL where available so a dead peer yields EPIPE, not
  * a process-killing SIGPIPE. Returns false if the peer went away or

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 #include "common/logging.hh"
 
@@ -49,27 +48,6 @@ TablePrinter::print() const
     std::printf("%s\n", std::string(total, '-').c_str());
     for (const auto &row : rows_)
         print_row(row);
-}
-
-bool
-TablePrinter::writeCsv(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-
-    auto write_row = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                out << ',';
-            out << row[c];
-        }
-        out << '\n';
-    };
-    write_row(headers_);
-    for (const auto &row : rows_)
-        write_row(row);
-    return true;
 }
 
 std::string

@@ -1,10 +1,10 @@
 /**
  * @file
- * Aligned console table and CSV emission.
+ * Aligned console table.
  *
  * The benchmark harness regenerates the paper's tables and figure data
- * as text. TablePrinter renders a column-aligned table on stdout and
- * can additionally persist the same rows as CSV for plotting.
+ * as text. TablePrinter renders a column-aligned table on stdout; the
+ * machine-readable copy is each bench's BENCH_*.json.
  */
 
 #ifndef TETRIS_COMMON_TABLE_HH
@@ -32,9 +32,6 @@ class TablePrinter
 
     /** Render the table to stdout. */
     void print() const;
-
-    /** Write the table as CSV to the given path. Returns success. */
-    bool writeCsv(const std::string &path) const;
 
   private:
     std::vector<std::string> headers_;

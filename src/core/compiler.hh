@@ -83,6 +83,9 @@ struct CompileStats
     size_t logicalCnots = 0;   ///< cnotCount - swapCnots.
     size_t originalCnots = 0;  ///< Naive per-string chain CNOTs.
     double cancelRatio = 0.0;  ///< (original - logical) / original.
+    /** Compile wall time. It and the three stage times below are
+     *  measured, not decided: a result served from the disk tier, a
+     *  Result frame or a .tcs chunk carries no compile time (0.0). */
     double compileSeconds = 0.0;
     /** Scheduler time: ranking + cost estimation (not synthesis). */
     double scheduleSeconds = 0.0;
@@ -130,7 +133,8 @@ class StageClock
     std::chrono::steady_clock::time_point last_ = start_;
 };
 
-/** Output of a compilation. */
+/** Output of a compilation. A .tca image stores all of it but the
+ *  stats timings: read back, a result carries no compile time (0.0). */
 struct CompileResult
 {
     Circuit circuit; ///< Physical circuit on hw.numQubits() wires.

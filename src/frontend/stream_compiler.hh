@@ -114,7 +114,8 @@ struct StreamStats
     double totalSeconds = 0.0;
     /** Wall-clock spent inside BlockSource::next (the frontend). */
     double parseSeconds = 0.0;
-    /** Sum of per-chunk pipeline compile time. */
+    /** Sum of per-chunk compile time; a chunk served from the disk
+     *  tier carries no compile time and adds 0.0. */
     double compileSeconds = 0.0;
 };
 

@@ -185,6 +185,7 @@ ObsServer::~ObsServer()
             std::chrono::milliseconds(lingerMs_));
     }
     stop_.store(true, std::memory_order_relaxed);
+    wake_.wake();
     if (thread_.joinable())
         thread_.join();
     if (listenFd_ >= 0)
@@ -195,17 +196,13 @@ void
 ObsServer::loop()
 {
     while (!stop_.load(std::memory_order_relaxed)) {
-        // Poll with a short timeout instead of blocking in accept():
-        // the destructor only has to flip stop_ and join, with no
-        // platform-dependent socket-shutdown wakeup dance.
-        struct pollfd pfd;
-        pfd.fd = listenFd_;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        // EINTR-retrying poll/accept: a signal aimed at the process
-        // (drain, cancellation) must not cost a scrape.
-        int r = net::pollRetry(&pfd, 1, 100);
-        if (r <= 0)
+        // Poll beside the wake the destructor writes (100 ms is a
+        // backstop). EINTR-retrying poll/accept: a signal aimed at
+        // the process (drain, cancellation) must not cost a scrape.
+        struct pollfd pfds[2] = {{listenFd_, POLLIN, 0},
+                                 {wake_.fd(), POLLIN, 0}};
+        if (net::pollRetry(pfds, 2, 100) <= 0 ||
+            (pfds[0].revents & POLLIN) == 0)
             continue;
         int fd = net::acceptRetry(listenFd_, nullptr, nullptr);
         if (fd < 0)

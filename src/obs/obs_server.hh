@@ -42,6 +42,8 @@
 #include <string>
 #include <thread>
 
+#include "common/net.hh"
+
 namespace tetris
 {
 
@@ -86,6 +88,7 @@ class ObsServer
     /** TETRIS_OBS_LINGER_MS: serve this long into teardown. */
     uint64_t lingerMs_ = 0;
     std::atomic<bool> stop_{false};
+    net::WakeFd wake_; ///< teardown ends the loop's poll with it
     std::atomic<uint64_t> requests_{0};
     std::thread thread_;
 };

@@ -31,12 +31,6 @@ PauliSum::PauliSum(std::complex<double> coeff, PauliString s)
     terms_.push_back({coeff, std::move(s)});
 }
 
-PauliSum
-PauliSum::scaledIdentity(size_t n, std::complex<double> coeff)
-{
-    return PauliSum(coeff, PauliString(n));
-}
-
 void
 PauliSum::addTerm(std::complex<double> coeff, PauliString s)
 {

@@ -39,9 +39,6 @@ class PauliSum
     /** A single-term operator. */
     PauliSum(std::complex<double> coeff, PauliString s);
 
-    /** The identity operator scaled by coeff. */
-    static PauliSum scaledIdentity(size_t n, std::complex<double> coeff);
-
     size_t numQubits() const { return numQubits_; }
     const std::vector<PauliTerm> &terms() const { return terms_; }
     bool empty() const { return terms_.empty(); }

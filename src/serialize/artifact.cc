@@ -105,10 +105,6 @@ write(BinaryWriter &w, const CompileStats &s)
     w.u64(s.logicalCnots);
     w.u64(s.originalCnots);
     w.f64(s.cancelRatio);
-    w.f64(s.compileSeconds);
-    w.f64(s.scheduleSeconds);
-    w.f64(s.synthSeconds);
-    w.f64(s.peepholeSeconds);
     w.u64(s.synthesis.insertedSwaps);
     w.u64(s.synthesis.emittedCx);
     w.u64(s.synthesis.bridgeNodes);
@@ -119,6 +115,7 @@ write(BinaryWriter &w, const CompileStats &s)
 bool
 read(BinaryReader &r, CompileStats &s)
 {
+    s = CompileStats{}; // the timings are not stored: 0.0 each
     s.cnotCount = r.u64();
     s.oneQubitCount = r.u64();
     s.totalGateCount = r.u64();
@@ -129,10 +126,6 @@ read(BinaryReader &r, CompileStats &s)
     s.logicalCnots = r.u64();
     s.originalCnots = r.u64();
     s.cancelRatio = r.f64();
-    s.compileSeconds = r.f64();
-    s.scheduleSeconds = r.f64();
-    s.synthSeconds = r.f64();
-    s.peepholeSeconds = r.f64();
     s.synthesis.insertedSwaps = r.u64();
     s.synthesis.emittedCx = r.u64();
     s.synthesis.bridgeNodes = r.u64();

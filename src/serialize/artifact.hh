@@ -20,16 +20,25 @@
  *                     varint  q0
  *                     varint  q1      only for CX and SWAP
  *                     f64     angle   only for RZ and RX
- *   stats           the 19 CompileStats fields, u64 or f64 each
+ *   stats           15 CompileStats fields: u64 cnotCount,
+ *                     oneQubitCount, totalGateCount, depth; f64
+ *                     durationDt; u64 swapCount, swapCnots,
+ *                     logicalCnots, originalCnots; f64 cancelRatio;
+ *                     u64 synthesis.{insertedSwaps, emittedCx,
+ *                     bridgeNodes, blocksWithCancellation,
+ *                     blocksFallback}
  *   initialLayout,  each i32 numPhysical, u64 numLogical, then an
  *   finalLayout       i32 physical slot per logical qubit
  *   blockOrder      u64 count, then a varint per index
  *   cancelled       u8
  *
- * A gate record takes 2 bytes for a one-qubit gate on a device of up
- * to 128 qubits, 3 for a CX, 10 for a rotation. A decoded one-qubit
- * gate has q1 = -1, and a gate kind without an angle has angle 0.0:
- * the form in which the compilers emit every gate.
+ * An image holds only what the compile decided, never its four
+ * *Seconds timings (they decode as 0.0), so two compiles of one job
+ * encode the same bytes. A gate record takes 2 bytes for a one-qubit
+ * gate on a device of up to 128 qubits, 3 for a CX, 10 for a
+ * rotation. A decoded one-qubit gate has q1 = -1, and a gate kind
+ * without an angle has angle 0.0: the form in which the compilers
+ * emit every gate.
  *
  * decode() is total: every failure mode — truncation, bit flips,
  * foreign files, version skew, key mismatch, overlong or
@@ -59,9 +68,10 @@ namespace tetris::serialize
  * (CompileResult::initialLayout) the streaming frontend chains
  * chunks with. v3 made gate records and block indices compact
  * (about 3 bytes per gate in place of 17) and replaced the FNV-1a
- * payload checksum with checksum64.
+ * payload checksum with checksum64. v4 dropped the four timings
+ * from the stats.
  */
-inline constexpr uint32_t kArtifactVersion = 3;
+inline constexpr uint32_t kArtifactVersion = 4;
 
 /** Component encoders (appended to `w`). */
 void write(BinaryWriter &w, const Circuit &c);

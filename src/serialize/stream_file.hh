@@ -38,11 +38,11 @@ namespace tetris::serialize
 
 /**
  * Bump on any .tcs wire-format change, including a kArtifactVersion
- * bump of the images it holds; readers reject others. v2 holds v3
- * (compact) images, so a file of v2 images fails at its header, not
- * at record 0.
+ * bump of the images it holds; readers reject others. v2 held v3
+ * (compact) images, and v3 holds v4 images (no timings), so a file
+ * of older images fails at its header, not at record 0.
  */
-inline constexpr uint32_t kStreamVersion = 2;
+inline constexpr uint32_t kStreamVersion = 3;
 
 /** Append-only .tcs producer; one instance per output file. */
 class StreamArtifactWriter

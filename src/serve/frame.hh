@@ -52,10 +52,10 @@ inline constexpr uint32_t kFrameMagic = 0x31505354u;
  * Bump on any frame-layout change; receivers reject other versions.
  * v2 added the Submit initialLayout field (streamed chunk chaining).
  * v3 moved the trailer from FNV-1a to checksum64 and carries v3
- * (compact) .tca images. Older peers get version_skew, never a
- * misparse.
+ * (compact) .tca images; v4 carries v4 images (no timings). Older
+ * peers get version_skew, never a misparse.
  */
-inline constexpr uint32_t kProtocolVersion = 3;
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /** magic + version + type + payloadLen. */
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 4 + 8;

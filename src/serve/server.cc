@@ -119,6 +119,7 @@ ServeServer::drain(bool cancel_queued)
             engine_.cancelPending();
 
         stopAccept_.store(true, std::memory_order_relaxed);
+        wake_.wake();
         if (acceptThread_.joinable())
             acceptThread_.join();
         if (tcpFd_ >= 0)
@@ -129,16 +130,12 @@ ServeServer::drain(bool cancel_queued)
         }
 
         // Every handler exits once its current request has been
-        // answered (they poll draining_ between requests); joining
+        // answered (they check draining_ between requests); joining
         // here is what guarantees no accepted request is dropped.
-        std::vector<std::thread> live;
+        std::list<std::thread> live;
         {
             std::lock_guard<std::mutex> lock(handlersMutex_);
-            for (auto &t : handlers_) {
-                if (t.joinable())
-                    live.push_back(std::move(t));
-            }
-            finishedHandlers_.clear();
+            live.swap(handlers_);
         }
         for (auto &t : live)
             t.join();
@@ -157,38 +154,33 @@ ServeServer::drain(bool cancel_queued)
 void
 ServeServer::reapFinishedHandlers()
 {
-    std::vector<std::thread> done;
-    std::vector<size_t> slots;
+    std::list<std::thread> done;
     {
         std::lock_guard<std::mutex> lock(handlersMutex_);
-        for (size_t idx : finishedHandlers_) {
-            if (handlers_[idx].joinable())
-                done.push_back(std::move(handlers_[idx]));
-        }
-        slots.swap(finishedHandlers_);
+        for (auto it : finishedHandlers_)
+            done.splice(done.end(), handlers_, it);
+        finishedHandlers_.clear();
     }
     for (auto &t : done)
         t.join();
-    // Joined: the slots are safe to assign new threads into.
-    std::lock_guard<std::mutex> lock(handlersMutex_);
-    freeSlots_.insert(freeSlots_.end(), slots.begin(), slots.end());
 }
 
 void
 ServeServer::acceptLoop()
 {
     while (!stopAccept_.load(std::memory_order_relaxed)) {
-        struct pollfd pfds[2];
+        struct pollfd pfds[3];
         nfds_t nfds = 0;
         if (tcpFd_ >= 0)
             pfds[nfds++] = {tcpFd_, POLLIN, 0};
         if (unixFd_ >= 0)
             pfds[nfds++] = {unixFd_, POLLIN, 0};
-        // Short poll instead of blocking accept: drain() only flips
-        // stopAccept_ and joins. pollRetry/acceptRetry absorb EINTR,
-        // so the SIGTERM that *starts* a drain never costs the
-        // connection that raced it.
-        int r = net::pollRetry(pfds, nfds, 100);
+        // drain() flips stopAccept_ and wakes this poll (the wake
+        // follows the listeners; 100 ms is a backstop). pollRetry and
+        // acceptRetry absorb EINTR, so the SIGTERM that *starts* a
+        // drain never costs the connection that raced it.
+        pfds[nfds] = {wake_.fd(), POLLIN, 0};
+        int r = net::pollRetry(pfds, nfds + 1, 100);
         if (r <= 0)
             continue;
         for (nfds_t i = 0; i < nfds; ++i) {
@@ -218,23 +210,14 @@ ServeServer::acceptLoop()
                 continue;
             }
             activeConns_.fetch_add(1, std::memory_order_relaxed);
+            // The thread hands its node to the reap when it returns,
+            // which the lock delays until the node holds the thread.
             std::lock_guard<std::mutex> lock(handlersMutex_);
-            size_t slot;
-            if (!freeSlots_.empty()) {
-                slot = freeSlots_.back();
-                freeSlots_.pop_back();
-            } else {
-                slot = handlers_.size();
-                handlers_.emplace_back();
-            }
-            // The slot only re-enters freeSlots_ after the reap has
-            // *joined* the finished thread — assigning a new thread
-            // over a merely-finished (still joinable) one would
-            // terminate.
-            handlers_[slot] = std::thread([this, fd, slot] {
+            auto self = handlers_.emplace(handlers_.end());
+            *self = std::thread([this, fd, self] {
                 handleConnection(fd);
                 std::lock_guard<std::mutex> l(handlersMutex_);
-                finishedHandlers_.push_back(slot);
+                finishedHandlers_.push_back(self);
             });
         }
         reapFinishedHandlers();
@@ -245,14 +228,13 @@ void
 ServeServer::handleConnection(int fd)
 {
     while (!draining_.load(std::memory_order_relaxed)) {
-        // Idle wait via poll so a drain is noticed within 100ms even
-        // with no traffic; the socket timeouts only bound mid-frame
-        // stalls.
-        struct pollfd pfd = {fd, POLLIN, 0};
-        int r = net::pollRetry(&pfd, 1, 100);
-        if (r < 0)
+        // Idle wait via poll beside the wake, so a drain ends it at
+        // once (the 100 ms timeout is a backstop); the socket
+        // timeouts only bound mid-frame stalls.
+        struct pollfd pfds[2] = {{fd, POLLIN, 0}, {wake_.fd(), POLLIN, 0}};
+        if (net::pollRetry(pfds, 2, 100) < 0)
             break;
-        if (r == 0)
+        if (pfds[0].revents == 0)
             continue;
 
         FrameType type = FrameType::Ping;

@@ -46,11 +46,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/net.hh"
 
 namespace tetris
 {
@@ -139,6 +142,7 @@ class ServeServer
     int maxQueueDepth_ = 256;
     uint64_t maxFrameBytes_ = 0;
 
+    net::WakeFd wake_; ///< drain() ends the loops' polls with it
     std::thread acceptThread_;
     std::atomic<bool> stopAccept_{false};
     std::atomic<bool> draining_{false};
@@ -146,12 +150,12 @@ class ServeServer
     std::atomic<uint64_t> requests_{0};
 
     std::mutex handlersMutex_;
-    std::vector<std::thread> handlers_;
-    /** Indices of handlers_ whose threads have returned (reapable). */
-    std::vector<size_t> finishedHandlers_;
-    /** Reusable handlers_ slots, so a long-lived daemon's handler
-     *  table stays bounded by maxClients_, not by connection count. */
-    std::vector<size_t> freeSlots_;
+    /** One thread per connection. The reap erases each returned one,
+     *  so a long-lived daemon's table stays bounded by maxClients_,
+     *  not by connection count. */
+    std::list<std::thread> handlers_;
+    /** Nodes of handlers_ whose threads have returned (reapable). */
+    std::vector<std::list<std::thread>::iterator> finishedHandlers_;
     std::once_flag drainOnce_;
 };
 

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <set>
 #include <thread>
 #include <vector>
@@ -85,20 +84,6 @@ TEST(Format, PercentRendering)
 {
     EXPECT_EQ(formatPercent(-0.313), "-31.3%");
     EXPECT_EQ(formatPercent(0.5), "50.0%");
-}
-
-TEST(Table, CsvRoundTrip)
-{
-    TablePrinter t({"a", "b"});
-    t.addRow({"1", "x"});
-    t.addRow({"2", "y"});
-    ASSERT_TRUE(t.writeCsv("/tmp/tetris_table.csv"));
-    std::ifstream in("/tmp/tetris_table.csv");
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "a,b");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1,x");
 }
 
 TEST(Histogram, BucketIndexEdges)

@@ -36,6 +36,7 @@
 #include "engine/thread_pool.hh"
 #include "hardware/topologies.hh"
 #include "qaoa/qaoa.hh"
+#include "test_util.hh"
 
 namespace tetris
 {
@@ -71,28 +72,6 @@ mixedJobs()
         jobs.push_back(std::move(ph));
     }
     return jobs;
-}
-
-/** Deterministic (non-timing) fields must match bit for bit. */
-void
-expectSameResult(const CompileResult &a, const CompileResult &b)
-{
-    EXPECT_EQ(a.stats.cnotCount, b.stats.cnotCount);
-    EXPECT_EQ(a.stats.oneQubitCount, b.stats.oneQubitCount);
-    EXPECT_EQ(a.stats.totalGateCount, b.stats.totalGateCount);
-    EXPECT_EQ(a.stats.depth, b.stats.depth);
-    EXPECT_EQ(a.stats.durationDt, b.stats.durationDt);
-    EXPECT_EQ(a.stats.swapCount, b.stats.swapCount);
-    EXPECT_EQ(a.stats.swapCnots, b.stats.swapCnots);
-    EXPECT_EQ(a.stats.logicalCnots, b.stats.logicalCnots);
-    EXPECT_EQ(a.stats.originalCnots, b.stats.originalCnots);
-    EXPECT_EQ(a.stats.cancelRatio, b.stats.cancelRatio);
-    EXPECT_EQ(a.stats.synthesis.insertedSwaps,
-              b.stats.synthesis.insertedSwaps);
-    EXPECT_EQ(a.stats.synthesis.emittedCx, b.stats.synthesis.emittedCx);
-    EXPECT_EQ(a.blockOrder, b.blockOrder);
-    EXPECT_EQ(a.finalLayout, b.finalLayout);
-    EXPECT_EQ(a.circuit.metrics(), b.circuit.metrics());
 }
 
 TEST(ThreadPool, StressManyTasks)
@@ -398,7 +377,7 @@ TEST(Engine, ParallelMatchesSerial)
     ASSERT_EQ(parallel.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         ASSERT_NE(parallel[i], nullptr);
-        expectSameResult(*parallel[i], serial[i]);
+        EXPECT_TRUE(test::sameImage(*parallel[i], serial[i]));
     }
     EXPECT_EQ(engine.metrics().count("jobs.submitted"), jobs.size());
     EXPECT_EQ(engine.metrics().count("jobs.completed"), jobs.size());
@@ -436,7 +415,7 @@ TEST(Engine, CacheHitsOnRepeatedJob)
     EXPECT_EQ(engine.metrics().count("jobs.deduplicated"), 1u);
     // Only two compilations actually ran.
     EXPECT_EQ(engine.metrics().count("jobs.completed"), 2u);
-    expectSameResult(*r0, *r1);
+    EXPECT_TRUE(test::sameImage(*r0, *r1));
 }
 
 TEST(Engine, CacheKeySensitivity)
@@ -536,29 +515,29 @@ TEST(PipelineDispatch, MatchesDirectEntryPoints)
     auto blocks = buildSyntheticUcc(8, 21);
     auto &reg = PipelineRegistry::instance();
 
-    expectSameResult(reg.create("tetris")->run(blocks, hw),
-                     compileTetris(blocks, hw));
-    expectSameResult(reg.create("paulihedral")->run(blocks, hw),
-                     compilePaulihedral(blocks, hw));
-    expectSameResult(reg.create("tket-o2")->run(blocks, hw),
-                     compileTketProxy(blocks, hw, TketFlavor::O2));
-    expectSameResult(
+    EXPECT_TRUE(test::sameImage(reg.create("tetris")->run(blocks, hw),
+                                compileTetris(blocks, hw)));
+    EXPECT_TRUE(test::sameImage(reg.create("paulihedral")->run(blocks, hw),
+                                compilePaulihedral(blocks, hw)));
+    EXPECT_TRUE(test::sameImage(reg.create("tket-o2")->run(blocks, hw),
+                                compileTketProxy(blocks, hw, TketFlavor::O2)));
+    EXPECT_TRUE(test::sameImage(
         reg.create("tket-o3")->run(blocks, hw),
-        compileTketProxy(blocks, hw, TketFlavor::QiskitO3));
-    expectSameResult(reg.create("pcoast")->run(blocks, hw),
-                     compilePcoastProxy(blocks, hw));
-    expectSameResult(reg.create("naive")->run(blocks, hw),
-                     compileNaive(blocks, hw));
-    expectSameResult(reg.create("max-cancel")->run(blocks, hw),
-                     compileMaxCancel(blocks, hw));
+        compileTketProxy(blocks, hw, TketFlavor::QiskitO3)));
+    EXPECT_TRUE(test::sameImage(reg.create("pcoast")->run(blocks, hw),
+                                compilePcoastProxy(blocks, hw)));
+    EXPECT_TRUE(test::sameImage(reg.create("naive")->run(blocks, hw),
+                                compileNaive(blocks, hw)));
+    EXPECT_TRUE(test::sameImage(reg.create("max-cancel")->run(blocks, hw),
+                                compileMaxCancel(blocks, hw)));
 
     // The QAOA pipelines want 1-/2-local Z blocks.
     Graph g = Graph::randomWithEdges(10, 16, 3);
-    auto qaoa_blocks = buildQaoaCostBlocks(g, 0.35);
-    expectSameResult(reg.create("qaoa-2qan")->run(qaoa_blocks, hw),
-                     compile2qanProxy(qaoa_blocks, hw));
-    expectSameResult(reg.create("qaoa-bridge")->run(qaoa_blocks, hw),
-                     compileQaoaTetris(qaoa_blocks, hw));
+    auto qaoa = buildQaoaCostBlocks(g, 0.35);
+    EXPECT_TRUE(test::sameImage(reg.create("qaoa-2qan")->run(qaoa, hw),
+                                compile2qanProxy(qaoa, hw)));
+    EXPECT_TRUE(test::sameImage(reg.create("qaoa-bridge")->run(qaoa, hw),
+                                compileQaoaTetris(qaoa, hw)));
 }
 
 TEST(PipelineDispatch, EveryPipelineTimesItsStages)
@@ -739,7 +718,7 @@ TEST(Engine, SingleThreadFallback)
     auto results = engine.compileAll(jobs);
     for (size_t i = 0; i < jobs.size(); ++i) {
         auto ref = compileTetris(jobs[i].blocks, *jobs[i].hw);
-        expectSameResult(*results[i], ref);
+        EXPECT_TRUE(test::sameImage(*results[i], ref));
     }
 }
 
@@ -757,7 +736,7 @@ TEST(Engine, CacheDisabled)
     auto r0 = engine.submit(job)->get();
     auto r1 = engine.submit(job)->get();
     EXPECT_NE(r0, r1); // compiled twice, distinct objects
-    expectSameResult(*r0, *r1);
+    EXPECT_TRUE(test::sameImage(*r0, *r1));
     EXPECT_EQ(engine.cache().hits(), 0u);
     EXPECT_EQ(engine.cache().misses(), 0u);
     EXPECT_EQ(engine.metrics().count("jobs.completed"), 2u);

@@ -430,9 +430,18 @@ TEST(Serialize, StatsRoundTrip)
     EXPECT_EQ(d.logicalCnots, s.logicalCnots);
     EXPECT_EQ(d.originalCnots, s.originalCnots);
     EXPECT_EQ(d.cancelRatio, s.cancelRatio);
-    EXPECT_EQ(d.compileSeconds, s.compileSeconds);
     EXPECT_EQ(d.synthesis.insertedSwaps, s.synthesis.insertedSwaps);
     EXPECT_EQ(d.synthesis.blocksFallback, s.synthesis.blocksFallback);
+    // The timings are measurements, not outputs: not stored, so they
+    // decode as 0.0 even into a value that held others.
+    d.compileSeconds = d.scheduleSeconds = d.synthSeconds =
+        d.peepholeSeconds = 1.0;
+    BinaryReader again(w.data());
+    ASSERT_TRUE(serialize::read(again, d));
+    EXPECT_EQ(d.compileSeconds, 0.0);
+    EXPECT_EQ(d.scheduleSeconds, 0.0);
+    EXPECT_EQ(d.synthSeconds, 0.0);
+    EXPECT_EQ(d.peepholeSeconds, 0.0);
 }
 
 TEST(Serialize, LayoutRoundTripWithFreeAndEvictedQubits)
@@ -508,8 +517,12 @@ TEST_F(ArtifactRoundTrip, DecodesBitIdentical)
     EXPECT_EQ(decoded.stats.depth, result_.stats.depth);
     EXPECT_EQ(decoded.stats.durationDt, result_.stats.durationDt);
     EXPECT_EQ(decoded.stats.cancelRatio, result_.stats.cancelRatio);
-    EXPECT_EQ(decoded.stats.compileSeconds,
-              result_.stats.compileSeconds);
+    // A fresh compile measured its time; the image does not keep it.
+    EXPECT_GT(result_.stats.compileSeconds, 0.0);
+    EXPECT_EQ(decoded.stats.compileSeconds, 0.0);
+    EXPECT_EQ(decoded.stats.scheduleSeconds, 0.0);
+    EXPECT_EQ(decoded.stats.synthSeconds, 0.0);
+    EXPECT_EQ(decoded.stats.peepholeSeconds, 0.0);
     EXPECT_EQ(decoded.finalLayout, result_.finalLayout);
     EXPECT_EQ(decoded.blockOrder, result_.blockOrder);
     EXPECT_FALSE(decoded.cancelled);
@@ -550,9 +563,10 @@ TEST_F(ArtifactRoundTrip, BitFlipsAreRejected)
 TEST_F(ArtifactRoundTrip, VersionMismatchIsRejected)
 {
     // The version field sits right after the 4-byte magic. Version 2
-    // is the previous, 17-bytes-per-gate layout: its images must read
-    // as misses, never be parsed with the compact records.
-    for (uint32_t version : {2u, serialize::kArtifactVersion + 1}) {
+    // is the 17-bytes-per-gate layout and version 3 stored the
+    // timings: their images must read as misses, never be parsed
+    // with today's records.
+    for (uint32_t version : {2u, 3u, serialize::kArtifactVersion + 1}) {
         std::string skewed = image_;
         skewed[4] = static_cast<char>(version);
         CompileResult decoded;
@@ -602,16 +616,20 @@ TEST_F(ArtifactRoundTrip, OlderStreamHeaderIsRejected)
     };
     EXPECT_EQ(first(), serialize::StreamArtifactReader::Status::Record);
 
-    // Version 1 files hold version 2 images: the header, bytes 4..7,
-    // rejects them before any record is read.
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(4);
-        const char v1[4] = {1, 0, 0, 0};
-        f.write(v1, sizeof v1);
+    // Version 1 files hold version 2 images and version 2 files
+    // version 3 images: the header, bytes 4..7, rejects them before
+    // any record is read.
+    for (char version : {1, 2}) {
+        {
+            std::fstream f(path, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            f.seekp(4);
+            const char older[4] = {version, 0, 0, 0};
+            f.write(older, sizeof older);
+        }
+        EXPECT_EQ(first(), serialize::StreamArtifactReader::Status::Corrupt)
+            << "version " << int{version};
     }
-    EXPECT_EQ(first(), serialize::StreamArtifactReader::Status::Corrupt);
     fs::remove(path);
 }
 

@@ -417,9 +417,10 @@ TEST(ServeRobustness, VersionSkewAnswersTyped)
     ServeFixture fx;
     ASSERT_NE(fx.server, nullptr);
 
-    // Version 2 is the previous layout (FNV-1a trailers, 17-byte gate
-    // records): a peer still speaking it gets the typed answer.
-    for (uint32_t version : {2u, serve::kProtocolVersion + 7}) {
+    // Version 2 is the FNV-1a, 17-byte-gate layout and version 3
+    // carries images with timings: a peer still speaking either gets
+    // the typed answer.
+    for (uint32_t version : {2u, 3u, serve::kProtocolVersion + 7}) {
         SCOPED_TRACE(version);
         auto client = fx.connect();
         ASSERT_NE(client, nullptr);
@@ -645,6 +646,22 @@ TEST(ServeDrain, CancelQueuedAnswersCancelled)
                           << " (" << r.errorDetail << ")";
     }
     EXPECT_EQ(results + cancelled, kClients);
+}
+
+TEST(ServeDrain, IdleServerWithIdleClientDrainsAtOnce)
+{
+    // drain() wakes the accept loop and the idle handler out of their
+    // polls instead of waiting out the 100 ms poll timeout.
+    ServeFixture fx;
+    ASSERT_NE(fx.server, nullptr);
+    auto client = fx.connect();
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->ping()); // the handler is up and idle
+    const auto t0 = std::chrono::steady_clock::now();
+    fx.server->drain(false);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took.count(), 50.0);
 }
 
 // ---- listeners and connects ----------------------------------------

@@ -358,6 +358,42 @@ TEST(StreamFileTest, TruncatedTailIsAReadablePrefix)
     fs::remove(cut);
 }
 
+TEST(StreamFileTest, TwoRunsWriteIdenticalFiles)
+{
+    // A .tcs record holds only what its chunk's compile decided, so
+    // two runs of one program, each on a fresh engine, write the
+    // same bytes at every window.
+    WorkloadSpec ws;
+    ws.numQubits = 12;
+    ws.minInstructions = 600;
+    ws.seed = 5;
+    std::ostringstream gen;
+    genShorModExp(gen, ws);
+    auto hw = std::make_shared<const CouplingGraph>(gridTopology(3, 4));
+    const fs::path tcs = tempPath("twice.tcs");
+    for (int window : {1, 7, 256}) {
+        SCOPED_TRACE(window);
+        std::string files[2];
+        for (std::string &bytes : files) {
+            Engine engine;
+            std::istringstream in(gen.str());
+            PauliListParser src(in);
+            StreamOptions opts;
+            opts.window = window;
+            opts.outputPath = tcs.string();
+            StreamStats st = StreamCompiler(engine, hw, opts).run(src);
+            ASSERT_TRUE(st.ok) << st.failure;
+            std::ifstream file(tcs, std::ios::binary);
+            bytes.assign(std::istreambuf_iterator<char>(file),
+                         std::istreambuf_iterator<char>());
+        }
+        EXPECT_GT(files[0].size(), 8u);
+        EXPECT_TRUE(files[0] == files[1])
+            << files[0].size() << " and " << files[1].size() << " bytes";
+    }
+    fs::remove(tcs);
+}
+
 TEST(StreamWindowTest, ResolutionOrder)
 {
     // Explicit request beats everything; otherwise the env; else 256.

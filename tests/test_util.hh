@@ -10,11 +10,16 @@
 #ifndef TETRIS_TESTS_TEST_UTIL_HH
 #define TETRIS_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/compiler.hh"
 #include "hardware/coupling_graph.hh"
 #include "pauli/pauli_block.hh"
+#include "serialize/artifact.hh"
 #include "sim/statevector.hh"
 #include "verify/internal.hh"
 #include "verify/verify.hh"
@@ -60,6 +65,25 @@ permuteState(const Statevector &sv, const std::vector<int> &new_pos)
         amp[j] = sv.amplitudes()[i];
     }
     return Statevector::fromAmplitudes(std::move(amp));
+}
+
+/**
+ * The tests' one definition of "the same compiled output": the two
+ * results encode byte-identical .tca images (serialize/artifact.hh).
+ * An image holds every gate with its angle bits, both layouts, the
+ * block order and every stats count, and no timing.
+ */
+inline ::testing::AssertionResult
+sameImage(const CompileResult &a, const CompileResult &b)
+{
+    const std::string x = serialize::encodeArtifact(0, a);
+    const std::string y = serialize::encodeArtifact(0, b);
+    if (x == y)
+        return ::testing::AssertionSuccess();
+    const auto at = std::mismatch(x.begin(), x.end(), y.begin(), y.end());
+    return ::testing::AssertionFailure()
+           << "images of " << x.size() << " and " << y.size()
+           << " bytes differ from byte " << (at.first - x.begin());
 }
 
 /** Every two-qubit gate must act on a coupling-graph edge. */
