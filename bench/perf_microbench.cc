@@ -34,13 +34,17 @@
  *  9. Synthesis: CompileStats::synthSeconds per block for the
  *     Paulihedral and Tetris compiles of the same two workloads,
  *     peephole off.
+ * 10. Verify: verifyConjugation alone, per compiled gate, on the
+ *     Paulihedral and Tetris results of the same two workloads as
+ *     a sweep compiles them (peephole on). A verdict other than
+ *     pass exits 1.
  *
  * TETRIS_BENCH_QUICK=1 shrinks every dimension for CI. BENCH_perf.json
  * uses bench_util.hh's shared layout: one row per cache sweep (the
  * default shard count is always swept, as `shards=default`), kernel,
  * load phase, engine phase, overhead section, scheduler
- * (workload, K) pair, and peephole and synthesis (workload, compiler)
- * pair.
+ * (workload, K) pair, and peephole, synthesis and verify (workload,
+ * compiler) pair.
  * scripts/bench_diff.py warns when two runs' timings drift apart.
  */
 
@@ -72,6 +76,7 @@
 #include "obs/obs_server.hh"
 #include "pauli/pauli_ref.hh"
 #include "verify/pauli_frame.hh"
+#include "verify/verify.hh"
 
 namespace fs = std::filesystem;
 
@@ -373,7 +378,7 @@ struct EngineRun
     uint64_t lockWaitNs = 0;
 };
 
-/** The two workloads sections 7 to 9 compile. */
+/** The two workloads sections 7 to 10 compile. */
 std::vector<std::pair<const char *, std::vector<PauliBlock>>>
 compileWorkloads()
 {
@@ -524,6 +529,55 @@ runSynthesis(bool quick)
             row.compiles = compiles;
             row.avgNs = seconds * 1e9 /
                         static_cast<double>(compiles * blocks.size());
+            rows.push_back(std::move(row));
+        }
+    }
+    return rows;
+}
+
+// ---- 10. verify ----------------------------------------------------
+
+struct VerifyRow
+{
+    std::string name;
+    uint64_t gates = 0;
+    uint64_t runs = 0;
+    /** verifyConjugation time per compiled gate, over every run. */
+    double avgNs = 0.0;
+    /** Every run's verdict was pass. */
+    bool passed = true;
+};
+
+/**
+ * Compile each workload with Paulihedral and Tetris under their
+ * default options, the results an engine with verify on checks, and
+ * time verifyConjugation alone on each.
+ */
+std::vector<VerifyRow>
+runVerify(bool quick)
+{
+    const uint64_t runs = quick ? 1 : 3;
+    const CouplingGraph hw = ibmIthaca65();
+    std::vector<VerifyRow> rows;
+    for (const auto &[label, blocks] : compileWorkloads()) {
+        const std::pair<const char *, CompileResult> results[] = {
+            {"ph", compilePaulihedral(blocks, hw)},
+            {"tetris", compileTetris(blocks, hw)},
+        };
+        for (const auto &[compiler, result] : results) {
+            VerifyRow row;
+            row.name = std::string("verify/") + label + "/" + compiler;
+            row.gates = result.circuit.size();
+            row.runs = runs;
+            double seconds = 0.0;
+            for (uint64_t r = 0; r < runs; ++r) {
+                auto t0 = std::chrono::steady_clock::now();
+                const VerifyReport report = verifyConjugation(blocks, result);
+                seconds += secondsSince(t0);
+                row.passed = row.passed && report.pass();
+            }
+            row.avgNs =
+                seconds * 1e9 / static_cast<double>(runs * row.gates);
             rows.push_back(std::move(row));
         }
     }
@@ -829,6 +883,16 @@ main()
                     row.avgNs);
     }
 
+    // ---- 10. verify -------------------------------------------------
+    std::printf("\nverify (verifyConjugation time per compiled gate):\n");
+    const std::vector<VerifyRow> verifies = runVerify(quick);
+    for (const VerifyRow &row : verifies) {
+        std::printf("  %-26s %8llu gates  %6.1f ns/gate  %s\n",
+                    row.name.c_str(),
+                    static_cast<unsigned long long>(row.gates), row.avgNs,
+                    row.passed ? "pass" : "FAIL");
+    }
+
     auto config = [&](JsonWriter &w) {
         w.key("quick").value(quick);
         w.key("hardware_concurrency")
@@ -923,6 +987,15 @@ main()
             w.key("avg_ns").value(row.avgNs);
             w.endObject();
         }
+        for (const VerifyRow &row : verifies) {
+            w.beginObject();
+            w.key("name").value(row.name);
+            w.key("gates").value(row.gates);
+            w.key("runs").value(row.runs);
+            w.key("avg_ns").value(row.avgNs);
+            w.key("pass").value(row.passed);
+            w.endObject();
+        }
     };
     if (writeBenchFile("perf", config, rows, nullptr).empty())
         return 1;
@@ -945,6 +1018,14 @@ main()
                          "%llu load(s) of stored artifacts\n",
                          name, static_cast<unsigned long long>(load.misses),
                          static_cast<unsigned long long>(load.loads));
+            status = 1;
+        }
+    }
+    for (const VerifyRow &row : verifies) {
+        if (!row.passed) {
+            std::fprintf(stderr,
+                         "perf_microbench: FAIL: %s did not verify\n",
+                         row.name.c_str());
             status = 1;
         }
     }

@@ -45,6 +45,7 @@ POLICY = {
     "blocks": "exact",
     "chunks": "exact",
     "requests": "exact",
+    "gates": "exact",
     "gates_in": "exact",
     "gates_out": "exact",
     "passes": "exact",

@@ -21,9 +21,11 @@
 # 64+ qubits, each scheduler row (UCC-20 and CH4/JW at K in
 # {1, 10, 22}) must have scheduled blocks, each peephole row
 # (UCC-20 and CH4/JW under Paulihedral and Tetris) must remove gates,
-# and each synthesis row (the same four pairs) must have synthesized
-# blocks. compile_cli and gen_workloads must refuse malformed flag
-# values with exit 2, and gen_workloads must not touch --out then.
+# each synthesis row (the same four pairs) must have synthesized
+# blocks, and each verify row (the same four pairs) must have checked
+# gates and passed. compile_cli and gen_workloads must refuse
+# malformed flag values with exit 2, and gen_workloads must not touch
+# --out then.
 #
 # Observability: sweep BENCH files must carry latency histograms,
 # and a TETRIS_TRACE run must produce a file that
@@ -267,6 +269,12 @@ for workload in ("ucc/UCC-20", "jw/CH4"):
         name = f"synthesis/{workload}/{compiler}"
         assert name in rows, f"no synthesis row {name}"
         assert rows[name]["blocks"] > 0, f"{name} synthesized no blocks"
+for workload in ("ucc/UCC-20", "jw/CH4"):
+    for compiler in ("ph", "tetris"):
+        name = f"verify/{workload}/{compiler}"
+        assert name in rows, f"no verify row {name}"
+        assert rows[name]["gates"] > 0, f"{name} checked no gates"
+        assert rows[name]["pass"], f"{name} did not verify"
 print("smoke OK: warm microbench did zero recompiles "
       f"({warm['disk_hits']} disk hit(s)); "
       f"{rows['load/warm']['bytes_total'] // rows['load/warm']['entries']}"
@@ -274,7 +282,8 @@ print("smoke OK: warm microbench did zero recompiles "
       f"{len(sweeps)} cache sweeps; packed Pauli kernels >=5x at 64+ "
       "qubits; "
       f"disarmed event log {obs['event_log_disabled_ns']:.2f} ns/op; "
-      "6 scheduler rows; 4 peephole rows; 4 synthesis rows")
+      "6 scheduler rows; 4 peephole rows; 4 synthesis rows; "
+      "4 verify rows")
 EOF
 echo "smoke OK: perf microbench passed"
 

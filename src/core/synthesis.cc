@@ -1,6 +1,7 @@
 #include "core/synthesis.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.hh"
@@ -8,10 +9,40 @@
 namespace tetris
 {
 
+namespace
+{
+
+/** Physical positions of the block's root qubits, in rootSet order. */
+std::vector<int>
+rootTerminals(const TetrisBlock &tb, const Layout &layout)
+{
+    std::vector<int> terminals;
+    terminals.reserve(tb.rootSet().size());
+    for (size_t q : tb.rootSet())
+        terminals.push_back(layout.physOf(static_cast<int>(q)));
+    return terminals;
+}
+
+/** Hops from every terminal to `center`, summed. */
+long
+gatherCost(const CouplingGraph &hw, const std::vector<int> &terminals,
+           int center)
+{
+    long cost = 0;
+    for (int t : terminals)
+        cost += hw.distance(t, center);
+    return cost;
+}
+
+} // namespace
+
 BlockSynthesizer::BlockSynthesizer(const CouplingGraph &hw,
                                    const SynthesisOptions &opts)
     : hw_(hw), opts_(opts), search_(hw), member_(hw.numQubits(), 0)
 {
+    TETRIS_ASSERT(std::isfinite(opts_.swapWeight) && opts_.swapWeight >= 0,
+                  "swap weight must be finite and >= 0, got ",
+                  opts_.swapWeight);
 }
 
 void
@@ -109,19 +140,21 @@ BlockSynthesizer::growCluster(const std::vector<int> &logicals, int center,
         // Pick the pending qubit with the shortest realizable path to
         // the cluster frontier: the first node next to the cluster
         // that a search around the cluster takes off its queue.
+        // Nodes leave the queue in nondecreasing distance and only a
+        // strictly shorter path replaces the best one, so a search
+        // stops at the first node whose path could not be shorter.
         size_t best_idx = pending.size();
         std::vector<int> best_path;
         for (size_t i = 0; i < pending.size(); ++i) {
             search_.restart(layout.physOf(pending[i]));
             while (search_.pending()) {
                 const int u = search_.next();
+                const size_t length = search_.distance(u) + 1;
+                if (best_idx != pending.size() && length >= best_path.size())
+                    break;
                 if (next_to_cluster(u)) {
-                    const size_t length = search_.distance(u) + 1;
-                    if (best_idx == pending.size() ||
-                        length < best_path.size()) {
-                        best_idx = i;
-                        search_.pathTo(u, best_path);
-                    }
+                    best_idx = i;
+                    search_.pathTo(u, best_path);
                     break;
                 }
                 search_.expand(u, outside_cluster);
@@ -145,9 +178,13 @@ BlockSynthesizer::rootTree(const std::vector<int> &positions)
     RootTree tree;
     long best_cost = std::numeric_limits<long>::max();
     for (int cand : positions) {
+        // The sum only grows, so stop once it cannot win.
         long cost = 0;
-        for (int other : positions)
+        for (int other : positions) {
             cost += hw_.distance(cand, other);
+            if (cost >= best_cost)
+                break;
+        }
         if (cost < best_cost) {
             best_cost = cost;
             tree.root = cand;
@@ -248,7 +285,13 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
         // One search per pending qubit over non-blocked nodes (SWAP
         // routes) and one restricted to free |0> ancillas (bridge
         // routes); each node taken off the queue that is adjacent to
-        // a mapped target yields a candidate attachment.
+        // a mapped target yields a candidate attachment. A candidate
+        // through u scores hops(u)*hop + (2 or 2*#ps), hops never
+        // fall along the queue and hop >= 0, and only a strictly
+        // lower score replaces the best: so a search stops at the
+        // first node whose least possible score, hops(u)*hop + 2,
+        // reaches the best. Rounding is monotone, so this holds in
+        // floating point too.
         auto scan = [&](size_t i, bool free_only) {
             const double hop = free_only ? bridge_hop_cost : w;
             auto admit = [&](int v) {
@@ -257,17 +300,19 @@ BlockSynthesizer::attachLeaves(const TetrisBlock &tb,
             search_.restart(layout.physOf(pending[i]));
             while (search_.pending()) {
                 const int u = search_.next();
+                const double hops = search_.distance(u);
+                if (hops * hop + 2 >= best.score)
+                    break;
                 for (int t : hw_.neighbors(u)) {
                     if (!blocked[t])
                         continue;
-                    double d = search_.distance(u) + 1;
-                    double score = (d - 1) * hop +
-                                   (is_root_pos[t] ? 2 * num_ps : 2);
+                    double score =
+                        hops * hop + (is_root_pos[t] ? 2 * num_ps : 2);
                     if (score < best.score) {
                         best.score = score;
                         best.pending_idx = i;
                         best.target = t;
-                        best.bridge = free_only && d > 1;
+                        best.bridge = free_only && hops > 0;
                         search_.pathTo(u, best.path);
                     }
                 }
@@ -383,6 +428,11 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
         return;
     }
 
+    // The root qubits' distance center under the live layout; it
+    // prices the gather below and is where step 1 gathers them.
+    const std::vector<int> terminals = rootTerminals(tb, layout);
+    const int center = hw_.findCenter(terminals);
+
     // Adaptive tuning (Sec. IV-B2): block-level synthesis is only
     // worthwhile when the structural cancellation (up to
     // 2*(L-1)*(#ps-1) CNOTs with a single leaf tree) outweighs the
@@ -392,23 +442,18 @@ BlockSynthesizer::synthesizeBlock(const TetrisBlock &tb, Layout &layout,
         const long num_ps = static_cast<long>(tb.numStrings());
         const long savings =
             leaf_size >= 2 ? 2 * (leaf_size - 1) * (num_ps - 1) : 0;
-        const double cost = opts_.adaptiveFallbackFactor *
-                            static_cast<double>(
-                                estimateRootClusterCost(tb, layout));
+        const double cost =
+            opts_.adaptiveFallbackFactor *
+            static_cast<double>(gatherCost(hw_, terminals, center));
         if (static_cast<double>(savings) <= cost) {
             fallback();
             return;
         }
     }
 
-    // 1. Cluster the root qubits around a distance center.
-    std::vector<int> root_logicals(tb.rootSet().begin(),
-                                   tb.rootSet().end());
-    std::vector<int> terminals;
-    terminals.reserve(root_logicals.size());
-    for (int q : root_logicals)
-        terminals.push_back(layout.physOf(q));
-    int center = hw_.findCenter(terminals);
+    // 1. Cluster the root qubits around the center.
+    const std::vector<int> root_logicals(tb.rootSet().begin(),
+                                         tb.rootSet().end());
     std::vector<int> root_positions =
         growCluster(root_logicals, center, layout, circ, stats);
 
@@ -436,18 +481,10 @@ long
 BlockSynthesizer::estimateRootClusterCost(const TetrisBlock &tb,
                                           const Layout &layout) const
 {
-    const auto &roots = tb.rootSet();
-    if (roots.empty())
+    if (tb.rootSet().empty())
         return 0;
-    std::vector<int> terminals;
-    terminals.reserve(roots.size());
-    for (size_t q : roots)
-        terminals.push_back(layout.physOf(static_cast<int>(q)));
-    int center = hw_.findCenter(terminals);
-    long cost = 0;
-    for (int t : terminals)
-        cost += hw_.distance(t, center);
-    return cost;
+    const std::vector<int> terminals = rootTerminals(tb, layout);
+    return gatherCost(hw_, terminals, hw_.findCenter(terminals));
 }
 
 } // namespace tetris

@@ -37,7 +37,12 @@ namespace tetris
 /** Tuning knobs of the synthesis stage. */
 struct SynthesisOptions
 {
-    /** SWAP weight w in the leaf scoring function (paper: w = 3). */
+    /**
+     * SWAP weight w in the leaf scoring function (paper: w = 3).
+     * Finite and >= 0, which BlockSynthesizer asserts: a leaf search
+     * stops once hops*w + 2 reaches the best score, which is exact
+     * only when a longer route never scores less.
+     */
     double swapWeight = 3.0;
     /** Use CNOT bridging through free ancillas when possible. */
     bool enableBridging = true;

@@ -102,7 +102,7 @@ LeafSignatures::append(const TetrisBlock &block)
         records_.insert(records_.end(), plane, plane + words_);
 }
 
-double
+TETRIS_POPCNT_KERNEL double
 LeafSignatures::similarity(size_t a, size_t b) const
 {
     const size_t w = words_;

@@ -79,17 +79,23 @@ CouplingGraph::findCenter(const std::vector<int> &terminals) const
 {
     TETRIS_ASSERT(!terminals.empty(), "findCenter with no terminals");
     // Minimize eccentricity w.r.t. the terminals, breaking ties by
-    // total distance, then by node index (deterministic).
+    // total distance, then by node index (deterministic). Both folds
+    // only grow, so a candidate's fold stops once it cannot win.
     int best = -1;
     long best_ecc = std::numeric_limits<long>::max();
     long best_total = std::numeric_limits<long>::max();
     for (int c = 0; c < numQubits_; ++c) {
+        const std::vector<int> &from_c = dist_[c];
         long ecc = 0, total = 0;
+        bool wins = true;
         for (int t : terminals) {
-            ecc = std::max<long>(ecc, dist_[c][t]);
-            total += dist_[c][t];
+            ecc = std::max<long>(ecc, from_c[t]);
+            total += from_c[t];
+            wins = ecc < best_ecc || (ecc == best_ecc && total < best_total);
+            if (!wins)
+                break;
         }
-        if (ecc < best_ecc || (ecc == best_ecc && total < best_total)) {
+        if (wins) {
             best_ecc = ecc;
             best_total = total;
             best = c;

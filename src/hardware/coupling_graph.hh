@@ -53,8 +53,9 @@ class CouplingGraph
                                   = nullptr) const;
 
     /**
-     * The physical node minimizing the total BFS distance to the
-     * given terminals (ties broken by lower index).
+     * The physical node with the least eccentricity to the given
+     * terminals (its largest BFS distance to one of them), ties
+     * broken by the least total distance, then by the lower index.
      */
     int findCenter(const std::vector<int> &terminals) const;
 

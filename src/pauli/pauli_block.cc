@@ -99,7 +99,7 @@ PauliBlock::rootQubits() const
     return out;
 }
 
-size_t
+TETRIS_POPCNT_KERNEL size_t
 PauliBlock::commonOperatorCount(const PauliString &a, const PauliString &b)
 {
     TETRIS_ASSERT(a.numQubits() == b.numQubits());

@@ -17,7 +17,7 @@ PauliString::fromText(const std::string &text)
     return s;
 }
 
-size_t
+TETRIS_POPCNT_KERNEL size_t
 PauliString::weight() const
 {
     size_t w = 0;
@@ -65,7 +65,7 @@ PauliString::commutesWith(const PauliString &other) const
     return (std::popcount(acc) & 1) == 0;
 }
 
-uint8_t
+TETRIS_POPCNT_KERNEL uint8_t
 PauliString::mulLeft(const PauliString &other)
 {
     TETRIS_ASSERT(numQubits() == other.numQubits(),
@@ -89,7 +89,7 @@ PauliString::mulLeft(const PauliString &other)
     return static_cast<uint8_t>(phase % 4);
 }
 
-uint8_t
+TETRIS_POPCNT_KERNEL uint8_t
 PauliString::mulRight(const PauliString &other)
 {
     TETRIS_ASSERT(numQubits() == other.numQubits(),

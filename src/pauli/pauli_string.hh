@@ -17,7 +17,8 @@
  * product), weight is popcount(x|z), the string product is a plane
  * XOR plus a popcount-based phase count, and hashing mixes whole
  * words. Bits above numQubits() are kept zero as a class invariant,
- * so word-wise equality, hashing and ordering need no masking.
+ * so word-wise equality, hashing and ordering need no masking. The
+ * kernels whose loops are popcounts carry TETRIS_POPCNT_KERNEL.
  */
 
 #ifndef TETRIS_PAULI_PAULI_STRING_HH
@@ -29,6 +30,31 @@
 #include <vector>
 
 #include "pauli/pauli_op.hh"
+
+/*
+ * TETRIS_POPCNT_KERNEL goes on the definition of a function whose
+ * inner loop is std::popcount. Built for baseline x86-64 (no -mpopcnt
+ * or -march), each popcount GCC emits is a call into libgcc's
+ * __popcountdi2. With the mark GCC builds the function twice, for the
+ * popcnt instruction and for the baseline, and the loader binds the
+ * function's symbol to the clone the CPU supports (an ifunc): no -m
+ * flag is needed, and the binary still runs on a CPU without popcnt.
+ * Only the definition carries it: on a declaration, every translation
+ * unit that calls the function emits a resolver of its own, which
+ * fails to link against the defining unit's local clones. The mark is
+ * empty with other compilers, off x86-64 Linux, in a build that
+ * already has popcnt, and under ThreadSanitizer: an ifunc resolver
+ * runs before the TSan runtime is set up, and with GCC 12 an
+ * instrumented binary holding one faults before main.
+ */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+    defined(__linux__) && !defined(__POPCNT__) && \
+    !defined(__SANITIZE_THREAD__)
+#define TETRIS_POPCNT_KERNEL \
+    __attribute__((target_clones("popcnt", "default")))
+#else
+#define TETRIS_POPCNT_KERNEL
+#endif
 
 namespace tetris
 {

@@ -1,8 +1,10 @@
 /**
  * @file
  * Golden corpus: the quick sweeps of Table II (16 jobs), Fig. 23 (36
- * QAOA jobs) and Fig. 19 (the lookahead K sweep, plus a program wider
- * than one 64-qubit bit-plane word), and the routed baselines (naive,
+ * QAOA jobs), Fig. 19 (the lookahead K sweep, plus a program wider
+ * than one 64-qubit bit-plane word) and Fig. 20 (the SWAP weight w,
+ * the per-hop cost the leaf searches bound their scores with, from
+ * 0.1 to 100 on two devices), and the routed baselines (naive,
  * T|Ket>, PCOAST, max-cancel) over Table II's quick workloads, pinned
  * job by job. The jobs come from the sweep table the bench binaries
  * run (bench/sweeps.hh), whose invariants are checked here too.
@@ -144,7 +146,7 @@ fig19QuickJobs()
     return jobs;
 }
 
-/** Compile the four corpora on an engine of `threads` workers and
+/** Compile the five corpora on an engine of `threads` workers and
  *  check every row and every image's round trip. */
 void
 expectCorporaOnThreads(int threads)
@@ -161,6 +163,8 @@ expectCorporaOnThreads(int threads)
         {TETRIS_TEST_DATA_DIR "/golden/fig19_quick.txt", fig19QuickJobs},
         {TETRIS_TEST_DATA_DIR "/golden/routed_quick.txt",
          [] { return bench::routedSweep(true).jobs(); }},
+        {TETRIS_TEST_DATA_DIR "/golden/fig20_quick.txt",
+         [] { return bench::fig20Sweep(true).jobs(); }},
     };
     EngineOptions opts;
     opts.numThreads = threads;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <string>
 
@@ -125,6 +126,47 @@ TEST(CouplingGraph, FindCenterMinimizesTotalDistance)
     EXPECT_EQ(g.findCenter({0, 6}), 3);
     EXPECT_EQ(g.findCenter({0, 1, 2}), 1);
     EXPECT_EQ(g.findCenter({5}), 5);
+}
+
+/**
+ * findCenter stops a candidate's folds once it cannot win. Its answer
+ * must still be the rule written out in full: the least eccentricity
+ * to the terminals, then the least total distance, then the lowest
+ * index.
+ */
+TEST(CouplingGraph, FindCenterMatchesExhaustiveRule)
+{
+    const std::pair<const char *, CouplingGraph> devices[] = {
+        {"heavy-hex", ibmIthaca65()},
+        {"sycamore", googleSycamore64()},
+        {"grid", gridTopology(9, 9)},
+        {"line", lineTopology(12)},
+    };
+    Rng rng(2028);
+    for (const auto &[label, g] : devices) {
+        SCOPED_TRACE(label);
+        const int n = g.numQubits();
+        for (int trial = 0; trial < 400; ++trial) {
+            // 1 to 8 distinct terminals, in random order.
+            std::vector<int> terminals;
+            for (size_t t : rng.sampleIndices(n, 1 + rng.index(8)))
+                terminals.push_back(static_cast<int>(t));
+            int want = -1;
+            std::pair<int, int> want_key;
+            for (int c = 0; c < n; ++c) {
+                int ecc = 0, total = 0;
+                for (int t : terminals) {
+                    ecc = std::max(ecc, g.distance(c, t));
+                    total += g.distance(c, t);
+                }
+                if (want < 0 || std::pair(ecc, total) < want_key) {
+                    want = c;
+                    want_key = {ecc, total};
+                }
+            }
+            ASSERT_EQ(g.findCenter(terminals), want) << "trial " << trial;
+        }
+    }
 }
 
 /** What a breadth-first search reached, from a reference or GraphSearch. */

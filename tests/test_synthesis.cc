@@ -393,6 +393,15 @@ TEST(Synthesis, EstimateRootClusterCostIsZeroWhenClustered)
     EXPECT_LE(synth.estimateRootClusterCost(tb, layout), 1);
 }
 
+TEST(Synthesis, NegativeSwapWeightPanics)
+{
+    // The leaf searches' early exit needs w >= 0 (synthesis.hh).
+    const CouplingGraph hw = lineTopology(4);
+    SynthesisOptions opts;
+    opts.swapWeight = -1.0;
+    EXPECT_DEATH({ BlockSynthesizer synth(hw, opts); }, "swap weight");
+}
+
 class SynthesisRandomBlocks : public ::testing::TestWithParam<int>
 {
 };
