@@ -14,11 +14,11 @@
  *   - a flag is off for "0" and on for any other value;
  *   - a string knob is taken as given.
  *
- * A knob whose default is off (TETRIS_STALL_MS, TETRIS_OBS_LINGER_MS)
- * declares a range starting at 0, so a literal 0 selects the default
- * without a warning. An explicit option always beats the
- * environment: call sites consult these readers only when their
- * option is left at its "unset" value.
+ * A knob whose default is off (TETRIS_OBS_LINGER_MS,
+ * TETRIS_CACHE_MAX_BYTES) declares a range starting at 0, so a
+ * literal 0 selects the default without a warning. An explicit
+ * option always beats the environment: call sites consult these
+ * readers only when their option is left at its "unset" value.
  */
 
 #ifndef TETRIS_COMMON_ENV_HH

@@ -36,6 +36,7 @@
 
 #include "common/histogram.hh"
 #include "core/compiler.hh"
+#include "verify/verify.hh"
 
 namespace tetris
 {
@@ -65,21 +66,20 @@ class CompileCache
         std::shared_ptr<const CompileResult> get() const;
 
         /**
-         * Verify verdict for this entry's result: 0 = not run, else
-         * 1 + VerifyStatus (1 pass, 2 fail, 3 skipped). Set by the
+         * Verify verdict for this entry's result. Set by the
          * publishing job before publish(), so any waiter that has
          * returned from get() reads a settled value. The serve layer
          * routes this into its Result frames; dedup'd and
          * memory-cache-hit submissions share the one verdict of the
          * submission that compiled.
          */
-        void setVerifyStatus(uint8_t v)
+        void setVerdict(VerifyVerdict v)
         {
-            verify_.store(v, std::memory_order_release);
+            verdict_.store(v, std::memory_order_release);
         }
-        uint8_t verifyStatus() const
+        VerifyVerdict verdict() const
         {
-            return verify_.load(std::memory_order_acquire);
+            return verdict_.load(std::memory_order_acquire);
         }
 
       private:
@@ -88,8 +88,7 @@ class CompileCache
         mutable std::condition_variable published_;
         std::shared_ptr<const CompileResult> result_;
         std::atomic<bool> ready_{false};
-        /** 0 = verify not run, else 1 + VerifyStatus. */
-        std::atomic<uint8_t> verify_{0};
+        std::atomic<VerifyVerdict> verdict_{VerifyVerdict::NotRun};
     };
 
     /**

@@ -10,7 +10,6 @@
 #include "engine/trace.hh"
 #include "obs/event_log.hh"
 #include "obs/obs_server.hh"
-#include "obs/watchdog.hh"
 
 namespace tetris
 {
@@ -43,14 +42,9 @@ Engine::Engine(EngineOptions opts)
     cache_.setLockWaitHistogram(
         &metrics_.histogram("cache.lock_wait_ns"));
 
-    // Observability plane: both pieces are opt-in (options first,
-    // env second) and both read engine state the member-init list
-    // above has fully built. Disabled, they cost nothing per job.
-    const uint64_t stall_ms =
-        opts_.stallMs != 0 ? opts_.stallMs
-                           : envInt("TETRIS_STALL_MS", 0, 86400000, 0);
-    if (stall_ms != 0)
-        watchdog_ = std::make_unique<StallWatchdog>(*this, stall_ms);
+    // Scrape server: opt-in (options first, env second), and it reads
+    // engine state the member-init list above has fully built.
+    // Disabled, it costs nothing per job.
     const std::string obs_addr =
         opts_.obsServer.empty() ? envString("TETRIS_OBS_ADDR")
                                 : opts_.obsServer;
@@ -60,12 +54,11 @@ Engine::Engine(EngineOptions opts)
 
 Engine::~Engine()
 {
-    // Teardown order: report draining for the whole shutdown, stop
-    // the watchdog's scans, drain workers, then apply the store's
-    // eviction budget. The scrape server (declared last) dies before
-    // any member it reads; until then /healthz says "draining".
+    // Teardown order: report draining for the whole shutdown, drain
+    // workers, then apply the store's eviction budget. The scrape
+    // server (declared last) dies before any member it reads; until
+    // then /healthz says "draining".
     draining_.store(true, std::memory_order_relaxed);
-    watchdog_.reset();
     pool_.waitIdle();
     // Apply the store's eviction budget once the sweep is done, not
     // per write: trimming mid-run could evict entries the same run
@@ -153,7 +146,7 @@ Engine::reportDone(const std::string &name)
 
 /**
  * One dequeued job's lifecycle, reported from one place to the
- * in-flight table (/statusz, the watchdog), tracer spans, event
+ * in-flight table (/statusz, /metrics), tracer spans, event
  * records, outcome counters, latency histograms, the recent-job ring
  * and the progress callback.
  */
@@ -316,7 +309,7 @@ Engine::verifyJob(JobTimeline &timeline, const CompileJob &job,
     timeline.enter(JobTimeline::kVerify);
     ScopedTimer timer(metrics_, verifySecondsH_);
     VerifyReport report = verifyConjugation(job.blocks, result);
-    entry.setVerifyStatus(1 + static_cast<uint8_t>(report.status));
+    entry.setVerdict(verdictOf(report.status));
     switch (report.status) {
       case VerifyStatus::Pass:
         metrics_.addCount(verifyPassH_);
@@ -394,7 +387,7 @@ Engine::runJob(const CompileJob &job, uint64_t key,
     entry->publish(shared);
     // Write-behind: persist after publishing so waiters never block
     // on disk I/O. The job stays in the in-flight table until the
-    // persist lands, so a wedged disk write is stall-visible too.
+    // persist lands, so a wedged disk write ages in /metrics too.
     if (opts_.diskCache) {
         if (verify_failed && opts_.verifyBeforeStore) {
             metrics_.addCount("verify.blocked_write");

@@ -57,7 +57,6 @@ namespace tetris
 class DiskCache;
 class EventLog;
 class ObsServer;
-class StallWatchdog;
 class Tracer;
 
 /** One unit of batch work: a workload, a device, and a pipeline. */
@@ -152,14 +151,6 @@ struct EngineOptions
      * server, which is the zero-overhead path.
      */
     std::string obsServer;
-    /**
-     * Stall-watchdog threshold in milliseconds (obs/watchdog.hh):
-     * a job in flight longer than this is flagged once via the
-     * jobs.stalled metric, a `stall` event record, and a warn log
-     * line. 0 (the default) consults TETRIS_STALL_MS; no env either
-     * means no watchdog thread.
-     */
-    uint64_t stallMs = 0;
     /**
      * Structured event sink for job lifecycle records
      * (obs/event_log.hh). Null (the default) means
@@ -263,18 +254,12 @@ class Engine
         return finished_.load(std::memory_order_relaxed);
     }
 
-    /** The tracer this engine records spans into (never null). */
-    Tracer &tracer() const { return *tracer_; }
-
-    /** The structured event sink (never null; possibly disarmed). */
-    EventLog &eventLog() const { return *eventLog_; }
-
     /**
      * One dequeued-but-unfinished job as the obs plane sees it. The
      * engine updates `stage` as the job progresses; the names are
-     * listed once, in JobTimeline's stage table (engine.cc). The
-     * watchdog sets `stalled` at most once. Snapshots share
-     * ownership, so a job finishing mid-scrape never dangles.
+     * listed once, in JobTimeline's stage table (engine.cc).
+     * Snapshots share ownership, so a job finishing mid-scrape never
+     * dangles.
      */
     struct ActiveJob
     {
@@ -283,7 +268,6 @@ class Engine
         /** steadyNowNs() at dequeue. */
         uint64_t startNs = 0;
         std::atomic<const char *> stage{nullptr};
-        std::atomic<bool> stalled{false};
     };
 
     /** Completed-job record for the statusz top-N view. */
@@ -294,7 +278,8 @@ class Engine
         uint64_t durationNs = 0;
     };
 
-    /** Snapshot of the in-flight job table (watchdog, /statusz). */
+    /** Snapshot of the in-flight job table (/statusz, and the
+     *  oldest-job age in /metrics). */
     std::vector<std::shared_ptr<ActiveJob>> activeJobs() const;
 
     /** The last <=64 finished jobs, oldest first (/statusz). */
@@ -317,7 +302,8 @@ class Engine
      * cache.disk.misses / writes (disk hits are jobs.disk_hits).
      * Called automatically at the end of compileAll(); call it
      * directly before reading metrics() after bare submit()
-     * traffic.
+     * traffic. /metrics does not wait for it: formatStatsSnapshot
+     * reads the live cache counters at scrape time.
      */
     void syncCacheMetrics();
     /** The persistent tier, or null when disabled. */
@@ -380,7 +366,7 @@ class Engine
     /** steadyNowNs() at construction, for uptime. */
     uint64_t startNs_ = 0;
 
-    /** In-flight job table for the watchdog and /statusz. Touched
+    /** In-flight job table for /statusz and /metrics. Touched
      *  twice per dequeued job — negligible next to a compile. */
     mutable std::mutex activeMutex_;
     std::vector<std::shared_ptr<ActiveJob>> active_;
@@ -389,9 +375,7 @@ class Engine
     mutable std::mutex recentMutex_;
     std::deque<RecentJob> recent_;
 
-    /** Declared last, and reset explicitly in the destructor before
-     *  the pool drains, so neither ever observes a dead engine. */
-    std::unique_ptr<StallWatchdog> watchdog_;
+    /** Declared last, so it dies before any member it reads. */
     std::unique_ptr<ObsServer> obsServer_;
 };
 

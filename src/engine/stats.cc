@@ -1,11 +1,13 @@
 #include "engine/stats.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
 #include "common/histogram.hh"
 #include "engine/disk_cache.hh"
 #include "engine/engine.hh"
+#include "engine/trace.hh"
 
 namespace tetris
 {
@@ -57,10 +59,34 @@ inFlight(size_t started, size_t finished)
     return started > finished ? started - finished : 0;
 }
 
+/**
+ * Seconds since the longest-running in-flight job left the queue;
+ * 0 when nothing is in flight. A scraper alerts on a stuck job with
+ * a rule on this gauge.
+ */
+double
+oldestInFlightSeconds(const Engine &engine)
+{
+    const uint64_t now_ns = steadyNowNs();
+    uint64_t oldest_ns = now_ns;
+    for (const auto &job : engine.activeJobs())
+        oldest_ns = std::min(oldest_ns, job->startNs);
+    return static_cast<double>(now_ns - oldest_ns) / 1e9;
+}
+
 void
 typeLine(std::ostream &os, const std::string &family, const char *kind)
 {
     os << "# TYPE " << family << " " << kind << "\n";
+}
+
+/** A family of one unlabelled sample. */
+template <typename T>
+void
+single(std::ostream &os, const char *family, const char *kind, T value)
+{
+    typeLine(os, family, kind);
+    os << family << " " << value << "\n";
 }
 
 /**
@@ -134,32 +160,36 @@ formatStatsSnapshot(const Engine &engine)
     os << "# tetris engine stats (Prometheus text exposition 0.0.4)\n";
 
     os << "# HELP tetris_up 1 while the engine is serving.\n";
-    typeLine(os, "tetris_up", "gauge");
-    os << "tetris_up 1\n";
+    single(os, "tetris_up", "gauge", 1);
     os << "# HELP tetris_draining 1 while Engine::drain() or "
           "teardown is waiting for workers.\n";
-    typeLine(os, "tetris_draining", "gauge");
-    os << "tetris_draining " << (engine.draining() ? 1 : 0) << "\n";
-    typeLine(os, "tetris_uptime_seconds", "gauge");
-    os << "tetris_uptime_seconds " << engine.uptimeSeconds() << "\n";
+    single(os, "tetris_draining", "gauge", engine.draining() ? 1 : 0);
+    single(os, "tetris_uptime_seconds", "gauge", engine.uptimeSeconds());
 
     const size_t submitted = engine.submittedCount();
     const size_t started = engine.startedCount();
     const size_t finished = engine.finishedCount();
-    typeLine(os, "tetris_jobs_submitted", "counter");
-    os << "tetris_jobs_submitted " << submitted << "\n";
-    typeLine(os, "tetris_jobs_started", "counter");
-    os << "tetris_jobs_started " << started << "\n";
-    typeLine(os, "tetris_jobs_finished", "counter");
-    os << "tetris_jobs_finished " << finished << "\n";
-    typeLine(os, "tetris_jobs_in_flight", "gauge");
-    os << "tetris_jobs_in_flight " << inFlight(started, finished)
-       << "\n";
-    typeLine(os, "tetris_jobs_queued", "gauge");
-    os << "tetris_jobs_queued "
-       << (submitted > started ? submitted - started : 0) << "\n";
-    typeLine(os, "tetris_threads", "gauge");
-    os << "tetris_threads " << engine.numThreads() << "\n";
+    single(os, "tetris_jobs_submitted", "counter", submitted);
+    single(os, "tetris_jobs_started", "counter", started);
+    single(os, "tetris_jobs_finished", "counter", finished);
+    single(os, "tetris_jobs_in_flight", "gauge",
+           inFlight(started, finished));
+    single(os, "tetris_jobs_queued", "gauge",
+           submitted > started ? submitted - started : 0);
+    single(os, "tetris_jobs_oldest_inflight_seconds", "gauge",
+           oldestInFlightSeconds(engine));
+    single(os, "tetris_threads", "gauge", engine.numThreads());
+
+    // The cache tiers' own counters, read now: an engine fed only by
+    // submit() (tetrisd, the stream compiler) never copies them into
+    // the registry's cache.* names (Engine::syncCacheMetrics).
+    single(os, "tetris_cache_hits", "counter", engine.cache().hits());
+    single(os, "tetris_cache_misses", "counter", engine.cache().misses());
+    if (const DiskCache *disk = engine.diskCache()) {
+        single(os, "tetris_disk_hits", "counter", disk->hits());
+        single(os, "tetris_disk_misses", "counter", disk->misses());
+        single(os, "tetris_disk_writes", "counter", disk->writes());
+    }
 
     const MetricsRegistry &metrics = engine.metrics();
     const auto counts = metrics.counts();

@@ -10,8 +10,9 @@
  * `_max` and `_quantile` gauge companions). It is the body the obs
  * scrape server (obs/obs_server.hh) serves from GET /metrics, so a
  * long sweep is observed by scraping it: submitted, started,
- * finished, in-flight and queued jobs, and uptime are all gauges or
- * counters there.
+ * finished, in-flight and queued jobs, the age of the oldest
+ * in-flight job, the cache tiers' hits and misses, and uptime are
+ * all gauges or counters there, read from the engine at scrape time.
  *
  * formatSummary() is the one line bench::runJobs prints on stderr
  * after every sweep: throughput, job-latency p50/p99, and cache hit

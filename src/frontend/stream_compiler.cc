@@ -148,8 +148,7 @@ StreamCompiler::run(BlockSource &src)
                          " was cancelled by the engine";
             return false;
         }
-        // 0 = verify not run, else 1 + VerifyStatus (2 = Fail).
-        if (p.entry->verifyStatus() == 2)
+        if (p.entry->verdict() == VerifyVerdict::Fail)
             ++st.verifyFailures;
         ++st.chunks;
         st.blocks += p.blocks;

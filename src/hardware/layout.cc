@@ -49,13 +49,6 @@ Layout::applySwap(int phys_a, int phys_b)
 }
 
 void
-Layout::move(int phys_from, int phys_to)
-{
-    TETRIS_ASSERT(isFree(phys_to), "destination not free");
-    applySwap(phys_from, phys_to);
-}
-
-void
 Layout::place(int logical, int phys)
 {
     TETRIS_ASSERT(isFree(phys), "physical slot occupied");

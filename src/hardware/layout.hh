@@ -51,9 +51,6 @@ class Layout
     /** Exchange the occupants of two physical qubits. */
     void applySwap(int phys_a, int phys_b);
 
-    /** Move the occupant of phys_from onto free phys_to. */
-    void move(int phys_from, int phys_to);
-
     /** Assign logical qubit onto a free physical qubit. */
     void place(int logical, int phys);
 

@@ -4,7 +4,7 @@
  *
  * One self-describing JSON object per significant engine event —
  * job start/finish/cancel, verify failure, disk-cache
- * corruption-as-miss, store trim, watchdog stall — appended to a
+ * corruption-as-miss, store trim — appended to a
  * file armed by TETRIS_EVENT_LOG=<path> (or EventLog::arm() for
  * tests). Every record carries a wall-clock timestamp and the event
  * name; the remaining fields are event-specific. The file rotates in

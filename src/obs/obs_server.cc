@@ -122,11 +122,7 @@ renderStatusz(const Engine &engine, uint64_t requests)
             now_ns > job->startNs ? now_ns - job->startNs : 0;
         os << "  " << job->name << "  stage="
            << job->stage.load(std::memory_order_relaxed) << "  elapsed="
-           << static_cast<double>(elapsed_ns) / 1e6 << "ms"
-           << (job->stalled.load(std::memory_order_relaxed)
-                   ? "  [STALLED]"
-                   : "")
-           << "\n";
+           << static_cast<double>(elapsed_ns) / 1e6 << "ms\n";
     }
 
     os << "\ntop-5 slowest recent jobs\n-------------------------\n";

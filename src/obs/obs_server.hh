@@ -11,7 +11,8 @@
  *
  *   GET /metrics  Prometheus text exposition 0.0.4 rendered by
  *                 formatStatsSnapshot() (engine/stats.hh): counters,
- *                 gauges, and the log2 latency histograms as
+ *                 gauges (the oldest in-flight job's age among
+ *                 them), and the log2 latency histograms as
  *                 cumulative _bucket{le=...}/_sum/_count series.
  *   GET /healthz  Liveness + drain state as a one-line JSON object;
  *                 "status" flips to "draining" inside Engine::drain.

@@ -121,16 +121,6 @@ PauliString::toText() const
     return s;
 }
 
-std::vector<PauliOp>
-PauliString::ops() const
-{
-    std::vector<PauliOp> out;
-    out.reserve(n_);
-    for (size_t q = 0; q < n_; ++q)
-        out.push_back(op(q));
-    return out;
-}
-
 bool
 PauliString::operator<(const PauliString &o) const
 {

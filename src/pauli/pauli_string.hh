@@ -166,9 +166,6 @@ class PauliString
      */
     bool operator<(const PauliString &o) const;
 
-    /** Materialize the per-qubit operator vector (diagnostics). */
-    std::vector<PauliOp> ops() const;
-
     /** Number of 64-qubit words in each plane. */
     size_t numWords() const { return x_.size(); }
 

@@ -173,13 +173,8 @@ SubmitRequest makeSubmitRequest(std::string name,
 
 // ---- result / error payloads ---------------------------------------
 
-/** Verify verdict on the wire (u8). */
-enum class WireVerify : uint8_t {
-    NotRun = 0,
-    Pass = 1,
-    Fail = 2,
-    Skipped = 3,
-};
+/** Verify verdict on the wire (u8): the cache entry's verdict. */
+using WireVerify = VerifyVerdict;
 
 struct ResultFrame
 {

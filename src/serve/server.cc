@@ -328,7 +328,7 @@ ServeServer::handleSubmit(int fd, const std::string &payload)
 
     ResultFrame rf;
     rf.jobKey = entry->key();
-    rf.verify = static_cast<WireVerify>(entry->verifyStatus());
+    rf.verify = entry->verdict();
     rf.artifact = serialize::encodeArtifact(rf.jobKey, *result);
     // Server time stops once the image is in hand: the encode is
     // server work, not wire.

@@ -65,6 +65,32 @@ enum class VerifyStatus
 /** Human-readable name of a status. */
 const char *verifyStatusName(VerifyStatus s);
 
+/**
+ * A stored verdict: whether the verify pass ran on a result and, if
+ * it did, its status. One byte, as a compile-cache entry holds it and
+ * a TSP1 Result frame carries it (serve::WireVerify); the values are
+ * part of the wire protocol.
+ */
+enum class VerifyVerdict : uint8_t
+{
+    NotRun = 0,
+    Pass = 1,
+    Fail = 2,
+    Skipped = 3,
+};
+
+/** The verdict of a verify pass that ran and reported `s`. */
+constexpr VerifyVerdict
+verdictOf(VerifyStatus s)
+{
+    switch (s) {
+      case VerifyStatus::Pass: return VerifyVerdict::Pass;
+      case VerifyStatus::Fail: return VerifyVerdict::Fail;
+      case VerifyStatus::Skipped: break;
+    }
+    return VerifyVerdict::Skipped;
+}
+
 /** Knobs of the exact checker. */
 struct VerifyOptions
 {

@@ -7,18 +7,20 @@
  * engine), the embedded HTTP server's endpoints (/metrics /healthz
  * /statusz, 404s, draining flip during Engine::drain), the
  * structured JSONL event log (arming, job lifecycle records,
- * size-based rotation, the warn+ logger tee), the stall watchdog
+ * size-based rotation, the warn+ logger tee), scrape-time gauges
  * against an artificially slow test-only pipeline, and
  * scrape-under-load (the TSan job runs this suite).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -28,15 +30,14 @@
 #include <unistd.h>
 
 #include "chem/uccsd.hh"
-#include "common/env.hh"
 #include "common/histogram.hh"
 #include "common/log.hh"
+#include "engine/disk_cache.hh"
 #include "engine/engine.hh"
 #include "engine/stats.hh"
 #include "hardware/topologies.hh"
 #include "obs/event_log.hh"
 #include "obs/obs_server.hh"
-#include "obs/watchdog.hh"
 
 namespace tetris
 {
@@ -223,6 +224,16 @@ parseExposition(const std::string &body, PromDoc &doc,
         doc.samples.push_back(std::move(sample));
     }
     return true;
+}
+
+/** The unlabelled sample `name`'s value; NaN when it is absent. */
+double
+sampleValue(const PromDoc &doc, const std::string &name)
+{
+    for (const auto &s : doc.samples)
+        if (s.name == name && s.labels.empty())
+            return s.value;
+    return std::numeric_limits<double>::quiet_NaN();
 }
 
 /** Family of a sample name (strips histogram suffixes). */
@@ -485,6 +496,91 @@ TEST(ObsExposition, LabelValuesEscaped)
         }
     }
     EXPECT_TRUE(found) << "escaped label value did not round-trip";
+}
+
+TEST(ObsExposition, CacheCountersAreLiveWithoutCompileAll)
+{
+    // Bare submit() traffic, as tetrisd and the stream compiler make:
+    // nothing copies the cache counters into the registry.
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) /
+        ("tetris_obs_cache_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    auto disk = DiskCache::open(dir.string());
+    ASSERT_NE(disk, nullptr);
+    const CompileJob job = smallJobs(1)[0];
+    {
+        // Fills the store: one disk miss, one write.
+        EngineOptions opts;
+        opts.diskCache = disk;
+        Engine filler(opts);
+        filler.submit(job)->get();
+    }
+
+    EngineOptions opts;
+    opts.diskCache = disk;
+    Engine engine(opts);
+    for (int i = 0; i < 3; ++i)
+        engine.submit(job)->get();
+    ASSERT_EQ(engine.cache().hits(), 2u);
+
+    PromDoc doc;
+    std::string error;
+    ASSERT_TRUE(parseExposition(formatStatsSnapshot(engine), doc, error))
+        << error;
+    const std::pair<const char *, double> expected[] = {
+        {"tetris_cache_hits", 2.0},  {"tetris_cache_misses", 1.0},
+        {"tetris_disk_hits", 1.0},   {"tetris_disk_misses", 1.0},
+        {"tetris_disk_writes", 1.0}};
+    for (const auto &[family, value] : expected) {
+        EXPECT_EQ(doc.types[family], "counter") << family;
+        EXPECT_EQ(sampleValue(doc, family), value) << family;
+    }
+
+    // Without a disk tier there are no disk families.
+    Engine memory_only;
+    PromDoc bare;
+    ASSERT_TRUE(
+        parseExposition(formatStatsSnapshot(memory_only), bare, error))
+        << error;
+    EXPECT_EQ(sampleValue(bare, "tetris_cache_hits"), 0.0);
+    EXPECT_EQ(bare.types.count("tetris_disk_hits"), 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ObsExposition, OldestInFlightAgeIsReadAtScrapeTime)
+{
+    EngineOptions opts;
+    opts.numThreads = 1;
+    Engine engine(opts);
+    // Every scrape parses strictly and types the age as a gauge.
+    auto scrapeAge = [&engine] {
+        PromDoc doc;
+        std::string error;
+        EXPECT_TRUE(parseExposition(formatStatsSnapshot(engine), doc,
+                                    error))
+            << error;
+        EXPECT_EQ(doc.types["tetris_jobs_oldest_inflight_seconds"],
+                  "gauge");
+        return sampleValue(doc, "tetris_jobs_oldest_inflight_seconds");
+    };
+    EXPECT_EQ(scrapeAge(), 0.0);
+
+    auto entry = engine.submit(slowJob("oldest/slow", 400));
+    // Only an in-flight job ages the gauge: it reads 0 again once the
+    // job finishes, so a reading of 0.1 s was taken mid-flight.
+    double peak = 0.0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (peak < 0.1 && std::chrono::steady_clock::now() < deadline) {
+        peak = std::max(peak, scrapeAge());
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_GE(peak, 0.1);
+
+    entry->get();
+    engine.drain();
+    EXPECT_EQ(scrapeAge(), 0.0);
 }
 
 // ---------------------------------------------------------------
@@ -760,74 +856,6 @@ TEST(EventLogTest, LogTeeMirrorsWarnLines)
     EXPECT_NE(lines[0].find("\"level\":\"warn\""), std::string::npos);
     EXPECT_NE(lines[0].find("disk cache exploded"), std::string::npos);
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------
-// Stall watchdog.
-// ---------------------------------------------------------------
-
-TEST(WatchdogTest, FlagsStalledJobAndSweepStillCompletes)
-{
-    const std::string path = tempPath("stall");
-    std::remove(path.c_str());
-    EventLog log;
-    ASSERT_TRUE(log.arm(path));
-
-    EngineOptions opts;
-    opts.stallMs = 50;
-    opts.eventLog = &log;
-    Engine engine(opts);
-
-    std::vector<CompileJob> jobs;
-    jobs.push_back(slowJob("stall/slow", 400));
-    auto quick = smallJobs(2);
-    jobs.insert(jobs.end(), quick.begin(), quick.end());
-    auto results = engine.compileAll(std::move(jobs));
-
-    ASSERT_EQ(results.size(), 3u);
-    for (const auto &r : results)
-        EXPECT_FALSE(r->cancelled);
-    EXPECT_GE(engine.metrics().count("jobs.stalled"), 1u);
-
-    log.close();
-    const auto lines = readLines(path);
-    EXPECT_TRUE(anyLineContains(lines, "\"event\":\"stall\""));
-    EXPECT_TRUE(anyLineContains(lines, "\"job\":\"stall/slow\""));
-    EXPECT_TRUE(anyLineContains(lines, "\"stage\":\"compile\""));
-    std::remove(path.c_str());
-}
-
-TEST(WatchdogTest, FastJobsAreNeverFlagged)
-{
-    EngineOptions opts;
-    opts.stallMs = 60000;
-    Engine engine(opts);
-    engine.compileAll(smallJobs(3));
-    EXPECT_EQ(engine.metrics().count("jobs.stalled"), 0u);
-}
-
-TEST(WatchdogTest, StallMsFromEnvIsStrict)
-{
-    const char *saved = std::getenv("TETRIS_STALL_MS");
-    std::string saved_copy = saved ? saved : "";
-
-    // The engine's read of the knob: milliseconds, default off.
-    auto stallMs = [] {
-        return envInt("TETRIS_STALL_MS", 0, 86400000, 0);
-    };
-    ::setenv("TETRIS_STALL_MS", "250", 1);
-    EXPECT_EQ(stallMs(), 250);
-    ::setenv("TETRIS_STALL_MS", "0", 1);
-    EXPECT_EQ(stallMs(), 0);
-    ::setenv("TETRIS_STALL_MS", "12abc", 1);
-    EXPECT_EQ(stallMs(), 0);
-    ::setenv("TETRIS_STALL_MS", "-5", 1);
-    EXPECT_EQ(stallMs(), 0);
-    ::unsetenv("TETRIS_STALL_MS");
-    EXPECT_EQ(stallMs(), 0);
-
-    if (saved)
-        ::setenv("TETRIS_STALL_MS", saved_copy.c_str(), 1);
 }
 
 // ---------------------------------------------------------------
