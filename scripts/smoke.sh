@@ -136,12 +136,13 @@ python3 scripts/obs_scrape.py scrape --port "$obs_port" \
 wait "$obs_bench_pid"
 python3 scripts/obs_scrape.py check build/smoke-scrape.prom \
   --bench build/BENCH_table2.json
-# Families read from the engine at scrape time: a stuck job is an
-# alert rule on the age gauge, and the cache counters need no sync.
-for family in 'tetris_jobs_oldest_inflight_seconds gauge' \
-    'tetris_cache_hits counter' 'tetris_cache_misses counter'; do
-  if ! grep -qxF "# TYPE ${family}" build/smoke-scrape.prom; then
-    echo "smoke FAIL: scrape has no '# TYPE ${family}' line" >&2
+# Read from the engine at scrape time: a stuck job is an alert rule
+# on the age gauge, and the cache counters need no sync.
+for line in '# TYPE tetris_jobs_oldest_inflight_seconds gauge' \
+    'tetris_count{name="cache.hits"} ' \
+    'tetris_count{name="cache.misses"} '; do
+  if ! grep -qF "$line" build/smoke-scrape.prom; then
+    echo "smoke FAIL: scrape has no '${line}' line" >&2
     exit 1
   fi
 done

@@ -439,18 +439,26 @@ Engine::submit(CompileJob job)
     return entry;
 }
 
+std::vector<std::pair<const char *, uint64_t>>
+Engine::cacheCounters() const
+{
+    std::vector<std::pair<const char *, uint64_t>> counters = {
+        {"cache.shard_count", static_cast<uint64_t>(cache_.shardCount())},
+        {"cache.lock_wait_ns", cache_.lockWaitNs()},
+        {"cache.hits", cache_.hits()},
+        {"cache.misses", cache_.misses()}};
+    if (opts_.diskCache) {
+        counters.emplace_back("cache.disk.misses", opts_.diskCache->misses());
+        counters.emplace_back("cache.disk.writes", opts_.diskCache->writes());
+    }
+    return counters;
+}
+
 void
 Engine::syncCacheMetrics()
 {
-    metrics_.setCount("cache.shard_count",
-                      static_cast<uint64_t>(cache_.shardCount()));
-    metrics_.setCount("cache.lock_wait_ns", cache_.lockWaitNs());
-    metrics_.setCount("cache.hits", cache_.hits());
-    metrics_.setCount("cache.misses", cache_.misses());
-    if (opts_.diskCache) {
-        metrics_.setCount("cache.disk.misses", opts_.diskCache->misses());
-        metrics_.setCount("cache.disk.writes", opts_.diskCache->writes());
-    }
+    for (const auto &[name, value] : cacheCounters())
+        metrics_.setCount(name, value);
 }
 
 std::vector<std::shared_ptr<const CompileResult>>

@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/version.hh"
@@ -296,14 +297,18 @@ class Engine
     const CompileCache &cache() const { return cache_; }
 
     /**
-     * Publish the cache's gauge-style counters into the metrics
-     * registry: cache.shard_count, cache.lock_wait_ns, cache.hits,
+     * The cache tiers' counters under their registry names, read
+     * now: cache.shard_count, cache.lock_wait_ns, cache.hits,
      * cache.misses, and — when a disk tier is attached —
      * cache.disk.misses / writes (disk hits are jobs.disk_hits).
-     * Called automatically at the end of compileAll(); call it
-     * directly before reading metrics() after bare submit()
-     * traffic. /metrics does not wait for it: formatStatsSnapshot
-     * reads the live cache counters at scrape time.
+     * formatStatsSnapshot writes them over the registry's copies, so
+     * /metrics reads them live after bare submit() traffic too.
+     */
+    std::vector<std::pair<const char *, uint64_t>> cacheCounters() const;
+    /**
+     * Copy cacheCounters() into the metrics registry. Called
+     * automatically at the end of compileAll(); call it directly
+     * before reading metrics() after bare submit() traffic.
      */
     void syncCacheMetrics();
     /** The persistent tier, or null when disabled. */

@@ -80,15 +80,6 @@ typeLine(std::ostream &os, const std::string &family, const char *kind)
     os << "# TYPE " << family << " " << kind << "\n";
 }
 
-/** A family of one unlabelled sample. */
-template <typename T>
-void
-single(std::ostream &os, const char *family, const char *kind, T value)
-{
-    typeLine(os, family, kind);
-    os << family << " " << value << "\n";
-}
-
 /**
  * One log2 histogram as a Prometheus histogram family: sparse
  * cumulative `_bucket{le="2^i-1"}` lines from a single read of the
@@ -160,47 +151,49 @@ formatStatsSnapshot(const Engine &engine)
     os << "# tetris engine stats (Prometheus text exposition 0.0.4)\n";
 
     os << "# HELP tetris_up 1 while the engine is serving.\n";
-    single(os, "tetris_up", "gauge", 1);
+    typeLine(os, "tetris_up", "gauge");
+    os << "tetris_up 1\n";
     os << "# HELP tetris_draining 1 while Engine::drain() or "
           "teardown is waiting for workers.\n";
-    single(os, "tetris_draining", "gauge", engine.draining() ? 1 : 0);
-    single(os, "tetris_uptime_seconds", "gauge", engine.uptimeSeconds());
+    typeLine(os, "tetris_draining", "gauge");
+    os << "tetris_draining " << (engine.draining() ? 1 : 0) << "\n";
+    typeLine(os, "tetris_uptime_seconds", "gauge");
+    os << "tetris_uptime_seconds " << engine.uptimeSeconds() << "\n";
 
     const size_t submitted = engine.submittedCount();
     const size_t started = engine.startedCount();
     const size_t finished = engine.finishedCount();
-    single(os, "tetris_jobs_submitted", "counter", submitted);
-    single(os, "tetris_jobs_started", "counter", started);
-    single(os, "tetris_jobs_finished", "counter", finished);
-    single(os, "tetris_jobs_in_flight", "gauge",
-           inFlight(started, finished));
-    single(os, "tetris_jobs_queued", "gauge",
-           submitted > started ? submitted - started : 0);
-    single(os, "tetris_jobs_oldest_inflight_seconds", "gauge",
-           oldestInFlightSeconds(engine));
-    single(os, "tetris_threads", "gauge", engine.numThreads());
-
-    // The cache tiers' own counters, read now: an engine fed only by
-    // submit() (tetrisd, the stream compiler) never copies them into
-    // the registry's cache.* names (Engine::syncCacheMetrics).
-    single(os, "tetris_cache_hits", "counter", engine.cache().hits());
-    single(os, "tetris_cache_misses", "counter", engine.cache().misses());
-    if (const DiskCache *disk = engine.diskCache()) {
-        single(os, "tetris_disk_hits", "counter", disk->hits());
-        single(os, "tetris_disk_misses", "counter", disk->misses());
-        single(os, "tetris_disk_writes", "counter", disk->writes());
-    }
+    typeLine(os, "tetris_jobs_submitted", "counter");
+    os << "tetris_jobs_submitted " << submitted << "\n";
+    typeLine(os, "tetris_jobs_started", "counter");
+    os << "tetris_jobs_started " << started << "\n";
+    typeLine(os, "tetris_jobs_finished", "counter");
+    os << "tetris_jobs_finished " << finished << "\n";
+    typeLine(os, "tetris_jobs_in_flight", "gauge");
+    os << "tetris_jobs_in_flight " << inFlight(started, finished)
+       << "\n";
+    typeLine(os, "tetris_jobs_queued", "gauge");
+    os << "tetris_jobs_queued "
+       << (submitted > started ? submitted - started : 0) << "\n";
+    typeLine(os, "tetris_jobs_oldest_inflight_seconds", "gauge");
+    os << "tetris_jobs_oldest_inflight_seconds "
+       << oldestInFlightSeconds(engine) << "\n";
+    typeLine(os, "tetris_threads", "gauge");
+    os << "tetris_threads " << engine.numThreads() << "\n";
 
     const MetricsRegistry &metrics = engine.metrics();
-    const auto counts = metrics.counts();
-    if (!counts.empty()) {
-        os << "# HELP tetris_count Named engine counters "
-              "(MetricsRegistry).\n";
-        typeLine(os, "tetris_count", "counter");
-        for (const auto &[name, value] : counts) {
-            os << "tetris_count{name=\"" << escapeLabel(name) << "\"} "
-               << value << "\n";
-        }
+    // The cache counters are read now, over the registry's copies: an
+    // engine fed only by submit() (tetrisd, the stream compiler) never
+    // calls Engine::syncCacheMetrics().
+    auto counts = metrics.counts();
+    for (const auto &[name, value] : engine.cacheCounters())
+        counts[name] = value;
+    os << "# HELP tetris_count Named engine counters "
+          "(MetricsRegistry).\n";
+    typeLine(os, "tetris_count", "counter");
+    for (const auto &[name, value] : counts) {
+        os << "tetris_count{name=\"" << escapeLabel(name) << "\"} "
+           << value << "\n";
     }
     const auto timers = metrics.timers();
     if (!timers.empty()) {

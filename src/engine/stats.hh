@@ -11,8 +11,9 @@
  * scrape server (obs/obs_server.hh) serves from GET /metrics, so a
  * long sweep is observed by scraping it: submitted, started,
  * finished, in-flight and queued jobs, the age of the oldest
- * in-flight job, the cache tiers' hits and misses, and uptime are
- * all gauges or counters there, read from the engine at scrape time.
+ * in-flight job, the cache.* counters (Engine::cacheCounters) and
+ * uptime are all gauges or counters there, read from the engine at
+ * scrape time.
  *
  * formatSummary() is the one line bench::runJobs prints on stderr
  * after every sweep: throughput, job-latency p50/p99, and cache hit
